@@ -11,20 +11,19 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from .analysis import (GroupingProbeResult, RRatioReport, grouping_probe,
-                       label_mapping, mask_features, r_ratio)
-from .clustering import ClusterResult, accuracy, evaluate, kmeans, nmi
+                       mask_features, r_ratio)
+from .clustering import (ClusterResult, accuracy, evaluate, kmeans,
+                         label_mapping, nmi)
 from .datagen import SBMSpec, TreeMatchSpec, gen_sbm, gen_tree_match, write_graph_files
 from .errors import (AgcnError, ConfigError, DegenerateLossError,
                      DimensionError, NumericError, ParseError)
 from .graph import (Graph, KHopMask, NormalizedAdjacency, build_graph,
                     homophily_ratio, khop_mask, khop_weights, load_graph,
                     normalized_adjacency, shortest_path_histogram)
-from .model import (Dims, EvalCounter, LayerCache, LayerParams, ModelParams,
-                    forward, init_params, layer_forward, load_params,
-                    save_params, vanilla_layer_forward)
-from .training import (AdamState, RankedNeighborhood, TrainingConfig,
-                       adam_step, backward, cosine_sim, history_to_csv,
-                       init_adam_state, loss_neg, loss_pos, rank_neighbors,
-                       sample_pairs, total_loss, train)
+from .model import (Dims, EvalCounter, LayerParams, ModelParams, forward,
+                    init_params, layer_forward, load_params, save_params)
+from .training import (AdamState, TrainingConfig, adam_step, backward,
+                       history_to_csv, init_adam_state, loss_neg, loss_pos,
+                       total_loss, train)
 
 __version__ = "0.1.0"

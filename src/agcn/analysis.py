@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .clustering import kmeans
+from .clustering import kmeans, label_mapping
 from .errors import ConfigError
 from .graph import Graph, normalized_adjacency
 
@@ -18,22 +17,7 @@ __all__ = [
     "grouping_probe",
     "r_ratio",
     "mask_features",
-    "label_mapping",
 ]
-
-
-def label_mapping(pred, truth) -> np.ndarray:
-    """Best bijection from predicted to true labels (Hungarian on the
-    confusion matrix); returns an array over the predicted label space."""
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    size = int(max(pred.max(), truth.max())) + 1
-    confusion = np.zeros((size, size), dtype=np.int64)
-    np.add.at(confusion, (pred, truth), 1)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    mapping = np.arange(size)
-    mapping[rows] = cols
-    return mapping
 
 
 @dataclass(frozen=True)

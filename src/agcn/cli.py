@@ -340,8 +340,6 @@ def cmd_analyze_mask_features(args) -> int:
     g = _load_dataset(args)
     masked = mask_features(g, args.fraction, args.seed)
     paths = write_graph_files(masked, args.out_dir, prefix="masked")
-    n_zeroed = int((masked.features == 0).all(axis=1).sum()
-                   - (g.features == 0).all(axis=1).sum())
     _write_json(args.out_dir / "report.json", {
         "fraction": args.fraction,
         "n_masked": int(round(args.fraction * g.n_nodes)),

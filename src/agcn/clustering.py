@@ -9,7 +9,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError, DimensionError
 
-__all__ = ["ClusterResult", "kmeans", "accuracy", "nmi", "evaluate"]
+__all__ = ["ClusterResult", "kmeans", "label_mapping", "accuracy", "nmi",
+           "evaluate"]
 
 
 def _kmeans_pp_init(points, n_clusters, rng):
@@ -75,22 +76,15 @@ def _lloyd(points, centers, tol, max_iter):
 def kmeans(points: np.ndarray, n_clusters: int, seed: int,
            restarts: int = 10, tol: float = 1e-6, max_iter: int = 300) -> np.ndarray:
     """Best-of-restarts k-means labels (k-means++ init, Lloyd refinement)."""
-    points = np.asarray(points, dtype=np.float64)
-    if n_clusters > points.shape[0]:
-        raise ConfigError(
-            f"n_clusters={n_clusters} exceeds number of points {points.shape[0]}"
-        )
-    rng = np.random.default_rng(seed)
-    best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
-        centers = _kmeans_pp_init(points, n_clusters, rng)
-        labels, inertia, _ = _lloyd(points, centers, tol, max_iter)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels
+    return _kmeans_with_inertia(points, n_clusters, seed, restarts, tol, max_iter)[0]
 
 
 def _kmeans_with_inertia(points, n_clusters, seed, restarts, tol=1e-6, max_iter=300):
+    """(labels, inertia) of the lowest-inertia restart."""
+    points = np.asarray(points, dtype=np.float64)
+    if not 1 <= n_clusters <= points.shape[0]:
+        raise ConfigError(f"n_clusters={n_clusters} must lie in [1, "
+                          f"{points.shape[0]}], the number of points")
     rng = np.random.default_rng(seed)
     best = (None, np.inf)
     for _ in range(restarts):
@@ -101,17 +95,32 @@ def _kmeans_with_inertia(points, n_clusters, seed, restarts, tol=1e-6, max_iter=
     return best
 
 
-def accuracy(pred, truth) -> float:
-    """Fraction matched under the best bijection between label sets."""
+def _as_labels(pred, truth):
+    """Both label vectors as int64 arrays, checked to be the same length."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
         raise DimensionError(f"label lengths differ: {pred.shape} vs {truth.shape}")
+    return pred, truth
+
+
+def label_mapping(pred, truth) -> np.ndarray:
+    """Best bijection from predicted to true labels (Hungarian on the
+    confusion matrix); returns an array over the predicted label space."""
+    pred, truth = _as_labels(pred, truth)
     size = int(max(pred.max(), truth.max())) + 1
     confusion = np.zeros((size, size), dtype=np.int64)
     np.add.at(confusion, (pred, truth), 1)
     rows, cols = linear_sum_assignment(confusion, maximize=True)
-    return float(confusion[rows, cols].sum() / len(pred))
+    mapping = np.arange(size)
+    mapping[rows] = cols
+    return mapping
+
+
+def accuracy(pred, truth) -> float:
+    """Fraction matched under the best bijection between label sets."""
+    pred, truth = _as_labels(pred, truth)
+    return float(np.mean(label_mapping(pred, truth)[pred] == truth))
 
 
 def nmi(pred, truth) -> float:
@@ -119,10 +128,7 @@ def nmi(pred, truth) -> float:
 
     Zero total entropy (e.g. a single cluster on either side) gives 0.
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape:
-        raise DimensionError(f"label lengths differ: {pred.shape} vs {truth.shape}")
+    pred, truth = _as_labels(pred, truth)
     n = len(pred)
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
@@ -175,6 +181,9 @@ def evaluate(h: np.ndarray, n_clusters: int, truth, seeds,
     into model selection.
     """
     truth = np.asarray(truth, dtype=np.int64)
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("evaluate needs at least one k-means seed")
     records = []
     best = None
     for seed in seeds:

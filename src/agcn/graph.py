@@ -221,10 +221,16 @@ class KHopMask:
     n_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
-    total_nnz: int
-    d_max: int
     symmetric: bool = True
     _src: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def total_nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @property
+    def d_max(self) -> int:
+        return int(self.list_sizes().max(initial=0))
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
@@ -250,8 +256,7 @@ class KHopMask:
         """Mask in which every node reaches every node (vanilla attention)."""
         indptr = np.arange(0, n * n + 1, n, dtype=np.int64)
         indices = np.tile(np.arange(n, dtype=np.int64), n)
-        return cls(k=k, n_nodes=n, indptr=indptr, indices=indices,
-                   total_nnz=n * n, d_max=n)
+        return cls(k=k, n_nodes=n, indptr=indptr, indices=indices)
 
     def subsample(self, max_neighbors: int, seed: int) -> "KHopMask":
         """Cap every list at ``max_neighbors`` by seeded uniform subsampling.
@@ -280,7 +285,6 @@ def _mask_from_lists(k, n, lists, symmetric=True) -> KHopMask:
     np.cumsum(sizes, out=indptr[1:])
     indices = (np.concatenate(lists) if n else np.empty(0)).astype(np.int64)
     return KHopMask(k=k, n_nodes=n, indptr=indptr, indices=indices,
-                    total_nnz=int(indptr[-1]), d_max=int(sizes.max(initial=0)),
                     symmetric=symmetric)
 
 
@@ -297,13 +301,10 @@ def khop_mask(g: Graph, k: int) -> KHopMask:
         reach.data[:] = 1.0
     reach = reach.tocsr()
     reach.sort_indices()
-    sizes = np.diff(reach.indptr)
     return KHopMask(
         k=k, n_nodes=n,
         indptr=reach.indptr.astype(np.int64),
         indices=reach.indices.astype(np.int64),
-        total_nnz=int(reach.nnz),
-        d_max=int(sizes.max(initial=0)),
     )
 
 

@@ -3,7 +3,8 @@
 Each layer projects keys and values once for all nodes and caches them;
 per-node attention then gathers only the rows allowed by the k-hop mask,
 so the number of score evaluations per layer and head is exactly the total
-mask size. The residual path maps the original node features (default) or
+mask size. Vanilla mode swaps that masked kernel for a dense softmax over
+all node pairs. The residual path maps the original node features (default) or
 the previous hidden state into the layer output. A final linear projection
 produces the embedding matrix.
 """
@@ -22,11 +23,9 @@ __all__ = [
     "Dims",
     "LayerParams",
     "ModelParams",
-    "LayerCache",
     "EvalCounter",
     "init_params",
     "layer_forward",
-    "vanilla_layer_forward",
     "forward",
     "save_params",
     "load_params",
@@ -113,14 +112,6 @@ class ModelParams:
         return ModelParams(self.dims, layers, np.zeros_like(self.final_proj))
 
 
-@dataclass(frozen=True)
-class LayerCache:
-    """Keys and values for all nodes of one layer, heads contiguous by column."""
-
-    k_full: np.ndarray   # (n, d_q)
-    v_full: np.ndarray   # (n, d_v)
-
-
 class EvalCounter:
     """Counts attention-score evaluations per (layer, head)."""
 
@@ -186,90 +177,121 @@ def _check_finite(h: np.ndarray, layer: int):
     raise NumericError(f"non-finite output at layer {layer}, node {bad}")
 
 
-def _masked_layer(h_prev, res_src, mask: KHopMask, p: LayerParams,
-                  layer_idx=0, counter: EvalCounter | None = None) -> _LayerTape:
-    n = h_prev.shape[0]
-    q_full = h_prev @ p.wq
-    k_full = h_prev @ p.wk
-    v_full = h_prev @ p.wv
+# Per-head attention kernels. Each forward returns (ctx_h, alpha) and each
+# backward (d_q, d_k, d_v) for the head's column slices.
+
+def _masked_layer(qh, kh, vh, mask: KHopMask, inv_scale):
+    """Segment softmax over the scores of each node's mask list."""
     src = mask.src_ids()
-    dst = mask.indices
     starts = mask.indptr[:-1]
-    ctx = np.empty((n, p.wv.shape[1]))
-    alphas = []
-    dqh = p.wq.shape[1] // p.heads
-    inv_scale = 1.0 / np.sqrt(dqh)
-    for h, (qs, vs) in enumerate(p.head_slices()):
-        qh, kh, vh = q_full[:, qs], k_full[:, qs], v_full[:, vs]
-        scores = np.einsum("ed,ed->e", qh[src], kh[dst]) * inv_scale
-        if counter is not None:
-            counter.add(layer_idx, h, len(scores))
-        seg_max = np.maximum.reduceat(scores, starts)
-        z = np.exp(scores - seg_max[src])
-        denom = np.add.reduceat(z, starts)
-        alpha = z / denom[src]
-        ctx[:, vs] = mask.pattern(alpha) @ vh
-        alphas.append(alpha)
-    return _LayerTape(h_in=h_prev, res_src=res_src, q_full=q_full,
-                      k_full=k_full, v_full=v_full, ctx=ctx,
-                      alphas=alphas, dense=False)
+    scores = np.einsum("ed,ed->e", qh[src], kh[mask.indices]) * inv_scale
+    seg_max = np.maximum.reduceat(scores, starts)
+    z = np.exp(scores - seg_max[src])
+    denom = np.add.reduceat(z, starts)
+    alpha = z / denom[src]
+    return mask.pattern(alpha) @ vh, alpha
 
 
-def _dense_layer(h_prev, res_src, p: LayerParams,
-                 layer_idx=0, counter: EvalCounter | None = None) -> _LayerTape:
+def _masked_layer_backward(qh, kh, vh, alpha, d_ctx_h, mask: KHopMask, inv_scale):
+    src = mask.src_ids()
+    starts = mask.indptr[:-1]
+    d_alpha = np.einsum("ed,ed->e", d_ctx_h[src], vh[mask.indices])
+    seg_dot = np.add.reduceat(alpha * d_alpha, starts)
+    d_score = alpha * (d_alpha - seg_dot[src]) * inv_scale
+    score_mat = mask.pattern(d_score)
+    return score_mat @ kh, score_mat.T @ qh, mask.pattern(alpha).T @ d_ctx_h
+
+
+def _dense_layer(qh, kh, vh, inv_scale):
+    """Row softmax over all node pairs (vanilla attention)."""
+    scores = (qh @ kh.T) * inv_scale
+    scores -= scores.max(axis=1, keepdims=True)
+    expo = np.exp(scores)
+    attn = expo / expo.sum(axis=1, keepdims=True)
+    return attn @ vh, attn
+
+
+def _dense_layer_backward(qh, kh, vh, attn, d_ctx_h, inv_scale):
+    d_attn = d_ctx_h @ vh.T
+    d_score = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
+    d_score *= inv_scale
+    return d_score @ kh, d_score.T @ qh, attn.T @ d_ctx_h
+
+
+def _attention_mask(mask, mode):
+    """The mask the masked kernel gathers over, or None for the dense kernel."""
+    if mode not in ("structure", "vanilla"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    return mask if mode == "structure" else None
+
+
+def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams,
+           layer_idx=0, counter: EvalCounter | None = None):
+    """Project keys and values once for all nodes, attend per head with the
+    masked kernel (or the dense one when ``mask`` is None), and add the
+    residual. Returns the layer output and its tape."""
     n = h_prev.shape[0]
     q_full = h_prev @ p.wq
     k_full = h_prev @ p.wk
     v_full = h_prev @ p.wv
     ctx = np.empty((n, p.wv.shape[1]))
     alphas = []
-    dqh = p.wq.shape[1] // p.heads
-    inv_scale = 1.0 / np.sqrt(dqh)
+    inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // p.heads)
     for h, (qs, vs) in enumerate(p.head_slices()):
         qh, kh, vh = q_full[:, qs], k_full[:, qs], v_full[:, vs]
-        scores = (qh @ kh.T) * inv_scale
+        if mask is None:
+            ctx[:, vs], alpha = _dense_layer(qh, kh, vh, inv_scale)
+        else:
+            ctx[:, vs], alpha = _masked_layer(qh, kh, vh, mask, inv_scale)
         if counter is not None:
-            counter.add(layer_idx, h, scores.size)
-        scores -= scores.max(axis=1, keepdims=True)
-        expo = np.exp(scores)
-        attn = expo / expo.sum(axis=1, keepdims=True)
-        ctx[:, vs] = attn @ vh
-        alphas.append(attn)
-    return _LayerTape(h_in=h_prev, res_src=res_src, q_full=q_full,
+            counter.add(layer_idx, h, alpha.size)
+        alphas.append(alpha)
+    out = ctx @ p.wo + res_src @ p.wres
+    _check_finite(out, layer=layer_idx)
+    tape = _LayerTape(h_in=h_prev, res_src=res_src, q_full=q_full,
                       k_full=k_full, v_full=v_full, ctx=ctx,
-                      alphas=alphas, dense=True)
+                      alphas=alphas, dense=mask is None)
+    return out, tape
 
 
-def _tape_output(tape: _LayerTape, p: LayerParams) -> np.ndarray:
-    return tape.ctx @ p.wo + tape.res_src @ p.wres
+def _layer_backward(tape: _LayerTape, d_out, mask: KHopMask, p: LayerParams):
+    d_wo = tape.ctx.T @ d_out
+    d_ctx = d_out @ p.wo.T
+    d_wres = tape.res_src.T @ d_out
+    d_res = d_out @ p.wres.T
+    d_q = np.empty_like(tape.q_full)
+    d_k = np.empty_like(tape.k_full)
+    d_v = np.empty_like(tape.v_full)
+    inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // p.heads)
+    for h, (qs, vs) in enumerate(p.head_slices()):
+        qh, kh, vh = tape.q_full[:, qs], tape.k_full[:, qs], tape.v_full[:, vs]
+        alpha, d_ctx_h = tape.alphas[h], d_ctx[:, vs]
+        if tape.dense:
+            d_q[:, qs], d_k[:, qs], d_v[:, vs] = _dense_layer_backward(
+                qh, kh, vh, alpha, d_ctx_h, inv_scale)
+        else:
+            d_q[:, qs], d_k[:, qs], d_v[:, vs] = _masked_layer_backward(
+                qh, kh, vh, alpha, d_ctx_h, mask, inv_scale)
+    d_h_in = d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
+    grads = LayerParams(tape.h_in.T @ d_q, tape.h_in.T @ d_k, tape.h_in.T @ d_v,
+                        d_wo, d_wres, heads=p.heads)
+    return grads, d_h_in, d_res
 
 
 def layer_forward(h_prev, x, mask: KHopMask, p: LayerParams,
-                  counter: EvalCounter | None = None):
-    """One hop-masked attention layer.
+                  mode: str = "structure", counter: EvalCounter | None = None):
+    """One attention layer: over each node's k-hop list in "structure" mode,
+    over all node pairs in "vanilla" mode.
 
     ``x`` is the residual source added through ``wres`` (the original node
-    features under the default residual mode). Returns the layer output and
-    the cache of full key/value projections.
+    features under the default residual mode). Returns the layer output.
     """
-    tape = _masked_layer(h_prev, x, mask, p, counter=counter)
-    out = _tape_output(tape, p)
-    _check_finite(out, layer=0)
-    return out, LayerCache(k_full=tape.k_full, v_full=tape.v_full)
-
-
-def vanilla_layer_forward(h_prev, x, p: LayerParams,
-                          counter: EvalCounter | None = None):
-    """Attention over all node pairs (no structural gather), residual as usual."""
-    tape = _dense_layer(h_prev, x, p, counter=counter)
-    out = _tape_output(tape, p)
-    _check_finite(out, layer=0)
-    return out, LayerCache(k_full=tape.k_full, v_full=tape.v_full)
+    out, _ = _layer(h_prev, x, _attention_mask(mask, mode), p, counter=counter)
+    return out
 
 
 def _run_layers(x, mask, params: ModelParams, mode, counter):
-    if mode not in ("structure", "vanilla"):
-        raise ConfigError(f"unknown mode {mode!r}")
+    attn_mask = _attention_mask(mask, mode)
     dims = params.dims
     if x.shape[1] != dims.d:
         raise ConfigError(f"feature dim {x.shape[1]} != dims.d {dims.d}")
@@ -277,12 +299,7 @@ def _run_layers(x, mask, params: ModelParams, mode, counter):
     h = x
     for l, p in enumerate(params.layers):
         res_src = x if dims.residual == "input" else h
-        if mode == "structure":
-            tape = _masked_layer(h, res_src, mask, p, layer_idx=l, counter=counter)
-        else:
-            tape = _dense_layer(h, res_src, p, layer_idx=l, counter=counter)
-        h = _tape_output(tape, p)
-        _check_finite(h, layer=l)
+        h, tape = _layer(h, res_src, attn_mask, p, layer_idx=l, counter=counter)
         tapes.append(tape)
     return h, tapes
 
@@ -301,66 +318,6 @@ def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
     return embeddings, h_last, tapes
 
 
-def _masked_layer_backward(tape: _LayerTape, d_out, mask: KHopMask, p: LayerParams):
-    d_wo = tape.ctx.T @ d_out
-    d_ctx = d_out @ p.wo.T
-    d_wres = tape.res_src.T @ d_out
-    d_res = d_out @ p.wres.T
-    src = mask.src_ids()
-    dst = mask.indices
-    starts = mask.indptr[:-1]
-    d_q = np.empty_like(tape.q_full)
-    d_k = np.empty_like(tape.k_full)
-    d_v = np.empty_like(tape.v_full)
-    dqh = p.wq.shape[1] // p.heads
-    inv_scale = 1.0 / np.sqrt(dqh)
-    for h, (qs, vs) in enumerate(p.head_slices()):
-        qh, kh, vh = tape.q_full[:, qs], tape.k_full[:, qs], tape.v_full[:, vs]
-        alpha = tape.alphas[h]
-        d_ctx_h = d_ctx[:, vs]
-        d_alpha = np.einsum("ed,ed->e", d_ctx_h[src], vh[dst])
-        seg_dot = np.add.reduceat(alpha * d_alpha, starts)
-        d_score = alpha * (d_alpha - seg_dot[src]) * inv_scale
-        score_mat = mask.pattern(d_score)
-        d_q[:, qs] = score_mat @ kh
-        d_k[:, qs] = score_mat.T @ qh
-        d_v[:, vs] = mask.pattern(alpha).T @ d_ctx_h
-    d_wq = tape.h_in.T @ d_q
-    d_wk = tape.h_in.T @ d_k
-    d_wv = tape.h_in.T @ d_v
-    d_h_in = d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
-    grads = LayerParams(d_wq, d_wk, d_wv, d_wo, d_wres, heads=p.heads)
-    return grads, d_h_in, d_res
-
-
-def _dense_layer_backward(tape: _LayerTape, d_out, p: LayerParams):
-    d_wo = tape.ctx.T @ d_out
-    d_ctx = d_out @ p.wo.T
-    d_wres = tape.res_src.T @ d_out
-    d_res = d_out @ p.wres.T
-    d_q = np.empty_like(tape.q_full)
-    d_k = np.empty_like(tape.k_full)
-    d_v = np.empty_like(tape.v_full)
-    dqh = p.wq.shape[1] // p.heads
-    inv_scale = 1.0 / np.sqrt(dqh)
-    for h, (qs, vs) in enumerate(p.head_slices()):
-        qh, kh, vh = tape.q_full[:, qs], tape.k_full[:, qs], tape.v_full[:, vs]
-        attn = tape.alphas[h]
-        d_ctx_h = d_ctx[:, vs]
-        d_attn = d_ctx_h @ vh.T
-        d_score = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
-        d_score *= inv_scale
-        d_q[:, qs] = d_score @ kh
-        d_k[:, qs] = d_score.T @ qh
-        d_v[:, vs] = attn.T @ d_ctx_h
-    d_wq = tape.h_in.T @ d_q
-    d_wk = tape.h_in.T @ d_k
-    d_wv = tape.h_in.T @ d_v
-    d_h_in = d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
-    grads = LayerParams(d_wq, d_wk, d_wv, d_wo, d_wres, heads=p.heads)
-    return grads, d_h_in, d_res
-
-
 def _model_backward(params: ModelParams, tapes, h_last, mask, d_embeddings):
     """Gradients of all parameters given the gradient at the final embeddings."""
     d_final = h_last.T @ d_embeddings
@@ -368,11 +325,7 @@ def _model_backward(params: ModelParams, tapes, h_last, mask, d_embeddings):
     layer_grads = [None] * len(params.layers)
     input_mode = params.dims.residual == "input"
     for l in range(len(params.layers) - 1, -1, -1):
-        tape, p = tapes[l], params.layers[l]
-        if tape.dense:
-            g, d_h_in, d_res = _dense_layer_backward(tape, d_h, p)
-        else:
-            g, d_h_in, d_res = _masked_layer_backward(tape, d_h, mask, p)
+        g, d_h_in, d_res = _layer_backward(tapes[l], d_h, mask, params.layers[l])
         layer_grads[l] = g
         d_h = d_h_in if input_mode else d_h_in + d_res
     return ModelParams(dims=params.dims, layers=tuple(layer_grads),

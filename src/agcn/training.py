@@ -22,14 +22,10 @@ from .model import Dims, ModelParams, _forward_tape, _model_backward, init_param
 
 __all__ = [
     "TrainingConfig",
-    "RankedNeighborhood",
     "AdamState",
     "DEFAULT_K_GRID",
     "DEFAULT_LAMBDA_GRID",
-    "cosine_sim",
     "loss_pos",
-    "rank_neighbors",
-    "sample_pairs",
     "loss_neg",
     "total_loss",
     "backward",
@@ -91,13 +87,6 @@ class TrainingConfig:
         return Dims(d=feature_dim, d_model=self.d_v, d_q=self.d_q,
                     d_v=self.d_v, heads=self.heads, layers=self.layers,
                     d_out=self.d_out, residual=self.residual)
-
-
-def cosine_sim(u, v) -> float:
-    """Cosine similarity with a small additive guard; zero vectors give 0."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v) + EPS))
 
 
 def _row_norms(h):
@@ -164,46 +153,12 @@ def loss_pos(h: np.ndarray, weights) -> float:
 # neighbor ranking and pair sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankedNeighborhood:
-    """Neighbors of one node ordered by descending similarity to it.
-
-    ``order[r - 1]`` is the neighbor with rank r; similarity ties are broken
-    by ascending node index.
-    """
-
-    node: int
-    order: np.ndarray
-    sims: np.ndarray
-
-    def ranks(self) -> dict:
-        return {int(j): r + 1 for r, j in enumerate(self.order)}
-
-
-def rank_neighbors(h: np.ndarray, i: int, mask: KHopMask) -> RankedNeighborhood:
-    """Rank the non-self neighbors of node i by cosine similarity to it."""
-    nb = mask.neighbors(i)
-    nb = nb[nb != i]
-    norms = _row_norms(h)
-    sims = _pair_sims(h, norms, np.full(len(nb), i), nb)
-    order = np.lexsort((nb, -sims))
-    return RankedNeighborhood(node=int(i), order=nb[order], sims=sims[order])
-
-
-_TRIU_CACHE: dict = {}
-
-
 def _pair_codes(n: int, cap: int, rng):
     """Rank-position pairs (a, b), a < b: all of them, or a seeded uniform
     sample without replacement when there are more than ``cap``."""
     total = n * (n - 1) // 2
     if total <= cap:
-        cached = _TRIU_CACHE.get(n)
-        if cached is None:
-            cached = np.triu_indices(n, k=1)
-            if n <= 256:            # keep the cache bounded
-                _TRIU_CACHE[n] = cached
-        return cached
+        return np.triu_indices(n, k=1)
     codes = _sample_distinct(rng, total, cap)
     block_ends = np.cumsum(np.arange(n - 1, 0, -1))
     a = np.searchsorted(block_ends, codes, side="right")
@@ -224,18 +179,6 @@ def _sample_distinct(rng, total: int, k: int) -> np.ndarray:
     return out[:k]
 
 
-def sample_pairs(rn: RankedNeighborhood, cap: int, seed) -> list:
-    """Oriented (better-ranked, worse-ranked) neighbor pairs for one node."""
-    if cap < 1:
-        raise ConfigError("pair cap must be >= 1")
-    n = len(rn.order)
-    if n < 2:
-        return []
-    rng = np.random.default_rng(seed)
-    a, b = _pair_codes(n, cap, rng)
-    return [(int(p), int(q)) for p, q in zip(rn.order[a], rn.order[b])]
-
-
 @dataclass
 class _PairBatch:
     """Flat sampled pairs for the whole graph, frozen for one epoch.
@@ -254,6 +197,13 @@ class _PairBatch:
 
 
 def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
+    """Oriented (better-ranked, worse-ranked) neighbor pairs of every node.
+
+    Each node's non-self neighbors are ranked by descending cosine
+    similarity, ties going to the lower index. A node contributes all its
+    pairs when they fit under ``cap``, otherwise ``cap`` distinct pairs
+    drawn from ``rng``.
+    """
     n = h.shape[0]
     src = mask.src_ids()
     dst = mask.indices

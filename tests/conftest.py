@@ -42,6 +42,13 @@ def bfs_distances(adj_dense, source, cutoff=None):
     return dist
 
 
+def cosine_sim(u, v) -> float:
+    """Cosine similarity with a small additive guard; zero vectors give 0."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v) + 1e-12))
+
+
 def dense_normalized(adj_dense, self_loops):
     a = adj_dense.astype(float).copy()
     if self_loops:

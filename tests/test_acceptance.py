@@ -72,7 +72,7 @@ def test_kv_cache_oracle():
                         layers=1, d_out=2)
             p = init_params(dims, seed).layers[0]
             mask = khop_mask(g, int(rng.integers(1, 4)))
-            got, _ = layer_forward(g.features, g.features, mask, p)
+            got = layer_forward(g.features, g.features, mask, p)
             expect = naive_layer_oracle(g.features, g.features, mask, p)
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -113,7 +113,7 @@ def _edge_list(g):
 
 def test_equivariance_and_attention_rows():
     with criterion("equivariance-and-attention-rows"):
-        from agcn.model import _dense_layer, _masked_layer
+        from agcn.model import _layer
         g = random_graph(12, 0.35, seed=3, d=4)
         mask = khop_mask(g, 2)
         dims = Dims(d=4, d_model=5, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
@@ -128,12 +128,12 @@ def test_equivariance_and_attention_rows():
         h_p = forward(g_p, khop_mask(g_p, 2), params)
         np.testing.assert_allclose(h_p, h[inv], atol=1e-9)
 
-        tape = _masked_layer(g.features, g.features, mask, params.layers[0])
+        _, tape = _layer(g.features, g.features, mask, params.layers[0])
         starts = mask.indptr[:-1]
         for alpha in tape.alphas:
             sums = np.add.reduceat(alpha, starts)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-        dense = _dense_layer(g.features, g.features, params.layers[0])
+        _, dense = _layer(g.features, g.features, None, params.layers[0])
         for attn in dense.alphas:
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
 

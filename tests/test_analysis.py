@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from agcn.analysis import grouping_probe, label_mapping, mask_features, r_ratio
+from agcn.analysis import grouping_probe, mask_features, r_ratio
+from agcn.clustering import label_mapping
 from agcn.errors import ConfigError
 from agcn.graph import build_graph, normalized_adjacency
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from agcn.clustering import (accuracy, evaluate, kmeans, nmi,
+from agcn.clustering import (accuracy, evaluate, kmeans, label_mapping, nmi,
                              _kmeans_pp_init, _lloyd)
 from agcn.errors import ConfigError, DimensionError
 
@@ -93,6 +93,11 @@ def test_accuracy_half_credit():
 def test_accuracy_length_mismatch():
     with pytest.raises(DimensionError):
         accuracy([0, 1], [0, 1, 2])
+
+
+def test_label_mapping_length_mismatch():
+    with pytest.raises(DimensionError):
+        label_mapping([0, 1], [0, 1, 2])
 
 
 def brute_force_accuracy(pred, truth, n_labels):
@@ -194,3 +199,14 @@ def test_evaluate_selects_best_by_inertia():
     inertias = [r[1] for r in res.seed_records]
     assert res.seed_records[[r[0] for r in res.seed_records].index(
         res.chosen_seed)][1] == min(inertias)
+
+
+@pytest.mark.parametrize("n_clusters", [0, 5])
+def test_evaluate_rejects_cluster_count_outside_one_to_n(n_clusters):
+    with pytest.raises(ConfigError):
+        evaluate(np.eye(3), n_clusters, [0, 1, 2], seeds=[0])
+
+
+def test_evaluate_rejects_empty_seed_list():
+    with pytest.raises(ConfigError):
+        evaluate(np.eye(3), 2, [0, 1, 1], seeds=[])

@@ -4,8 +4,8 @@ import pytest
 from agcn.errors import ConfigError, NumericError
 from agcn.graph import KHopMask, khop_mask
 from agcn.model import (Dims, EvalCounter, init_params, layer_forward,
-                        load_params, save_params, vanilla_layer_forward,
-                        forward, _masked_layer)
+                        load_params, save_params, forward, _forward_tape,
+                        _layer, _model_backward)
 
 from conftest import path_graph, random_graph
 
@@ -79,17 +79,18 @@ def test_single_node_layer_hand_eval():
     p = params.layers[0]
     x = np.array([[0.3, -1.2, 2.0]])
     mask = KHopMask.complete(1)   # single node: attention over self only
-    out, cache = layer_forward(x, x, mask, p)
+    out, tape = _layer(x, x, mask, p)
     expected = (x @ p.wv) @ p.wo + x @ p.wres   # softmax over self is 1
     np.testing.assert_allclose(out, expected, atol=1e-14)
-    np.testing.assert_allclose(cache.k_full, x @ p.wk, atol=0)
+    np.testing.assert_allclose(tape.k_full, x @ p.wk, atol=0)
+    np.testing.assert_array_equal(layer_forward(x, x, mask, p), out)
 
 
 def test_attention_rows_sum_to_one():
     g = random_graph(9, 0.4, seed=8)
     mask = khop_mask(g, 2)
     params = init_params(DIMS, seed=5)
-    tape = _masked_layer(g.features, g.features, mask, params.layers[0])
+    _, tape = _layer(g.features, g.features, mask, params.layers[0])
     starts = mask.indptr[:-1]
     for alpha in tape.alphas:
         sums = np.add.reduceat(alpha, starts)
@@ -103,7 +104,7 @@ def test_cached_projection_matches_naive_oracle(seed):
     mask = khop_mask(g, 2)
     params = init_params(DIMS, seed=seed)
     p = params.layers[0]
-    got, _ = layer_forward(g.features, g.features, mask, p)
+    got = layer_forward(g.features, g.features, mask, p)
     expect = naive_layer_oracle(g.features, g.features, mask, p)
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -113,10 +114,10 @@ def test_layer_cache_shape_and_content():
     mask = khop_mask(g, 1)
     params = init_params(DIMS, seed=2)
     p = params.layers[0]
-    _, cache = layer_forward(g.features, g.features, mask, p)
-    assert cache.k_full.shape == (7, DIMS.d_q)
-    assert cache.v_full.shape == (7, DIMS.d_v)
-    np.testing.assert_allclose(cache.v_full, g.features @ p.wv, atol=0)
+    _, tape = _layer(g.features, g.features, mask, p)
+    assert tape.k_full.shape == (7, DIMS.d_q)
+    assert tape.v_full.shape == (7, DIMS.d_v)
+    np.testing.assert_allclose(tape.v_full, g.features @ p.wv, atol=0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
@@ -196,16 +197,34 @@ def test_vanilla_equals_masked_with_complete_mask():
     params = init_params(DIMS, seed=10)
     p = params.layers[0]
     full = KHopMask.complete(8)
-    a, _ = layer_forward(g.features, g.features, full, p)
-    b, _ = vanilla_layer_forward(g.features, g.features, p)
+    a = layer_forward(g.features, g.features, full, p)
+    b = layer_forward(g.features, g.features, None, p, mode="vanilla")
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("residual", ["input", "hidden"])
+def test_vanilla_backward_equals_masked_with_complete_mask(residual):
+    g = random_graph(8, 0.4, seed=10)
+    dims = Dims(d=3, d_model=4, d_q=4, d_v=4, heads=2, layers=2, d_out=3,
+                residual=residual)
+    params = init_params(dims, seed=10)
+    full = KHopMask.complete(8)
+    d_emb = np.random.default_rng(10).standard_normal((8, dims.d_out))
+    grads = {}
+    for mode, dense in (("structure", False), ("vanilla", True)):
+        _, h_last, tapes = _forward_tape(g.features, full, params, mode=mode)
+        assert [t.dense for t in tapes] == [dense, dense]
+        grads[mode] = _model_backward(params, tapes, h_last, full, d_emb)
+    for (name, a), (_, b) in zip(grads["structure"].tensors(),
+                                 grads["vanilla"].tensors()):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_vanilla_identical_rows_agree():
     params = init_params(DIMS, seed=1)
     row = np.array([0.5, -0.1, 1.0])
     x = np.vstack([row, row])
-    out, _ = vanilla_layer_forward(x, x, params.layers[0])
+    out = layer_forward(x, x, None, params.layers[0], mode="vanilla")
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
@@ -214,7 +233,7 @@ def test_vanilla_matches_dense_softmax_oracle():
     x = rng.standard_normal((5, 3))
     params = init_params(DIMS, seed=14)
     p = params.layers[0]
-    got, _ = vanilla_layer_forward(x, x, p)
+    got = layer_forward(x, x, None, p, mode="vanilla")
 
     dqh = DIMS.d_q // DIMS.heads
     dvh = DIMS.d_v // DIMS.heads

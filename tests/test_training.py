@@ -6,26 +6,34 @@ import pytest
 from agcn.errors import ConfigError, DegenerateLossError
 from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import Dims, init_params, _forward_tape
-from agcn.training import (TrainingConfig, adam_step, backward, cosine_sim,
-                           init_adam_state, loss_neg, loss_pos,
-                           rank_neighbors, sample_pairs, total_loss, train,
-                           _adam_update, _grads_from_tape, _loss_neg_impl,
-                           _loss_pos_impl, _pair_batch)
+from agcn.training import (TrainingConfig, adam_step, backward,
+                           init_adam_state, loss_neg, loss_pos, total_loss,
+                           train, _adam_update, _grads_from_tape,
+                           _loss_neg_impl, _loss_pos_impl, _pair_batch,
+                           _pair_sims, _row_norms)
 
-from conftest import random_graph
+from conftest import cosine_sim, random_graph
 
 
 # ---------------------------------------------------------------------------
 # cosine similarity
 # ---------------------------------------------------------------------------
 
+def _cosine(u, v):
+    """Production pair similarity of two row vectors."""
+    h = np.array([u, v], dtype=np.float64)
+    return float(_pair_sims(h, _row_norms(h), np.array([0]), np.array([1]))[0])
+
+
 def test_cosine_basic_cases():
-    assert cosine_sim([1, 0], [1, 0]) == pytest.approx(1.0)
-    assert cosine_sim([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine_sim([1, 2], [2, 1]) == pytest.approx(0.8, abs=1e-12)
+    for sim in (_cosine, cosine_sim):
+        assert sim([1, 0], [1, 0]) == pytest.approx(1.0)
+        assert sim([1, 0], [0, 1]) == pytest.approx(0.0)
+        assert sim([1, 2], [2, 1]) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_cosine_zero_vector_gives_zero():
+    assert _cosine([0, 0], [1, 2]) == 0.0
     assert cosine_sim([0, 0], [1, 2]) == 0.0
 
 
@@ -90,23 +98,49 @@ def test_loss_pos_nonnegative_for_power_weights():
 
 
 # ---------------------------------------------------------------------------
-# ranking and pair sampling
+# ranking and pair sampling (the per-epoch _pair_batch)
 # ---------------------------------------------------------------------------
+
+def _node_pairs(batch, i):
+    """(better-ranked, worse-ranked, rank gap) neighbor triples of node i."""
+    of_i = batch.e_src[batch.plus_e] == i
+    assert (batch.e_src[batch.minus_e[of_i]] == i).all()
+    return list(zip(batch.e_dst[batch.plus_e[of_i]].tolist(),
+                    batch.e_dst[batch.minus_e[of_i]].tolist(),
+                    batch.gap[of_i].tolist()))
+
+
+def _oracle_ranking(h, i, mask):
+    """Non-self neighbors of i by descending cosine similarity, ties by index."""
+    nb = [j for j in mask.neighbors(i).tolist() if j != i]
+    return sorted(nb, key=lambda j: (-cosine_sim(h[i], h[j]), j))
+
+
+def _oracle_all_pairs(order):
+    return {(order[a], order[b], b - a)
+            for a in range(len(order)) for b in range(a + 1, len(order))}
+
+
+def _batch(h, mask, cap=256, seed=0):
+    return _pair_batch(h, mask, cap, np.random.default_rng(seed))
+
 
 def test_rank_neighbors_orders_by_similarity():
     h = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.0, 0.0]])
     g = build_graph([[0, 1], [0, 2]], h)
-    rn = rank_neighbors(h, 0, khop_mask(g, 1))
-    assert rn.order.tolist() == [1, 2]
-    assert rn.ranks() == {1: 1, 2: 2}
+    batch = _batch(h, khop_mask(g, 1))
+    assert _node_pairs(batch, 0) == [(1, 2, 1)]      # 1 has rank 1, 2 rank 2
+    assert len(batch.plus_e) == 1 and batch.n_contrib == 1
 
 
 def test_rank_neighbors_tie_prefers_lower_index():
     h = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
     g = build_graph([[0, 1], [0, 2]], h)
-    rn = rank_neighbors(h, 0, khop_mask(g, 1))
-    assert rn.sims[0] == rn.sims[1]      # bitwise-equal similarities
-    assert rn.order.tolist() == [1, 2]   # tie broken by ascending index
+    batch = _batch(h, khop_mask(g, 1))
+    of_0 = batch.e_src == 0
+    sims = batch.edge_sims[of_0]
+    assert sims[0] == sims[1]                       # bitwise-equal similarities
+    assert _node_pairs(batch, 0) == [(1, 2, 1)]     # tie broken by ascending index
 
 
 def test_rank_neighbors_matches_sort_oracle():
@@ -114,37 +148,36 @@ def test_rank_neighbors_matches_sort_oracle():
     h = rng.standard_normal((9, 5))
     edges = [[0, j] for j in range(1, 9)]
     g = build_graph(edges, h)
-    rn = rank_neighbors(h, 0, khop_mask(g, 1))
-    sims = {j: cosine_sim(h[0], h[j]) for j in range(1, 9)}
-    expect = sorted(range(1, 9), key=lambda j: (-sims[j], j))
-    assert rn.order.tolist() == expect
+    mask = khop_mask(g, 1)
+    pairs = _node_pairs(_batch(h, mask), 0)
+    assert len(pairs) == 28
+    assert set(pairs) == _oracle_all_pairs(_oracle_ranking(h, 0, mask))
 
 
 def test_sample_pairs_returns_all_when_under_cap():
-    rn = rank_neighbors(*_tiny_ranked(3))
-    pairs = sample_pairs(rn, cap=256, seed=0)
+    h, i, mask = _tiny_ranked(3)
+    pairs = _node_pairs(_batch(h, mask), i)
     assert len(pairs) == 3
-    ranks = rn.ranks()
-    assert all(ranks[p] < ranks[m] for p, m in pairs)
+    assert set(pairs) == _oracle_all_pairs(_oracle_ranking(h, i, mask))
 
 
 def test_sample_pairs_two_neighbors_single_oriented_pair():
-    rn = rank_neighbors(*_tiny_ranked(2))
-    pairs = sample_pairs(rn, cap=256, seed=0)
-    assert len(pairs) == 1
-    p, m = pairs[0]
-    assert rn.ranks()[p] == 1 and rn.ranks()[m] == 2
+    h, i, mask = _tiny_ranked(2)
+    pairs = _node_pairs(_batch(h, mask), i)
+    order = _oracle_ranking(h, i, mask)
+    assert pairs == [(order[0], order[1], 1)]
 
 
 def test_sample_pairs_capped_distinct_reproducible():
-    rn = rank_neighbors(*_tiny_ranked(30))
-    pairs_a = sample_pairs(rn, cap=10, seed=9)
-    pairs_b = sample_pairs(rn, cap=10, seed=9)
-    assert pairs_a == pairs_b
-    assert len(pairs_a) == 10
-    assert len(set(pairs_a)) == 10
-    ranks = rn.ranks()
-    assert all(ranks[p] < ranks[m] for p, m in pairs_a)
+    h, i, mask = _tiny_ranked(30)
+    batch_a = _batch(h, mask, cap=10, seed=9)
+    batch_b = _batch(h, mask, cap=10, seed=9)
+    for name in ("plus_e", "minus_e", "gap"):
+        np.testing.assert_array_equal(getattr(batch_a, name), getattr(batch_b, name))
+    pairs = _node_pairs(batch_a, i)
+    assert len(pairs) == 10
+    assert len(set(pairs)) == 10
+    assert set(pairs) <= _oracle_all_pairs(_oracle_ranking(h, i, mask))
 
 
 def _tiny_ranked(n_neighbors):
