@@ -38,6 +38,11 @@ def main(argv=None) -> int:
     except AgcnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # an unreadable or unwritable path is a usage error
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser():

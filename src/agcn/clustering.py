@@ -13,13 +13,26 @@ __all__ = ["ClusterResult", "kmeans", "label_mapping", "accuracy", "nmi",
            "evaluate"]
 
 
-def _kmeans_pp_init(points, n_clusters, rng):
+def _sq_norms(points):
+    """Squared Euclidean norm of every row."""
+    return np.einsum("ij,ij->i", points, points)
+
+
+def _sq_dist_to(points, sq_norms, center):
+    """Squared distances from every point to one center, as a GEMV."""
+    d2 = sq_norms - 2.0 * (points @ center) + center @ center
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _kmeans_pp_init(points, n_clusters, rng, sq_norms=None):
     """k-means++ seeding: each new center is drawn with probability
     proportional to squared distance from the nearest chosen center."""
+    if sq_norms is None:
+        sq_norms = _sq_norms(points)
     n = points.shape[0]
     centers = np.empty((n_clusters, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_dist_to(points, sq_norms, centers[0])
     for c in range(1, n_clusters):
         total = d2.sum()
         if total <= 0:
@@ -27,46 +40,56 @@ def _kmeans_pp_init(points, n_clusters, rng):
             continue
         idx = rng.choice(n, p=d2 / total)
         centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dist_to(points, sq_norms, centers[c]))
     return centers
 
 
-def _assign(points, centers):
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    return labels, d2
+def _assign(points, centers, sq_norms=None):
+    """Nearest-center labels and the (n, C) squared distances
+    ``||x||^2 - 2 x.c + ||c||^2`` from one GEMM, clamped at 0."""
+    if sq_norms is None:
+        sq_norms = _sq_norms(points)
+    # -2 is folded into a contiguous (d, C) right operand: with C small,
+    # OpenBLAS multiplies it ~2.5x faster than the transposed view (one
+    # thread on a Xeon core, n=1400, d=100, C=7)
+    d2 = points @ np.ascontiguousarray(-2.0 * centers.T)
+    d2 += sq_norms[:, None]
+    d2 += _sq_norms(centers)
+    np.maximum(d2, 0.0, out=d2)
+    return d2.argmin(axis=1), d2
 
 
-def _lloyd(points, centers, tol, max_iter):
+def _lloyd(points, centers, tol, max_iter, sq_norms=None):
     """Lloyd iterations with farthest-point repair for empty clusters.
 
     Returns (labels, inertia, inertia_trace)."""
-    n_clusters = centers.shape[0]
+    if sq_norms is None:
+        sq_norms = _sq_norms(points)
+    n, n_clusters = points.shape[0], centers.shape[0]
+    rows = np.arange(n)
     prev_inertia = np.inf
     trace = []
     labels = None
     for _ in range(max_iter):
-        labels, d2 = _assign(points, centers)
+        labels, d2 = _assign(points, centers, sq_norms)
+        sizes = np.bincount(labels, minlength=n_clusters)
         # repair empty clusters with the point farthest from its center
-        for c in range(n_clusters):
-            if (labels == c).any():
-                continue
-            dist_own = d2[np.arange(len(labels)), labels]
-            cluster_sizes = np.bincount(labels, minlength=n_clusters)
-            movable = cluster_sizes[labels] > 1
+        for c in np.flatnonzero(sizes == 0):
+            movable = sizes[labels] > 1
             if not movable.any():
-                movable = np.ones(len(labels), dtype=bool)
-            cand = np.where(movable, dist_own, -np.inf)
-            far = int(cand.argmax())
+                movable = np.ones(n, dtype=bool)
+            far = int(np.where(movable, d2[rows, labels], -np.inf).argmax())
+            sizes[labels[far]] -= 1
+            sizes[c] += 1
             labels[far] = c
             centers[c] = points[far]
             d2[:, c] = ((points - centers[c]) ** 2).sum(axis=1)
-        inertia = float(d2[np.arange(len(labels)), labels].sum())
+        inertia = float(d2[rows, labels].sum())
         trace.append(inertia)
-        for c in range(n_clusters):
-            members = labels == c
-            if members.any():
-                centers[c] = points[members].mean(axis=0)
+        onehot = np.zeros((n_clusters, n))
+        onehot[labels, rows] = 1.0
+        filled = sizes > 0
+        centers[filled] = (onehot @ points)[filled] / sizes[filled, None]
         if prev_inertia - inertia <= tol:
             break
         prev_inertia = inertia
@@ -85,11 +108,12 @@ def _kmeans_with_inertia(points, n_clusters, seed, restarts, tol=1e-6, max_iter=
     if not 1 <= n_clusters <= points.shape[0]:
         raise ConfigError(f"n_clusters={n_clusters} must lie in [1, "
                           f"{points.shape[0]}], the number of points")
+    sq_norms = _sq_norms(points)
     rng = np.random.default_rng(seed)
     best = (None, np.inf)
     for _ in range(restarts):
-        centers = _kmeans_pp_init(points, n_clusters, rng)
-        labels, inertia, _ = _lloyd(points, centers, tol, max_iter)
+        centers = _kmeans_pp_init(points, n_clusters, rng, sq_norms)
+        labels, inertia, _ = _lloyd(points, centers, tol, max_iter, sq_norms)
         if inertia < best[1]:
             best = (labels, inertia)
     return best

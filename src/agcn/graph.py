@@ -128,13 +128,32 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
 
 
 def _read_features(path) -> np.ndarray:
-    try:
-        feats = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ParseError(f"bad feature row: {exc}", path=path) from exc
+    # opened here, not by numpy, so that a missing file raises an OSError
+    # carrying its filename
+    with open(path) as fh:
+        try:
+            feats = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"bad feature row: {exc}", path=path) from exc
     if feats.size == 0:
         raise ParseError("empty feature file", path=path)
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise ParseError("non-finite feature value", path=path,
+                         line=_data_line(path, int(bad.argmax())))
     return feats
+
+
+def _data_line(path, row: int) -> int | None:
+    """1-based line number of the ``row``-th row ``np.loadtxt`` read from
+    ``path`` (it skips blank lines and ``#`` comments)."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if raw.split("#", 1)[0].strip():
+                if row == 0:
+                    return lineno
+                row -= 1
+    return None
 
 
 def _read_edges(path, n_nodes: int) -> np.ndarray:

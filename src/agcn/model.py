@@ -355,20 +355,42 @@ def save_params(params: ModelParams, path):
 
 
 def load_params(path) -> ModelParams:
-    """Read parameters written by :func:`save_params`."""
+    """Read parameters written by :func:`save_params`.
+
+    A bad magic, a header shorter than its stated length or without the
+    dims and tensor list, a tensor with fewer bytes than its shape needs,
+    and bytes after the last tensor each raise :class:`ConfigError` naming
+    ``path``.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ConfigError(f"not a parameter file: bad magic {magic!r}")
-        (hlen,) = np.frombuffer(fh.read(8), dtype="<u8")
-        header = json.loads(fh.read(int(hlen)).decode("utf-8"))
+        data = fh.read()
+    if data[:8] != _MAGIC:
+        raise ConfigError(f"{path}: not a parameter file: bad magic {data[:8]!r}")
+    if len(data) < 16:
+        raise ConfigError(f"{path}: truncated header length")
+    hlen = int.from_bytes(data[8:16], "little")
+    offset = 16 + hlen
+    if offset > len(data):
+        raise ConfigError(f"{path}: header needs {hlen} bytes, "
+                          f"{len(data) - 16} present")
+    try:
+        header = json.loads(data[16:offset].decode("utf-8"))
         dims = Dims(**header["dims"])
-        tensors = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            tensors[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        specs = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: bad header: {exc!r}") from exc
+    tensors = {}
+    for name, shape in specs:
+        count = int(np.prod(shape))
+        if offset + 8 * count > len(data):
+            raise ConfigError(f"{path}: tensor {name} needs {8 * count} "
+                              f"bytes, {len(data) - offset} present")
+        tensors[name] = np.frombuffer(
+            data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        offset += 8 * count
+    if offset != len(data):
+        raise ConfigError(f"{path}: {len(data) - offset} trailing bytes "
+                          f"after the last tensor")
     layers = tuple(
         LayerParams(*(tensors[f"layers.{i}.{n}"]
                       for n in ("wq", "wk", "wv", "wo", "wres")),

@@ -57,3 +57,10 @@ def dense_normalized(adj_dense, self_loops):
     inv = np.zeros_like(deg)
     inv[deg > 0] = deg[deg > 0] ** -0.5
     return np.diag(inv) @ a @ np.diag(inv)
+
+
+def assign_oracle(points, centers):
+    """Nearest-center labels and squared distances from the (n, C, d)
+    broadcast of every point-center difference."""
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1), d2

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agcn
 from agcn.cli import main
 
 
@@ -217,7 +220,40 @@ def test_runtime_error_exits_one(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_non_finite_feature_exits_one_with_one_line(tmp_path, capsys, bad):
+    edges, feats, _ = _gen_dataset(tmp_path)
+    rows = feats.read_text().splitlines()
+    rows[3] = ",".join([bad] + rows[3].split(",")[1:])
+    feats.write_text("\n".join(rows) + "\n")
+    rc = main(["analyze", "paths", "--graph", str(edges), "--features",
+               str(feats), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: non-finite feature value")
+    assert err[0].endswith(f"{feats}:4]")
+
+
+@pytest.mark.parametrize("missing", ["--graph", "--features"])
+def test_missing_input_file_exits_two_with_one_line(tmp_path, capsys, missing):
+    edges, feats, _ = _gen_dataset(tmp_path)
+    files = {"--graph": edges, "--features": feats}
+    files[missing] = tmp_path / "nowhere.txt"
+    rc = main(["analyze", "paths", "--graph", str(files["--graph"]),
+               "--features", str(files["--features"]),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {tmp_path / 'nowhere.txt'}: No such file or directory"]
+
+
 def test_console_script_entry(tmp_path):
+    # the child imports the agcn under test, also when only pytest's
+    # ``pythonpath`` setting put it on sys.path
+    src = str(Path(agcn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "agcn.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

@@ -2,10 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import agcn.clustering as clustering
 from agcn.clustering import (accuracy, evaluate, kmeans, label_mapping, nmi,
-                             _kmeans_pp_init, _lloyd)
+                             _assign, _kmeans_pp_init, _lloyd)
+from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError, DimensionError
+from agcn.graph import khop_mask
+from agcn.model import forward
+from agcn.training import TrainingConfig, train
+
+from conftest import assign_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +85,103 @@ def test_lloyd_repairs_empty_clusters():
     centers = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     labels, _, _ = _lloyd(pts, centers, tol=1e-6, max_iter=10)
     assert len(np.unique(labels)) == 3
+
+
+def _checked_assign(points, centers):
+    """Run ``_assign`` and the broadcast oracle; check the distances agree
+    to 1e-9 (||x||^2 + ||c||^2) and are never negative."""
+    labels, d2 = _assign(points, centers)
+    ref_labels, ref = assign_oracle(points, centers)
+    tol = 1e-9 * ((points ** 2).sum(axis=1)[:, None]
+                  + (centers ** 2).sum(axis=1)[None, :])
+    assert (d2 >= 0).all()
+    assert (np.abs(d2 - ref) <= tol).all()
+    return labels, ref_labels, ref, tol
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("seed", range(3))
+def test_assign_matches_broadcast_oracle(seed, offset):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((200, 5)) + offset
+    # three centers sit exactly on points, where the distance is 0
+    centers = np.vstack([points[:3], rng.standard_normal((4, 5)) + offset])
+    labels, ref_labels, _, _ = _checked_assign(points, centers)
+    np.testing.assert_array_equal(labels, ref_labels)
+
+
+@settings(deadline=None, derandomize=True)
+@given(n=st.integers(1, 60), n_clusters=st.integers(1, 8),
+       d=st.integers(1, 12), offset=st.sampled_from([0.0, -3.0, 50.0, 1e3]),
+       spread=st.sampled_from([1e-3, 1.0, 30.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_assign_agrees_with_oracle_property(n, n_clusters, d, offset, spread,
+                                            seed):
+    rng = np.random.default_rng(seed)
+    points = spread * rng.standard_normal((n, d)) + offset
+    centers = spread * rng.standard_normal((n_clusters, d)) + offset
+    labels, ref_labels, ref, tol = _checked_assign(points, centers)
+    rows = np.arange(n)
+    # the chosen center is the oracle's nearest up to the distance tolerance
+    assert (ref[rows, labels] <= ref[rows, ref_labels] + tol[rows, labels]
+            + tol[rows, ref_labels]).all()
+
+
+@pytest.mark.parametrize("case", ["random", "empty_cluster_repair"])
+def test_lloyd_calls_assign_once_per_iteration(monkeypatch, case):
+    rng = np.random.default_rng(6)
+    if case == "random":
+        pts = rng.standard_normal((40, 3))
+        centers = _kmeans_pp_init(pts, 4, rng)
+    else:
+        pts = np.zeros((5, 2))
+        pts[4] = [10.0, 0.0]
+        centers = np.zeros((3, 2))
+    calls = []
+    original = clustering._assign
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "_assign", counting)
+    _kmeans_pp_init(pts, 3, rng)
+    assert calls == []
+    _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50)
+    assert len(calls) == len(trace)
+
+
+def test_lloyd_center_update_is_member_mean():
+    rng = np.random.default_rng(10)
+    pts = rng.standard_normal((50, 4)) + 100.0
+    centers = _kmeans_pp_init(pts, 5, rng)
+    # tol=inf stops after one step: assign, then move every center
+    labels, _, trace = _lloyd(pts, centers, tol=np.inf, max_iter=10)
+    assert len(trace) == 1
+    means = np.array([pts[labels == c].mean(axis=0) for c in range(5)])
+    np.testing.assert_allclose(centers, means, rtol=1e-13, atol=0)
+
+
+def test_evaluate_matches_lloyd_driven_by_oracle(monkeypatch):
+    g = gen_sbm(SBMSpec(block_sizes=(15, 15, 15), p_in=0.4, p_out=0.02,
+                        feature_dim=8, seed=2))
+    cfg = TrainingConfig(k=2, lam=1e-2, epochs=3, layers=1, heads=2, d_q=4,
+                         d_v=4, d_out=4, seed=2, restarts=3)
+    params, _ = train(g, cfg)
+    emb = forward(g, khop_mask(g, cfg.k), params)
+    seeds = range(5)
+    fast = evaluate(emb, g.n_clusters, g.labels, seeds, restarts=cfg.restarts)
+    monkeypatch.setattr(clustering, "_assign",
+                        lambda points, centers, sq_norms=None:
+                        assign_oracle(points, centers))
+    ref = evaluate(emb, g.n_clusters, g.labels, seeds, restarts=cfg.restarts)
+    np.testing.assert_array_equal(fast.labels, ref.labels)
+    assert (fast.acc, fast.nmi, fast.chosen_seed) == (ref.acc, ref.nmi,
+                                                      ref.chosen_seed)
+    for (s, inertia, a, m), (rs, r_inertia, ra, rm) in zip(fast.seed_records,
+                                                          ref.seed_records):
+        assert (s, a, m) == (rs, ra, rm)
+        assert inertia == pytest.approx(r_inertia, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

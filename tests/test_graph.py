@@ -42,6 +42,20 @@ def test_load_reports_out_of_range_with_line(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("rows,line", [
+    ("0,0\n1,nan\n2,2\n", 2),
+    ("# x,y\n0,0\n\n1,1\ninf,2\n", 5),
+])
+def test_load_rejects_non_finite_feature_row(tmp_path, rows, line):
+    (tmp_path / "g.edges").write_text("0 1\n")
+    (tmp_path / "g.csv").write_text(rows)
+    with pytest.raises(ParseError) as err:
+        load_graph(tmp_path / "g.edges", tmp_path / "g.csv")
+    assert err.value.path == tmp_path / "g.csv"
+    assert err.value.line == line
+    assert f"g.csv:{line}" in str(err.value)
+
+
 def test_load_label_row_mismatch(tmp_path):
     (tmp_path / "g.edges").write_text("0 1\n")
     (tmp_path / "g.csv").write_text("0\n0\n0\n")

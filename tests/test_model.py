@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,32 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTAPARM" + b"\x00" * 32)
     with pytest.raises(ConfigError):
         load_params(path)
+
+
+def _header_end(blob: bytes) -> int:
+    return 16 + int.from_bytes(blob[8:16], "little")
+
+
+def _without_dims(blob: bytes) -> bytes:
+    header = json.loads(blob[16:_header_end(blob)])
+    del header["dims"]
+    text = json.dumps(header).encode()
+    return blob[:8] + len(text).to_bytes(8, "little") + text + blob[_header_end(blob):]
+
+
+@pytest.mark.parametrize("damage", ["truncated_header", "header_without_dims",
+                                    "truncated_tensor", "trailing_bytes"])
+def test_load_rejects_damaged_params(tmp_path, damage):
+    path = tmp_path / "params.bin"
+    save_params(init_params(DIMS, seed=33), path)
+    blob = path.read_bytes()
+    damaged = {
+        "truncated_header": blob[:_header_end(blob) - 5],
+        "header_without_dims": _without_dims(blob),
+        "truncated_tensor": blob[:-8],
+        "trailing_bytes": blob + b"\x00",
+    }[damage]
+    path.write_bytes(damaged)
+    with pytest.raises(ConfigError) as err:
+        load_params(path)
+    assert str(path) in str(err.value)
