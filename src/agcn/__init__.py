@@ -10,20 +10,18 @@ if _threads:
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from .analysis import (GroupingProbeResult, RRatioReport, grouping_probe,
-                       mask_features, r_ratio)
-from .clustering import (ClusterResult, accuracy, evaluate, kmeans,
-                         label_mapping, nmi)
-from .datagen import SBMSpec, TreeMatchSpec, gen_sbm, gen_tree_match, write_graph_files
-from .errors import (AgcnError, ConfigError, DegenerateLossError,
-                     DimensionError, NumericError, ParseError)
-from .graph import (Graph, KHopMask, NormalizedAdjacency, build_graph,
-                    homophily_ratio, khop_mask, khop_weights, load_graph,
-                    normalized_adjacency, shortest_path_histogram)
-from .model import (Dims, EvalCounter, LayerParams, ModelParams, forward,
-                    init_params, layer_forward, load_params, save_params)
-from .training import (AdamState, TrainingConfig, adam_step, backward,
-                       history_to_csv, init_adam_state, loss_neg, loss_pos,
-                       total_loss, train)
+from . import analysis, clustering, datagen, errors, graph, model, training
+from .analysis import *  # noqa: F401,F403
+from .clustering import *  # noqa: F401,F403
+from .datagen import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .training import *  # noqa: F401,F403
+
+# the public API is exactly what the modules list in their own __all__
+__all__ = [name for module in (analysis, clustering, datagen, errors, graph,
+                               model, training)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

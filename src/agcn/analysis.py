@@ -39,7 +39,7 @@ def grouping_probe(g: Graph, k: int, n_clusters: int | None = None,
     if g.labels is None:
         raise ConfigError("grouping_probe requires node labels")
     n_clusters = n_clusters if n_clusters is not None else g.n_clusters
-    ahat = normalized_adjacency(g, with_self_loops=True).matrix
+    ahat = normalized_adjacency(g, with_self_loops=True)
     filtered = g.features
     for _ in range(k):
         filtered = ahat @ filtered

@@ -15,14 +15,13 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import grouping_probe, mask_features, r_ratio
 from .clustering import evaluate, kmeans
 from .datagen import SBMSpec, TreeMatchSpec, gen_sbm, gen_tree_match, write_graph_files
 from .errors import AgcnError, ConfigError
-from .graph import Graph, khop_mask, load_graph, shortest_path_histogram
+from .graph import (Graph, _read_labels, khop_mask, load_graph,
+                    shortest_path_histogram)
 from .model import forward, save_params
 from .training import (DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID, TrainingConfig,
                        history_to_csv, train)
@@ -211,10 +210,9 @@ def _run_single(g: Graph, cfg: TrainingConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     params, history = train(g, cfg)
-    mask = khop_mask(g, cfg.k)
-    if cfg.max_neighbors is not None:
-        mask = mask.subsample(cfg.max_neighbors, cfg.seed)
-    emb = forward(g, mask, params, mode=cfg.mode)
+    # train keeps its masks to itself, so the attention mask is built again
+    emb = forward(g, cfg.attention_mask(khop_mask(g, cfg.k)), params,
+                  mode=cfg.mode)
     result = None
     if g.labels is not None:
         seeds = [cfg.seed + i for i in range(N_EVAL_SEEDS)]
@@ -329,7 +327,7 @@ def cmd_analyze_r_ratio(args) -> int:
     if g.labels is None:
         raise ConfigError("r-ratio needs --labels")
     if args.pred is not None:
-        pred = np.loadtxt(args.pred, dtype=np.int64, ndmin=1)
+        pred = _read_labels(args.pred)
     else:
         pred = kmeans(g.features, g.n_clusters, seed=args.seed,
                       restarts=args.restarts)

@@ -1,5 +1,8 @@
 """Shared exception types."""
 
+__all__ = ["AgcnError", "ParseError", "DimensionError", "ConfigError",
+           "NumericError", "DegenerateLossError"]
+
 
 class AgcnError(Exception):
     """Base class for all package-specific failures."""

@@ -19,8 +19,8 @@ from .errors import ConfigError, DimensionError, ParseError
 
 __all__ = [
     "Graph",
-    "NormalizedAdjacency",
     "KHopMask",
+    "build_graph",
     "load_graph",
     "normalized_adjacency",
     "khop_mask",
@@ -63,9 +63,6 @@ class Graph:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def degrees(self) -> np.ndarray:
-        return np.asarray(self.adj.sum(axis=1)).ravel()
 
     def fingerprint(self) -> str:
         """Content hash over structure, features and labels (sha256 hex)."""
@@ -201,15 +198,7 @@ def _read_labels(path) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Symmetrically normalized adjacency, with or without self-loops."""
-
-    matrix: sparse.csr_array
-    with_self_loops: bool
-
-
-def normalized_adjacency(g: Graph, with_self_loops: bool = False) -> NormalizedAdjacency:
+def normalized_adjacency(g: Graph, with_self_loops: bool = False) -> sparse.csr_array:
     """Return D^{-1/2} A D^{-1/2}, optionally with self-loops folded into A and D.
 
     Isolated nodes (degree zero, no self-loops) keep an all-zero row.
@@ -225,7 +214,7 @@ def normalized_adjacency(g: Graph, with_self_loops: bool = False) -> NormalizedA
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     mat = a.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :]).tocsr()
     mat.sort_indices()
-    return NormalizedAdjacency(matrix=mat, with_self_loops=with_self_loops)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -240,7 +229,6 @@ class KHopMask:
     n_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
-    symmetric: bool = True
     _src: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -295,16 +283,15 @@ class KHopMask:
             others = nb[nb != i]
             pick = rng.choice(len(others), size=max_neighbors - 1, replace=False)
             lists.append(np.sort(np.append(others[pick], i)))
-        return _mask_from_lists(self.k, self.n_nodes, lists, symmetric=False)
+        return _mask_from_lists(self.k, self.n_nodes, lists)
 
 
-def _mask_from_lists(k, n, lists, symmetric=True) -> KHopMask:
+def _mask_from_lists(k, n, lists) -> KHopMask:
     sizes = np.fromiter((len(l) for l in lists), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     indices = (np.concatenate(lists) if n else np.empty(0)).astype(np.int64)
-    return KHopMask(k=k, n_nodes=n, indptr=indptr, indices=indices,
-                    symmetric=symmetric)
+    return KHopMask(k=k, n_nodes=n, indptr=indptr, indices=indices)
 
 
 def khop_mask(g: Graph, k: int) -> KHopMask:
@@ -335,7 +322,7 @@ def khop_weights(g: Graph, k: int) -> sparse.csr_array:
     """
     if k < 1:
         raise ConfigError(f"hop order k must be >= 1, got {k}")
-    base = normalized_adjacency(g, with_self_loops=False).matrix
+    base = normalized_adjacency(g, with_self_loops=False)
     w = base.copy()
     for _ in range(k - 1):
         w = (w @ base).tocsr()

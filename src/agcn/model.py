@@ -11,6 +11,7 @@ produces the embedding matrix.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -130,9 +131,6 @@ class EvalCounter:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def reset(self):
-        self.counts.clear()
 
 
 def _xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -354,11 +352,41 @@ def save_params(params: ModelParams, path):
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _tensor_specs(dims: Dims) -> list:
+    """(name, shape) of every tensor ``dims`` implies, in serialization order."""
+    specs = []
+    for l in range(dims.layers):
+        d_in = dims.layer_in(l)
+        specs += [(f"layers.{l}.wq", (d_in, dims.d_q)),
+                  (f"layers.{l}.wk", (d_in, dims.d_q)),
+                  (f"layers.{l}.wv", (d_in, dims.d_v)),
+                  (f"layers.{l}.wo", (dims.d_v, dims.d_model)),
+                  (f"layers.{l}.wres", (dims.residual_in(l), dims.d_model))]
+    return specs + [("final_proj", (dims.d_model, dims.d_out))]
+
+
+def _check_specs(path, specs, dims: Dims):
+    """Raise ConfigError at the first header tensor whose name or shape
+    differs from what ``dims`` implies."""
+    for got, want in itertools.zip_longest(specs, _tensor_specs(dims)):
+        if got == want:
+            continue
+        if got is None:
+            raise ConfigError(f"{path}: tensor {want[0]} missing from the header")
+        if want is None or got[0] != want[0]:
+            implied = "no further tensor" if want is None else want[0]
+            raise ConfigError(f"{path}: header lists tensor {got[0]} where "
+                              f"dims imply {implied}")
+        raise ConfigError(f"{path}: tensor {got[0]} has shape {got[1]}, "
+                          f"dims imply {want[1]}")
+
+
 def load_params(path) -> ModelParams:
     """Read parameters written by :func:`save_params`.
 
     A bad magic, a header shorter than its stated length or without the
-    dims and tensor list, a tensor with fewer bytes than its shape needs,
+    dims and tensor list, a tensor list whose names or shapes differ from
+    what the dims imply, a tensor with fewer bytes than its shape needs,
     and bytes after the last tensor each raise :class:`ConfigError` naming
     ``path``.
     """
@@ -379,6 +407,7 @@ def load_params(path) -> ModelParams:
         specs = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: bad header: {exc!r}") from exc
+    _check_specs(path, specs, dims)
     tensors = {}
     for name, shape in specs:
         count = int(np.prod(shape))

@@ -25,10 +25,6 @@ __all__ = [
     "AdamState",
     "DEFAULT_K_GRID",
     "DEFAULT_LAMBDA_GRID",
-    "loss_pos",
-    "loss_neg",
-    "total_loss",
-    "backward",
     "adam_step",
     "init_adam_state",
     "train",
@@ -88,6 +84,14 @@ class TrainingConfig:
                     d_v=self.d_v, heads=self.heads, layers=self.layers,
                     d_out=self.d_out, residual=self.residual)
 
+    def attention_mask(self, loss_mask: KHopMask) -> KHopMask:
+        """The mask attention gathers over: ``loss_mask`` itself, or its
+        seeded subsample when ``max_neighbors`` caps the lists. The losses
+        always use the full ``loss_mask``."""
+        if self.max_neighbors is None:
+            return loss_mask
+        return loss_mask.subsample(self.max_neighbors, self.seed)
+
 
 def _row_norms(h):
     return np.sqrt(np.einsum("ij,ij->i", h, h))
@@ -143,12 +147,6 @@ def _loss_pos_impl(h, weights, need_grad):
     return value, d_h
 
 
-def loss_pos(h: np.ndarray, weights) -> float:
-    """Mean over contributing nodes of the weighted-positive contrast term."""
-    value, _ = _loss_pos_impl(np.asarray(h, dtype=np.float64), weights, False)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # neighbor ranking and pair sampling
 # ---------------------------------------------------------------------------
@@ -193,7 +191,7 @@ class _PairBatch:
     minus_e: np.ndarray
     gap: np.ndarray         # rank difference, always >= 1
     n_contrib: int
-    edge_sims: np.ndarray | None = None   # sims at construction time only
+    edge_sims: np.ndarray   # per-edge sims of the embeddings it was built from
 
 
 def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
@@ -251,21 +249,13 @@ def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
 # rank-margin negative loss
 # ---------------------------------------------------------------------------
 
-def _batch_sims(h, norms, batch: _PairBatch, cached=False):
-    if cached and batch.edge_sims is not None:
-        edge_sims = batch.edge_sims
-    else:
-        edge_sims = _pair_sims(h, norms, batch.e_src, batch.e_dst)
-    return edge_sims, edge_sims[batch.plus_e], edge_sims[batch.minus_e]
-
-
-def _loss_neg_impl(h, batch: _PairBatch, gamma: float, need_grad, cached=False):
-    """``cached=True`` is only valid when ``h`` is the matrix the batch was
-    built from; it skips recomputing the per-edge similarities."""
+def _loss_neg_impl(h, batch: _PairBatch, gamma: float, need_grad):
+    """Hinge value (and gradient) at ``h``, reading the pair similarities
+    from ``batch.edge_sims``, which must have been computed from ``h``."""
     if batch.n_contrib == 0:
         return 0.0, (np.zeros_like(h) if need_grad else None)
-    norms = _row_norms(h)
-    edge_sims, s_plus, s_minus = _batch_sims(h, norms, batch, cached=cached)
+    edge_sims = batch.edge_sims
+    s_plus, s_minus = edge_sims[batch.plus_e], edge_sims[batch.minus_e]
     hinge = np.exp(s_minus) - np.exp(s_plus) + gamma * batch.gap
     active = hinge > 0
     value = float(hinge[active].sum() / batch.n_contrib)
@@ -281,8 +271,8 @@ def _loss_neg_impl(h, batch: _PairBatch, gamma: float, need_grad, cached=False):
                           weights=np.exp(s_plus[active]), minlength=n_edges)
     g_edge /= batch.n_contrib
     nz = g_edge != 0
-    d_h = _cosine_backward_pairs(h, norms, batch.e_src[nz], batch.e_dst[nz],
-                                 edge_sims[nz], g_edge[nz])
+    d_h = _cosine_backward_pairs(h, _row_norms(h), batch.e_src[nz],
+                                 batch.e_dst[nz], edge_sims[nz], g_edge[nz])
     return value, d_h
 
 
@@ -302,64 +292,41 @@ def _cosine_backward_pairs(h, norms, rows, cols, svals, gvals):
     return m @ h - (r / safe)[:, None] * h
 
 
-def loss_neg(h: np.ndarray, mask: KHopMask, cfg: TrainingConfig) -> float:
-    """Rank-margin hinge over sampled neighbor pairs, averaged over nodes
-    with at least two non-self neighbors."""
-    h = np.asarray(h, dtype=np.float64)
-    batch = _pair_batch(h, mask, cfg.pair_cap, np.random.default_rng(cfg.seed))
-    value, _ = _loss_neg_impl(h, batch, cfg.gamma, False, cached=True)
-    return value
+# ---------------------------------------------------------------------------
+# the training objective
+# ---------------------------------------------------------------------------
 
+def _objective(emb, batch: _PairBatch, weights, cfg: TrainingConfig, need_grad):
+    """The loss that training minimizes, at ``emb`` with frozen pairs.
 
-def total_loss(h: np.ndarray, weights, mask: KHopMask, cfg: TrainingConfig) -> float:
-    """Negative term plus lambda times the positive term (identity at lambda=0)."""
-    l_neg = loss_neg(h, mask, cfg) if cfg.use_neg else 0.0
+    Returns ``(l_pos, l_neg, l_total, d_emb)``. ``use_neg=False`` drops the
+    hinge (``l_neg`` is 0); ``lam == 0`` skips the positive term entirely
+    (``l_pos`` is NaN and ``l_total`` is exactly ``l_neg``); otherwise
+    ``l_total = l_neg + lam * l_pos``. ``d_emb`` is None unless
+    ``need_grad``.
+    """
+    d_emb = np.zeros_like(emb) if need_grad else None
+    l_neg = 0.0
+    if cfg.use_neg:
+        l_neg, d_neg = _loss_neg_impl(emb, batch, cfg.gamma, need_grad)
+        if need_grad:
+            d_emb += d_neg
     if cfg.lam == 0:
-        return l_neg
-    return l_neg + cfg.lam * loss_pos(h, weights)
+        return math.nan, l_neg, l_neg, d_emb
+    l_pos, d_pos = _loss_pos_impl(emb, weights, need_grad)
+    if need_grad:
+        d_emb += cfg.lam * d_pos
+    return l_pos, l_neg, l_neg + cfg.lam * l_pos, d_emb
 
-
-# ---------------------------------------------------------------------------
-# gradients through the model
-# ---------------------------------------------------------------------------
 
 def _grads_from_tape(params, tapes, h_last, emb, attn_mask, cfg, weights, batch):
     """Losses and parameter gradients for one forward pass and frozen pairs."""
-    d_emb = np.zeros_like(emb)
-    l_neg = 0.0
-    if cfg.use_neg:
-        l_neg, d_neg = _loss_neg_impl(emb, batch, cfg.gamma, True, cached=True)
-        d_emb += d_neg
-    l_pos = math.nan
-    if cfg.lam != 0:
-        l_pos, d_pos = _loss_pos_impl(emb, weights, True)
-        d_emb += cfg.lam * d_pos
-    l_total = l_neg if cfg.lam == 0 else l_neg + cfg.lam * l_pos
+    l_pos, l_neg, l_total, d_emb = _objective(emb, batch, weights, cfg, True)
     grads = _model_backward(params, tapes, h_last, attn_mask, d_emb)
     for name, tensor in grads.tensors():
         if not np.all(np.isfinite(tensor)):
             raise NumericError(f"non-finite gradient in {name}")
     return grads, l_pos, l_neg, l_total
-
-
-def backward(g: Graph, mask: KHopMask, params: ModelParams,
-             cfg: TrainingConfig, weights=None) -> ModelParams:
-    """Exact gradients of the total loss with respect to every parameter.
-
-    Rankings and sampled pairs are derived from the current embeddings and
-    held constant. Returns a parameter-shaped gradient container.
-    """
-    if weights is None and cfg.lam != 0:
-        weights = khop_weights(g, cfg.k)
-    attn_mask = mask
-    if cfg.max_neighbors is not None:
-        attn_mask = mask.subsample(cfg.max_neighbors, cfg.seed)
-    emb, h_last, tapes = _forward_tape(g.features, attn_mask, params,
-                                       mode=cfg.mode)
-    batch = _pair_batch(emb, mask, cfg.pair_cap, np.random.default_rng(cfg.seed))
-    grads, *_ = _grads_from_tape(params, tapes, h_last, emb, attn_mask, cfg,
-                                 weights, batch)
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +395,7 @@ def train(g: Graph, cfg: TrainingConfig):
     Deterministic for fixed (graph, config, seed).
     """
     loss_mask = khop_mask(g, cfg.k)
-    attn_mask = loss_mask
-    if cfg.max_neighbors is not None:
-        attn_mask = loss_mask.subsample(cfg.max_neighbors, cfg.seed)
+    attn_mask = cfg.attention_mask(loss_mask)
     weights = khop_weights(g, cfg.k) if cfg.lam != 0 else None
     params = init_params(cfg.dims_for(g.feature_dim), cfg.seed)
     state = init_adam_state(params)

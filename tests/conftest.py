@@ -1,8 +1,11 @@
 """Shared test helpers: tiny graph builders and independent oracles."""
 
+import dataclasses
+
 import numpy as np
 
 from agcn.graph import build_graph
+from agcn.training import _pair_sims, _row_norms
 
 
 def random_graph(n, p, seed, d=3, labels=None):
@@ -64,3 +67,10 @@ def assign_oracle(points, centers):
     broadcast of every point-center difference."""
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1), d2
+
+
+def reanchor(batch, emb):
+    """``batch`` with its per-edge similarities recomputed from ``emb``: the
+    same frozen pairs, scored at perturbed embeddings (finite differences)."""
+    sims = _pair_sims(emb, _row_norms(emb), batch.e_src, batch.e_dst)
+    return dataclasses.replace(batch, edge_sims=sims)

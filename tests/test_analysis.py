@@ -40,7 +40,7 @@ def test_grouping_probe_filter_matches_dense_oracle():
                      labels=np.random.default_rng(2).integers(0, 2, 12))
     k = 3
     res = grouping_probe(g, k=k, n_clusters=2, seed=1)
-    ahat = normalized_adjacency(g, with_self_loops=True).matrix.toarray()
+    ahat = normalized_adjacency(g, with_self_loops=True).toarray()
     expect = np.linalg.matrix_power(ahat, k) @ g.features
     np.testing.assert_allclose(res.filtered, expect, atol=1e-10)
 

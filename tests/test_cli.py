@@ -194,6 +194,19 @@ def test_analyze_r_ratio_accepts_external_predictions(tmp_path):
     assert rc == 0
 
 
+def test_analyze_r_ratio_bad_prediction_row_exits_one_with_line(tmp_path,
+                                                                capsys):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    pred = tmp_path / "pred.txt"
+    pred.write_text("x\n" + "0\n" * 15)
+    rc = main(["analyze", "r-ratio", "--graph", str(edges), "--features",
+               str(feats), "--labels", str(labels), "--pred", str(pred),
+               "--k-range", "1,2", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: non-integer label 'x' [{pred}:1]"]
+
+
 def test_analyze_mask_features_file_output(tmp_path):
     edges, feats, labels = _gen_dataset(tmp_path)
     out = tmp_path / "out"

@@ -11,9 +11,9 @@ from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import (Dims, forward, init_params, load_params, save_params,
                         _forward_tape)
 from agcn.training import (TrainingConfig, train, _grads_from_tape,
-                           _loss_pos_impl, _loss_neg_impl, _pair_batch)
+                           _objective, _pair_batch)
 
-from conftest import random_graph
+from conftest import random_graph, reanchor
 from test_training import _fd_grads
 
 
@@ -39,8 +39,7 @@ def test_gradcheck_with_isolated_and_noncontributing_nodes():
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params)
-        val = _loss_neg_impl(e, batch, cfg.gamma, False)[0]
-        return val + cfg.lam * _loss_pos_impl(e, weights, False)[0]
+        return _objective(e, reanchor(batch, e), weights, cfg, False)[2]
 
     analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, mask, cfg,
                                     weights, batch)
@@ -63,8 +62,7 @@ def test_gradcheck_unequal_head_widths():
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params)
-        val = _loss_neg_impl(e, batch, cfg.gamma, False)[0]
-        return val + cfg.lam * _loss_pos_impl(e, weights, False)[0]
+        return _objective(e, reanchor(batch, e), weights, cfg, False)[2]
 
     analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, mask, cfg,
                                     weights, batch)

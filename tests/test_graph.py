@@ -78,35 +78,35 @@ def test_load_with_labels_sets_cluster_count(tmp_path):
 
 def test_normalized_single_edge():
     g = build_graph([[0, 1]], np.zeros((2, 1)))
-    mat = normalized_adjacency(g, with_self_loops=False).matrix.toarray()
+    mat = normalized_adjacency(g, with_self_loops=False).toarray()
     assert mat[0, 1] == pytest.approx(1.0)
     assert mat[1, 0] == pytest.approx(1.0)
 
 
 def test_normalized_single_node_with_self_loops():
     g = build_graph(np.empty((0, 2)), np.zeros((1, 1)))
-    mat = normalized_adjacency(g, with_self_loops=True).matrix.toarray()
+    mat = normalized_adjacency(g, with_self_loops=True).toarray()
     assert mat[0, 0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("self_loops", [False, True])
 def test_normalized_matches_dense_oracle(self_loops):
     g = random_graph(8, 0.4, seed=7)
-    got = normalized_adjacency(g, self_loops).matrix.toarray()
+    got = normalized_adjacency(g, self_loops).toarray()
     expect = dense_normalized(g.adj.toarray(), self_loops)
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
 def test_normalized_isolated_node_row_is_zero():
     g = build_graph([[0, 1]], np.zeros((3, 1)))
-    mat = normalized_adjacency(g, with_self_loops=False).matrix.toarray()
+    mat = normalized_adjacency(g, with_self_loops=False).toarray()
     assert (mat[2] == 0).all()
 
 
 def test_normalized_spectral_bound_small_graphs():
     for seed in range(5):
         g = random_graph(rng_n(seed), 0.3, seed=seed)
-        mat = normalized_adjacency(g, False).matrix.toarray()
+        mat = normalized_adjacency(g, False).toarray()
         eig = np.linalg.eigvalsh(mat)
         assert eig.min() >= -1 - 1e-9 and eig.max() <= 1 + 1e-9
 

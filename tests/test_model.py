@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agcn.errors import ConfigError, NumericError
 from agcn.graph import KHopMask, khop_mask
@@ -304,9 +308,10 @@ def _header_end(blob: bytes) -> int:
     return 16 + int.from_bytes(blob[8:16], "little")
 
 
-def _without_dims(blob: bytes) -> bytes:
+def _with_header(blob: bytes, edit) -> bytes:
+    """``blob`` with its JSON header passed through ``edit`` (in place)."""
     header = json.loads(blob[16:_header_end(blob)])
-    del header["dims"]
+    edit(header)
     text = json.dumps(header).encode()
     return blob[:8] + len(text).to_bytes(8, "little") + text + blob[_header_end(blob):]
 
@@ -319,7 +324,7 @@ def test_load_rejects_damaged_params(tmp_path, damage):
     blob = path.read_bytes()
     damaged = {
         "truncated_header": blob[:_header_end(blob) - 5],
-        "header_without_dims": _without_dims(blob),
+        "header_without_dims": _with_header(blob, lambda h: h.pop("dims")),
         "truncated_tensor": blob[:-8],
         "trailing_bytes": blob + b"\x00",
     }[damage]
@@ -327,3 +332,54 @@ def test_load_rejects_damaged_params(tmp_path, damage):
     with pytest.raises(ConfigError) as err:
         load_params(path)
     assert str(path) in str(err.value)
+
+
+def _grow_layers(header, by):
+    header["dims"]["layers"] += by
+
+
+def _transpose_first(header):
+    header["tensors"][0]["shape"].reverse()
+
+
+@pytest.mark.parametrize("edit, tensor", [
+    (lambda h: _grow_layers(h, 1), "layers.2.wq"),     # dims name a tensor
+    (lambda h: _grow_layers(h, -1), "layers.1.wq"),    # the list runs on
+    (_transpose_first, "layers.0.wq"),                 # same bytes, wrong shape
+], ids=["dims_one_layer_more", "dims_one_layer_fewer", "transposed_wq"])
+def test_load_rejects_header_that_disagrees_with_dims(tmp_path, edit, tensor):
+    path = tmp_path / "params.bin"
+    save_params(init_params(DIMS, seed=33), path)
+    path.write_bytes(_with_header(path.read_bytes(), edit))
+    with pytest.raises(ConfigError) as err:
+        load_params(path)
+    assert str(path) in str(err.value)
+    assert tensor in str(err.value)
+
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -1.5e308, np.pi, -1.0 / 3.0])
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(d=st.integers(1, 6), d_model=st.integers(1, 6), dqh=st.integers(1, 3),
+       dvh=st.integers(1, 3), heads=st.integers(1, 3), layers=st.integers(1, 3),
+       d_out=st.integers(1, 5), residual=st.sampled_from(["input", "hidden"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_params_roundtrip_bitwise_property(d, d_model, dqh, dvh, heads, layers,
+                                           d_out, residual, seed):
+    dims = Dims(d=d, d_model=d_model, d_q=dqh * heads, d_v=dvh * heads,
+                heads=heads, layers=layers, d_out=d_out, residual=residual)
+    params = init_params(dims, seed % 1000)
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([_SPECIAL, rng.standard_normal(8)])
+    for _, tensor in params.tensors():      # signed zeros, subnormals, huge
+        tensor.flat[:] = rng.choice(pool, size=tensor.size)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.bin"
+        save_params(params, path)
+        loaded = load_params(path)
+    assert loaded.dims == dims
+    got, want = list(loaded.tensors()), list(params.tensors())
+    assert [(n, a.shape) for n, a in got] == [(n, a.shape) for n, a in want]
+    for (name, a), (_, b) in zip(got, want):
+        assert a.tobytes() == b.tobytes(), name

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agcn.errors import ConfigError, DegenerateLossError
 from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import Dims, init_params, _forward_tape
-from agcn.training import (TrainingConfig, adam_step, backward,
-                           init_adam_state, loss_neg, loss_pos, total_loss,
+from agcn.training import (TrainingConfig, adam_step, init_adam_state,
                            train, _adam_update, _grads_from_tape,
-                           _loss_neg_impl, _loss_pos_impl, _pair_batch,
-                           _pair_sims, _row_norms)
+                           _loss_neg_impl, _loss_pos_impl, _objective,
+                           _pair_batch, _pair_sims, _row_norms)
 
-from conftest import cosine_sim, random_graph
+from conftest import cosine_sim, random_graph, reanchor
 
 
 # ---------------------------------------------------------------------------
@@ -41,11 +42,15 @@ def test_cosine_zero_vector_gives_zero():
 # positive loss
 # ---------------------------------------------------------------------------
 
+def _pos(h, w):
+    return _loss_pos_impl(h, w, False)[0]
+
+
 def test_loss_pos_two_nodes_single_edge_is_zero():
     g = build_graph([[0, 1]], np.array([[1.0, 0.0], [0.5, 0.5]]))
     w = khop_weights(g, 1)
     h = np.array([[1.0, 2.0], [0.3, -0.4]])
-    assert loss_pos(h, w) == pytest.approx(0.0, abs=1e-12)
+    assert _pos(h, w) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_pos_identical_rows_uniform_weights():
@@ -59,7 +64,7 @@ def test_loss_pos_identical_rows_uniform_weights():
         -np.log(w.toarray()[i].sum() / (n - 1)) for i in range(n)
         if w.toarray()[i].sum() > 0
     ])
-    assert loss_pos(h, w) == pytest.approx(expect, rel=1e-12)
+    assert _pos(h, w) == pytest.approx(expect, rel=1e-12)
 
 
 def test_loss_pos_matches_brute_force():
@@ -76,14 +81,14 @@ def test_loss_pos_matches_brute_force():
                   for k in range(6) if k != i)
         if num > 0:
             vals.append(-math.log(num / den))
-    assert loss_pos(h, w) == pytest.approx(np.mean(vals), rel=1e-10)
+    assert _pos(h, w) == pytest.approx(np.mean(vals), rel=1e-10)
 
 
 def test_loss_pos_degenerate_when_no_positive_rows():
     g = build_graph(np.empty((0, 2)), np.ones((3, 2)))
     w = khop_weights(g, 1)
     with pytest.raises(DegenerateLossError):
-        loss_pos(np.ones((3, 2)), w)
+        _pos(np.ones((3, 2)), w)
 
 
 def test_loss_pos_nonnegative_for_power_weights():
@@ -94,7 +99,7 @@ def test_loss_pos_nonnegative_for_power_weights():
             if w.nnz == 0:
                 continue
             h = np.random.default_rng(seed).standard_normal((10, 3))
-            assert loss_pos(h, w) >= -1e-12
+            assert _pos(h, w) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +185,45 @@ def test_sample_pairs_capped_distinct_reproducible():
     assert set(pairs) <= _oracle_all_pairs(_oracle_ranking(h, i, mask))
 
 
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(n=st.integers(2, 14), p=st.floats(0.1, 1.0), k=st.integers(1, 2),
+       ties=st.booleans(), pick=st.integers(0, 13), offset=st.integers(-1, 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_batch_invariants_property(n, p, k, ties, pick, offset, seed):
+    g = random_graph(n, p, seed=seed % 1000, d=3)
+    rng = np.random.default_rng(seed)
+    # coarse integer rows make many bitwise-equal similarities, zero rows too
+    h = (rng.integers(-1, 2, size=(n, 2)).astype(np.float64) if ties
+         else rng.standard_normal((n, 3)))
+    mask = khop_mask(g, k)
+    m = mask.list_sizes() - 1                      # non-self neighbors
+    # a cap at or next to some node's pair count: lists straddle it
+    cap = max(1, int(m[pick % n] * (m[pick % n] - 1) // 2) + offset)
+    batch = _pair_batch(h, mask, cap, rng)
+
+    sims = batch.edge_sims
+    np.testing.assert_array_equal(
+        sims, _pair_sims(h, _row_norms(h), batch.e_src, batch.e_dst))
+    rank = np.empty(len(sims), dtype=np.int64)
+    for i in range(n):
+        edges = np.flatnonzero(batch.e_src == i)
+        order = sorted(edges, key=lambda e: (-sims[e], batch.e_dst[e]))
+        rank[order] = np.arange(len(order))
+    plus, minus = batch.plus_e, batch.minus_e
+    assert (batch.e_src[plus] == batch.e_src[minus]).all()
+    assert (batch.gap >= 1).all()
+    np.testing.assert_array_equal(batch.gap, rank[minus] - rank[plus])
+    # oriented by similarity, a tie going to the lower neighbor index
+    tie = sims[plus] == sims[minus]
+    assert ((sims[plus] > sims[minus])
+            | (tie & (batch.e_dst[plus] < batch.e_dst[minus]))).all()
+    assert len(set(zip(plus.tolist(), minus.tolist()))) == len(plus)
+    np.testing.assert_array_equal(
+        np.bincount(batch.e_src[plus], minlength=n),
+        np.minimum(m * (m - 1) // 2, cap))
+    assert batch.n_contrib == int((m >= 2).sum())
+
+
 def _tiny_ranked(n_neighbors):
     rng = np.random.default_rng(n_neighbors)
     h = rng.standard_normal((n_neighbors + 1, 4))
@@ -192,13 +236,19 @@ def _tiny_ranked(n_neighbors):
 # negative loss
 # ---------------------------------------------------------------------------
 
+def _neg(h, mask, cfg):
+    """The hinge on the pairs training would sample at ``h`` with cfg.seed."""
+    batch = _batch(h, mask, cfg.pair_cap, cfg.seed)
+    return _loss_neg_impl(h, batch, cfg.gamma, False)[0]
+
+
 def test_loss_neg_single_pair_equal_sims_equals_margin():
     # path 0-1-2: only the middle node has two neighbors; make both ends
     # equally similar to it so the hinge reduces to the margin
     h = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     g = build_graph([[0, 1], [1, 2]], h)
     cfg = TrainingConfig(gamma=1e-4, pair_cap=256, epochs=1)
-    val = loss_neg(h, khop_mask(g, 1), cfg)
+    val = _neg(h, khop_mask(g, 1), cfg)
     assert val == pytest.approx(1e-4, rel=1e-12)
 
 
@@ -208,7 +258,7 @@ def test_loss_neg_hinge_inactive():
     g = build_graph([[0, 1], [0, 2]], h)
     cfg = TrainingConfig(gamma=1e-4, pair_cap=256, epochs=1)
     # node 0: plus=1 (sim 1), minus=2 (sim -1) -> hinge is inactive
-    val = loss_neg(h, khop_mask(g, 1), cfg)
+    val = _neg(h, khop_mask(g, 1), cfg)
     assert val == 0.0
 
 
@@ -218,7 +268,7 @@ def test_loss_neg_matches_exhaustive_oracle():
     h = rng.standard_normal((6, 4))
     mask = khop_mask(g, 2)
     cfg = TrainingConfig(gamma=1e-4, pair_cap=10 ** 9, epochs=1)
-    got = loss_neg(h, mask, cfg)
+    got = _neg(h, mask, cfg)
 
     total, contrib = 0.0, 0
     for i in range(6):
@@ -239,30 +289,45 @@ def test_loss_neg_matches_exhaustive_oracle():
 def test_loss_neg_nonnegative_and_zero_without_pairs():
     g = build_graph([[0, 1]], np.ones((2, 2)))
     cfg = TrainingConfig(epochs=1)
-    assert loss_neg(np.ones((2, 2)), khop_mask(g, 1), cfg) == 0.0
+    assert _neg(np.ones((2, 2)), khop_mask(g, 1), cfg) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# total loss
+# total loss (the training objective)
 # ---------------------------------------------------------------------------
 
 def test_total_loss_lambda_zero_is_exactly_neg():
     g = random_graph(7, 0.5, seed=3, d=3)
     h = np.random.default_rng(3).standard_normal((7, 3))
-    mask = khop_mask(g, 2)
-    cfg = TrainingConfig(lam=0.0, epochs=1)
+    batch = _batch(h, khop_mask(g, 2))
+    cfg = TrainingConfig(lam=0.0, gamma=0.5, epochs=1)   # active hinges
     w = khop_weights(g, 2)
-    assert total_loss(h, w, mask, cfg) == loss_neg(h, mask, cfg)
+    l_pos, l_neg, l_total, _ = _objective(h, batch, w, cfg, False)
+    assert math.isnan(l_pos) and l_neg > 0
+    assert l_total == l_neg == _loss_neg_impl(h, batch, cfg.gamma, False)[0]
+    # the positive term is skipped, not evaluated: no weights are needed
+    _, _, _, d_emb = _objective(h, batch, None, cfg, True)
+    np.testing.assert_array_equal(
+        d_emb, _loss_neg_impl(h, batch, cfg.gamma, True)[1])
 
 
 def test_total_loss_weighted_sum():
     g = random_graph(7, 0.5, seed=4, d=3)
     h = np.random.default_rng(4).standard_normal((7, 3))
-    mask = khop_mask(g, 2)
+    batch = _batch(h, khop_mask(g, 2))
     w = khop_weights(g, 2)
-    cfg = TrainingConfig(lam=1e-2, epochs=1)
-    expect = loss_neg(h, mask, cfg) + 1e-2 * loss_pos(h, w)
-    assert total_loss(h, w, mask, cfg) == pytest.approx(expect, rel=1e-14)
+    cfg = TrainingConfig(lam=1e-2, gamma=0.5, epochs=1)  # active hinges
+    l_pos, l_neg, l_total, d_emb = _objective(h, batch, w, cfg, True)
+    assert l_pos == _pos(h, w)
+    assert l_neg > 0 and l_neg == _loss_neg_impl(h, batch, cfg.gamma, False)[0]
+    assert l_total == pytest.approx(l_neg + 1e-2 * l_pos, rel=1e-14)
+    expect = (_loss_neg_impl(h, batch, cfg.gamma, True)[1]
+              + 1e-2 * _loss_pos_impl(h, w, True)[1])
+    np.testing.assert_allclose(d_emb, expect, rtol=1e-14, atol=1e-17)
+    # use_neg=False drops the hinge from the value and the gradient
+    off = TrainingConfig(lam=1e-2, gamma=0.5, epochs=1, use_neg=False)
+    l_pos, l_neg, l_total, _ = _objective(h, batch, w, off, False)
+    assert l_neg == 0.0 and l_total == 1e-2 * l_pos
 
 
 def test_losses_invariant_under_positive_scaling():
@@ -271,9 +336,9 @@ def test_losses_invariant_under_positive_scaling():
     mask = khop_mask(g, 2)
     w = khop_weights(g, 2)
     cfg = TrainingConfig(epochs=1)
-    assert loss_pos(3.7 * h, w) == pytest.approx(loss_pos(h, w), rel=1e-9)
-    assert loss_neg(3.7 * h, mask, cfg) == pytest.approx(
-        loss_neg(h, mask, cfg), rel=1e-9)
+    assert _pos(3.7 * h, w) == pytest.approx(_pos(h, w), rel=1e-9)
+    assert _neg(3.7 * h, mask, cfg) == pytest.approx(
+        _neg(h, mask, cfg), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +374,15 @@ def _gradcheck_case(g, cfg, seed, min_hinge_margin=1e-3):
     batch = _pair_batch(emb, mask, cfg.pair_cap, np.random.default_rng(cfg.seed))
 
     if cfg.use_neg and batch.n_contrib:
-        from agcn.training import _batch_sims, _row_norms
-        _, s_plus, s_minus = _batch_sims(emb, _row_norms(emb), batch)
+        s_plus = batch.edge_sims[batch.plus_e]
+        s_minus = batch.edge_sims[batch.minus_e]
         hinge = np.exp(s_minus) - np.exp(s_plus) + cfg.gamma * batch.gap
         if np.abs(hinge).min() < min_hinge_margin:
             return False
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params, mode=cfg.mode)
-        val = _loss_neg_impl(e, batch, cfg.gamma, False)[0] if cfg.use_neg else 0.0
-        if cfg.lam != 0:
-            val += cfg.lam * _loss_pos_impl(e, weights, False)[0]
-        return val
+        return _objective(e, reanchor(batch, e), weights, cfg, False)[2]
 
     analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, mask, cfg,
                                     weights, batch)
@@ -347,6 +409,11 @@ def _cfg_grid():
                                 d_v=4, d_out=3, epochs=1, mode="vanilla"))
     cases.append(TrainingConfig(k=2, lam=1e-2, layers=2, heads=2, d_q=4,
                                 d_v=4, d_out=3, epochs=1, residual="hidden"))
+    # at the default gamma every hinge that clears the kink margin is
+    # inactive; a wide margin puts active hinges into the check
+    cases.append(TrainingConfig(k=2, lam=1e-2, layers=2, heads=2, d_q=4,
+                                d_v=4, d_out=3, epochs=1, pair_cap=64,
+                                gamma=0.5))
     return cases
 
 
@@ -375,7 +442,12 @@ def test_gradient_lambda_zero_positive_term_contributes_nothing():
                           d_out=3, epochs=1, use_neg=False)
     mask = khop_mask(g, cfg0.k)
     params = init_params(cfg0.dims_for(4), 15)
-    grads = backward(g, mask, params, cfg0)
+    emb, h_last, tapes = _forward_tape(g.features, mask, params)
+    batch = _batch(emb, mask, cfg0.pair_cap, cfg0.seed)
+    # no weights: at lambda 0 the positive term is never evaluated
+    grads, l_pos, l_neg, l_total = _grads_from_tape(
+        params, tapes, h_last, emb, mask, cfg0, None, batch)
+    assert math.isnan(l_pos) and l_neg == l_total == 0.0
     for _, tensor in grads.tensors():
         np.testing.assert_allclose(tensor, 0.0, atol=1e-15)
 
