@@ -20,8 +20,8 @@ from .analysis import grouping_probe, mask_features, r_ratio
 from .clustering import evaluate, kmeans
 from .datagen import SBMSpec, TreeMatchSpec, gen_sbm, gen_tree_match, write_graph_files
 from .errors import AgcnError, ConfigError
-from .graph import (Graph, _read_labels, khop_mask, load_graph,
-                    shortest_path_histogram)
+from .graph import (Graph, _atomic_open, _read_labels, khop_mask,
+                    load_graph, shortest_path_histogram)
 from .model import forward, save_params
 from .training import (DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID, TrainingConfig,
                        history_to_csv, train)
@@ -155,7 +155,7 @@ def _load_dataset(args) -> Graph:
 
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -219,7 +219,7 @@ def _run_single(g: Graph, cfg: TrainingConfig, out_dir: Path) -> dict:
         clustered = evaluate(emb, g.n_clusters, g.labels, seeds,
                              restarts=cfg.restarts)
         result = clustered.to_dict()
-        with open(out_dir / "labels.csv", "w") as fh:
+        with _atomic_open(out_dir / "labels.csv") as fh:
             fh.writelines(f"{lab}\n" for lab in clustered.labels)
     elapsed = time.perf_counter() - t0
 
@@ -289,7 +289,7 @@ def cmd_analyze_grouping(args) -> int:
     res = grouping_probe(g, args.k, seed=args.seed, restarts=args.restarts)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "grouping_coords.csv", "w") as fh:
+    with _atomic_open(out / "grouping_coords.csv") as fh:
         fh.write("x,y,pred,truth,error\n")
         for i in range(g.n_nodes):
             fh.write(f"{res.coords[i, 0]!r},{res.coords[i, 1]!r},"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Graph, build_graph
+from .graph import Graph, _atomic_open, build_graph
 
 __all__ = ["SBMSpec", "TreeMatchSpec", "gen_sbm", "gen_tree_match", "write_graph_files"]
 
@@ -110,15 +110,15 @@ def write_graph_files(g: Graph, out_dir, prefix: str = "graph") -> dict:
 
     rows, cols = g.adj.nonzero()
     keep = rows < cols
-    with open(edge_path, "w") as fh:
+    with _atomic_open(edge_path) as fh:
         for u, v in zip(rows[keep], cols[keep]):
             fh.write(f"{u} {v}\n")
-    with open(feat_path, "w") as fh:
+    with _atomic_open(feat_path) as fh:
         for row in g.features:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
     if g.labels is not None:
         label_path = out / f"{prefix}.labels"
-        with open(label_path, "w") as fh:
+        with _atomic_open(label_path) as fh:
             for lab in g.labels:
                 fh.write(f"{lab}\n")
         paths["labels"] = label_path

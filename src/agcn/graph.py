@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -196,6 +199,25 @@ def _read_labels(path) -> np.ndarray:
                     f"non-integer label {line!r}", path=path, line=lineno
                 ) from exc
     return np.asarray(values, dtype=np.int64)
+
+
+@contextmanager
+def _atomic_open(path, mode="w"):
+    """Open ``path`` for writing so that it appears whole or not at all.
+
+    The block writes to a temporary file beside ``path``, which replaces
+    ``path`` only when the block ends without an exception; otherwise the
+    temporary file is removed and an earlier ``path`` stays as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def normalized_adjacency(g: Graph, with_self_loops: bool = False) -> sparse.csr_array:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .graph import Graph, KHopMask
+from .graph import Graph, KHopMask, _atomic_open
 
 __all__ = [
     "Dims",
@@ -344,7 +344,7 @@ def save_params(params: ModelParams, path):
                     for n, a in zip(names, arrays)],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(np.array(len(blob), dtype="<u8").tobytes())
         fh.write(blob)

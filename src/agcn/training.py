@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, DegenerateLossError, NumericError
-from .graph import Graph, KHopMask, khop_mask, khop_weights
+from .graph import Graph, KHopMask, _atomic_open, khop_mask, khop_weights
 from .model import Dims, ModelParams, _forward_tape, _model_backward, init_params
 
 __all__ = [
@@ -97,8 +97,17 @@ def _row_norms(h):
     return np.sqrt(np.einsum("ij,ij->i", h, h))
 
 
+# edges per gather block in _pair_sims: two (chunk, d) row blocks stay in
+# cache, where one gather of every edge would not
+SIMS_CHUNK = 2048
+
+
 def _pair_sims(h, norms, rows, cols):
-    return np.einsum("ij,ij->i", h[rows], h[cols]) / (norms[rows] * norms[cols] + EPS)
+    dots = np.empty(len(rows))
+    for s in range(0, len(rows), SIMS_CHUNK):
+        r, c = rows[s:s + SIMS_CHUNK], cols[s:s + SIMS_CHUNK]
+        np.einsum("ij,ij->i", h[r], h[c], out=dots[s:s + SIMS_CHUNK])
+    return dots / (norms[rows] * norms[cols] + EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -151,30 +160,51 @@ def _loss_pos_impl(h, weights, need_grad):
 # neighbor ranking and pair sampling
 # ---------------------------------------------------------------------------
 
-def _pair_codes(n: int, cap: int, rng):
-    """Rank-position pairs (a, b), a < b: all of them, or a seeded uniform
-    sample without replacement when there are more than ``cap``."""
-    total = n * (n - 1) // 2
-    if total <= cap:
-        return np.triu_indices(n, k=1)
-    codes = _sample_distinct(rng, total, cap)
-    block_ends = np.cumsum(np.arange(n - 1, 0, -1))
-    a = np.searchsorted(block_ends, codes, side="right")
-    prev = np.where(a > 0, block_ends[a - 1], 0)
-    return a, a + 1 + (codes - prev)
+def _sample_rows(rng, totals, cap: int) -> np.ndarray:
+    """Row r: ``cap`` distinct codes drawn uniformly without replacement
+    from [0, totals[r]), in draw order.
+
+    Each row keeps the first ``cap`` distinct codes of its own i.i.d.
+    uniform sequence. All rows share one draw of 2*cap+16 codes each; a row
+    left short, possible only when its total is close to ``cap``, doubles
+    its sequence until it has enough.
+    """
+    out = np.empty((len(totals), cap), dtype=np.int64)
+    if not len(totals):
+        return out
+    rows = np.arange(len(totals))
+    draws = rng.integers(0, totals[:, None], size=(len(totals), 2 * cap + 16))
+    while True:
+        # one sort of code*width + column puts each code's first column in
+        # front of its repeats
+        width = draws.shape[1]
+        key = np.sort(draws * width + np.arange(width), axis=1)
+        code = key // width
+        first = np.ones(key.shape, dtype=bool)
+        first[:, 1:] = code[:, 1:] != code[:, :-1]
+        cols = np.sort(np.where(first, key - code * width, width), axis=1)
+        cols = cols[:, :cap]
+        done = cols[:, -1] < width
+        out[rows[done]] = np.take_along_axis(draws[done], cols[done], axis=1)
+        rows, draws = rows[~done], draws[~done]
+        if not len(rows):
+            return out
+        more = rng.integers(0, totals[rows, None], size=draws.shape)
+        draws = np.hstack([draws, more])
 
 
-def _sample_distinct(rng, total: int, k: int) -> np.ndarray:
-    """k distinct integers from [0, total), uniform, in draw order."""
-    out = np.empty(0, dtype=np.int64)
-    while len(out) < k:
-        draw = rng.integers(0, total, size=2 * (k - len(out)) + 16, dtype=np.int64)
-        uniq, first = np.unique(draw, return_index=True)
-        new = uniq[np.argsort(first)]
-        if len(out):
-            new = new[~np.isin(new, out)]
-        out = np.concatenate([out, new])
-    return out[:k]
+def _decode_pairs(codes, sizes):
+    """Rank positions (a, b), a < b, of pair ``codes`` in lists of ``sizes``.
+
+    Codes number a list's pairs row by row: (0, 1), (0, 2), ..., (1, 2), ...
+    Counted from the end, that is the triangular order of the reflected
+    pair (m-1-b, m-1-a), which has the closed form used here."""
+    rev = sizes * (sizes - 1) // 2 - 1 - codes
+    j = np.floor((1.0 + np.sqrt(1.0 + 8.0 * rev)) / 2.0).astype(np.int64)
+    j -= j * (j - 1) // 2 > rev                 # float rounding, either way
+    j += j * (j + 1) // 2 <= rev
+    i = rev - j * (j - 1) // 2
+    return sizes - 1 - j, sizes - 1 - i
 
 
 @dataclass
@@ -214,32 +244,24 @@ def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=starts[1:])
 
-    plus, minus, gap = [], [], []
-    # nodes whose full pair set fits under the cap, grouped by list size so
-    # each group is one broadcast gather; all-pair enumeration is identical
-    # for every node of the same size
-    small = np.flatnonzero((sizes >= 2) & (sizes * (sizes - 1) // 2 <= cap))
-    for sz in np.unique(sizes[small]):
-        group = small[sizes[small] == sz]
-        a, b = _pair_codes(int(sz), cap, rng)
-        base = starts[group][:, None]
-        plus.append(order[base + a[None, :]].ravel())
-        minus.append(order[base + b[None, :]].ravel())
-        gap.append(np.broadcast_to(b - a, (len(group), len(a))).ravel())
-    # oversized nodes draw their own seeded sample, in index order
-    for i in np.flatnonzero(sizes * (sizes - 1) // 2 > cap):
-        seg = order[starts[i]:starts[i + 1]]   # edge positions by rank
-        a, b = _pair_codes(len(seg), cap, rng)
-        plus.append(seg[a])
-        minus.append(seg[b])
-        gap.append(b - a)
-    if not plus:
-        empty = np.empty(0, dtype=np.int64)
-        return _PairBatch(e_src, e_dst, empty, empty, empty, 0, sims)
+    totals = sizes * (sizes - 1) // 2
+    # nodes whose pairs fit under the cap take all of them, grouped by list
+    # size; the nodes over it then take ``cap`` sampled pairs each, in index
+    # order. This order is the summation order of the hinge and its gradient
+    small = np.flatnonzero((sizes >= 2) & (totals <= cap))
+    small = small[np.argsort(sizes[small], kind="stable")]
+    big = np.flatnonzero(totals > cap)
+    counts = totals[small]
+    firsts = np.cumsum(counts) - counts
+    codes = np.concatenate([
+        np.arange(counts.sum()) - np.repeat(firsts, counts),
+        _sample_rows(rng, totals[big], cap).ravel()])
+    owner = np.concatenate([np.repeat(small, counts), np.repeat(big, cap)])
+    a, b = _decode_pairs(codes, sizes[owner])
+    base = starts[owner]
     return _PairBatch(
         e_src=e_src, e_dst=e_dst,
-        plus_e=np.concatenate(plus), minus_e=np.concatenate(minus),
-        gap=np.concatenate(gap).astype(np.int64),
+        plus_e=order[base + a], minus_e=order[base + b], gap=b - a,
         n_contrib=int((sizes >= 2).sum()),
         edge_sims=sims,
     )
@@ -417,7 +439,7 @@ def train(g: Graph, cfg: TrainingConfig):
 
 def history_to_csv(history: np.ndarray, path):
     """Write the per-epoch loss table."""
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write("epoch,l_pos,l_neg,l_total\n")
         for i, (lp, ln, lt) in enumerate(history):
             fh.write(f"{i},{float(lp)!r},{float(ln)!r},{float(lt)!r}\n")

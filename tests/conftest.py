@@ -52,6 +52,12 @@ def cosine_sim(u, v) -> float:
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v) + 1e-12))
 
 
+def pair_sims_oracle(h, norms, rows, cols):
+    """Per-edge cosine similarities from one gather of every edge."""
+    return (np.einsum("ij,ij->i", h[rows], h[cols])
+            / (norms[rows] * norms[cols] + 1e-12))
+
+
 def dense_normalized(adj_dense, self_loops):
     a = adj_dense.astype(float).copy()
     if self_loops:

@@ -22,7 +22,7 @@ from conftest import bfs_distances, path_graph, random_graph
 from test_analysis import brute_force_r
 from test_clustering import brute_force_accuracy
 from test_model import naive_layer_oracle
-from test_training import _gradcheck_case
+from test_training import _gradcheck_case, _gradcheck_setup, _hinges
 
 
 @contextmanager
@@ -55,9 +55,29 @@ def test_gradient_suite():
                 continue
             if _gradcheck_case(g, cfg, seed):
                 checked += 1
+        # at gamma=1e-4 an active hinge is at most gamma * gap, inside the
+        # kink margin, so no case above checks the hinge gradient; at a wide
+        # margin most usable cases have active hinges
+        with_hinge = 0
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            layers, heads = combos[with_hinge % len(combos)]
+            cfg = TrainingConfig(k=2, lam=1e-2, layers=layers, heads=heads,
+                                 d_q=4, d_v=4, d_out=3, epochs=1, pair_cap=64,
+                                 gamma=0.5)
+            seed = int(rng.integers(0, 10 ** 6))
+            g = random_graph(int(rng.integers(6, 13)), 0.45, seed=seed, d=4)
+            if g.n_edges < 3 or not _gradcheck_case(g, cfg, seed):
+                continue
+            batch = _gradcheck_setup(g, cfg, seed)[-1]
+            with_hinge += bool((_hinges(batch, cfg.gamma) > 0).any())
+            if with_hinge == 12:
+                break
         elapsed = time.perf_counter() - t0
-        print(f"  checked {checked} graphs in {elapsed:.1f}s", end=" ")
+        print(f"  checked {checked} graphs and {with_hinge} with active "
+              f"hinges in {elapsed:.1f}s", end=" ")
         assert checked >= 20
+        assert with_hinge >= 12
 
 
 def test_kv_cache_oracle():

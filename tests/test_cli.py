@@ -3,12 +3,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import agcn
+from agcn import cli
 from agcn.cli import main
+from agcn.graph import khop_mask, load_graph
+from agcn.model import Dims, init_params, save_params
+from agcn.training import TrainingConfig, history_to_csv
 
 
 def _gen_dataset(tmp_path, blocks="8,8", p_in="0.6", p_out="0.05", seed="0"):
@@ -261,12 +266,89 @@ def test_missing_input_file_exits_two_with_one_line(tmp_path, capsys, missing):
     assert err == [f"error: {tmp_path / 'nowhere.txt'}: No such file or directory"]
 
 
-def test_console_script_entry(tmp_path):
-    # the child imports the agcn under test, also when only pytest's
-    # ``pythonpath`` setting put it on sys.path
+def _child_env(**extra):
+    """Environment of a child process that imports the agcn under test, also
+    when only pytest's ``pythonpath`` setting put it on sys.path."""
     src = str(Path(agcn.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_console_script_entry(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "agcn.cli", "--version"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
+
+
+def test_train_reruns_in_fresh_processes_are_byte_identical(tmp_path):
+    edges, feats, labels = _gen_dataset(tmp_path, blocks="15,15",
+                                        p_in="0.4", p_out="0.05")
+    # most 2-hop lists hold more than 16 pairs, so the sampler draws
+    g = load_graph(edges, feats, labels)
+    sizes = khop_mask(g, 2).list_sizes() - 1
+    assert (sizes * (sizes - 1) // 2 > 16).mean() > 0.5
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        args = _train_args(edges, feats, labels, out,
+                           ["--k", "2", "--pair-cap", "16"])
+        proc = subprocess.run([sys.executable, "-m", "agcn.cli", *args],
+                              capture_output=True, text=True,
+                              env=_child_env(AGCN_THREADS="1"))
+        assert proc.returncode == 0, proc.stderr
+    for name in ("params.bin", "history.csv", "labels.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+class _Bomb:
+    """Fails when formatted or converted, so a writer stops midway."""
+
+    def _fail(self, *args):
+        raise RuntimeError("write failed")
+
+    __format__ = __float__ = _fail
+
+
+def _fail_params(path, monkeypatch):
+    params = init_params(Dims(d=3, d_model=4, d_q=4, d_v=4, heads=1,
+                              layers=1, d_out=2), seed=0)
+    tensors = list(params.tensors())
+    bad = SimpleNamespace(
+        dims=params.dims,
+        tensors=lambda: tensors[:-1] + [(tensors[-1][0], np.array([_Bomb()]))])
+    save_params(bad, path)
+
+
+def _fail_history(path, monkeypatch):
+    history_to_csv(np.array([[1.0, 2.0, 3.0]] * 3 + [[_Bomb()] * 3]), path)
+
+
+def _fail_labels(path, monkeypatch):
+    edges, feats, labels = _gen_dataset(path.parent.parent)
+    clustered = SimpleNamespace(labels=[0, 1, _Bomb()], to_dict=dict)
+    monkeypatch.setattr(cli, "evaluate", lambda *a, **k: clustered)
+    cli._run_single(load_graph(edges, feats, labels),
+                    TrainingConfig(epochs=1, layers=1, heads=1, d_q=2, d_v=2,
+                                   d_out=2), path.parent)
+
+
+def _fail_json(path, monkeypatch):
+    cli._write_json(path, {"a": 1, "b": _Bomb()})
+
+
+@pytest.mark.parametrize("name,write", [
+    ("params.bin", _fail_params),
+    ("history.csv", _fail_history),
+    ("labels.csv", _fail_labels),
+    ("result.json", _fail_json),
+    ("sweep.json", _fail_json),
+])
+def test_failed_artifact_write_keeps_previous_file(tmp_path, monkeypatch,
+                                                   name, write):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / name
+    path.write_bytes(b"previous artifact\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path, monkeypatch)
+    assert path.read_bytes() == b"previous artifact\n"
+    assert sorted(p.name for p in out.iterdir()) == [name]

@@ -11,9 +11,10 @@ from agcn.model import Dims, init_params, _forward_tape
 from agcn.training import (TrainingConfig, adam_step, init_adam_state,
                            train, _adam_update, _grads_from_tape,
                            _loss_neg_impl, _loss_pos_impl, _objective,
-                           _pair_batch, _pair_sims, _row_norms)
+                           _decode_pairs, _pair_batch, _pair_sims, _row_norms,
+                           _sample_rows, SIMS_CHUNK)
 
-from conftest import cosine_sim, random_graph, reanchor
+from conftest import cosine_sim, pair_sims_oracle, random_graph, reanchor
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +37,18 @@ def test_cosine_basic_cases():
 def test_cosine_zero_vector_gives_zero():
     assert _cosine([0, 0], [1, 2]) == 0.0
     assert cosine_sim([0, 0], [1, 2]) == 0.0
+
+
+def test_pair_sims_chunked_is_bitwise_single_shot():
+    rng = np.random.default_rng(11)
+    h = rng.standard_normal((40, 37))
+    h[3] = 0.0
+    n_edges = 3 * SIMS_CHUNK + 123            # several chunks and a remainder
+    rows = rng.integers(0, 40, n_edges)
+    cols = rng.integers(0, 40, n_edges)
+    norms = _row_norms(h)
+    got = _pair_sims(h, norms, rows, cols)
+    assert got.tobytes() == pair_sims_oracle(h, norms, rows, cols).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +245,124 @@ def _tiny_ranked(n_neighbors):
     return h, 0, khop_mask(g, 1)
 
 
+def _stars(n_stars, leaves, seed=0):
+    """Features and 1-hop mask of ``n_stars`` disjoint stars: each center
+    has ``leaves`` neighbors, each leaf one."""
+    size = leaves + 1
+    edges = [[s * size, s * size + j]
+             for s in range(n_stars) for j in range(1, size)]
+    h = np.random.default_rng(seed).standard_normal((n_stars * size, 4))
+    return h, khop_mask(build_graph(edges, h), 1)
+
+
+class _CountingRng:
+    """A ``np.random.Generator`` stand-in that counts ``integers`` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.integers_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _epoch_rng(seed, epoch):
+    """The per-epoch generator ``train`` hands to ``_pair_batch``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, epoch)))
+
+
+def test_pair_batch_draw_count_does_not_grow_with_overcap_nodes():
+    calls = {}
+    for n_stars in (1, 8, 64):
+        # 12 neighbors: 66 pairs per center against a cap of 4
+        h, mask = _stars(n_stars, 12)
+        rng = _CountingRng(n_stars)
+        batch = _pair_batch(h, mask, 4, rng)
+        centers = np.arange(n_stars) * 13
+        np.testing.assert_array_equal(
+            np.bincount(batch.e_src[batch.plus_e], minlength=len(h))[centers], 4)
+        calls[n_stars] = rng.integers_calls
+    assert calls[1] >= 1
+    assert calls[8] == calls[1] and calls[64] == calls[1], calls
+
+
+def test_sampled_pairs_are_uniform_over_streams():
+    # a 6-neighbor node has 15 pairs; with cap 4 each is in a batch with
+    # probability 4/15
+    h, mask = _stars(1, 6)
+    hits = {}
+    streams = 0
+    for seed in range(50):
+        for epoch in range(40):
+            batch = _pair_batch(h, mask, 4, _epoch_rng(seed, epoch))
+            pairs = set(zip(batch.plus_e.tolist(), batch.minus_e.tolist()))
+            assert len(batch.plus_e) == len(pairs) == 4
+            for pair in pairs:
+                hits[pair] = hits.get(pair, 0) + 1
+            streams += 1
+    assert len(hits) == 15
+    freq = np.array(list(hits.values())) / streams
+    # one standard deviation of a frequency over 2000 streams is 0.0099
+    np.testing.assert_allclose(freq, 4 / 15, atol=0.05)
+
+
+def test_sampler_top_up_keeps_cap_distinct_uniform_pairs():
+    # 24 neighbors give 276 pairs; 2*256+16 draws of them hold ~235
+    # distinct codes, so the capped rows need the top-up round
+    h, mask = _stars(8, 24)
+    rng = _CountingRng(5)
+    batch = _pair_batch(h, mask, 256, rng)
+    assert rng.integers_calls > 1                   # the top-up round ran
+    owner = batch.e_src[batch.plus_e]
+    for center in np.arange(8) * 25:
+        of_c = owner == center
+        pairs = set(zip(batch.plus_e[of_c].tolist(), batch.minus_e[of_c].tolist()))
+        assert of_c.sum() == len(pairs) == 256
+
+    codes = _sample_rows(np.random.default_rng(6), np.full(500, 276), 256)
+    assert codes.shape == (500, 256)
+    assert (codes >= 0).all() and (codes < 276).all()
+    assert all(len(np.unique(row)) == 256 for row in codes)
+    # each code is kept with probability 256/276; one standard deviation of
+    # its frequency over 500 rows is 0.0116
+    freq = np.bincount(codes.ravel(), minlength=276) / 500
+    np.testing.assert_allclose(freq, 256 / 276, atol=0.06)
+
+
+def test_decode_pairs_matches_row_major_enumeration():
+    for m in range(2, 40):
+        a, b = np.triu_indices(m, k=1)
+        got = _decode_pairs(np.arange(len(a)), np.full(len(a), m))
+        np.testing.assert_array_equal(got[0], a)
+        np.testing.assert_array_equal(got[1], b)
+    # long lists, where sqrt rounding needs the integer fix-up: row a ends
+    # at the cumulative row length, as the per-list search found it
+    m = 300_000
+    ends = np.cumsum(np.arange(m - 1, 0, -1))
+    codes = np.concatenate([np.arange(5), ends[:5], ends[:5] - 1,
+                            ends[-5:] - 1,
+                            np.random.default_rng(0).integers(0, ends[-1], 1000)])
+    a = np.searchsorted(ends, codes, side="right")
+    b = a + 1 + codes - np.where(a > 0, ends[a - 1], 0)
+    got = _decode_pairs(codes, np.full(len(codes), m))
+    np.testing.assert_array_equal(got[0], a)
+    np.testing.assert_array_equal(got[1], b)
+
+
+def test_pair_batch_is_a_function_of_seed_and_epoch():
+    h, mask = _stars(3, 10)
+    first = _pair_batch(h, mask, 8, _epoch_rng(4, 2))
+    again = _pair_batch(h, mask, 8, _epoch_rng(4, 2))
+    other = _pair_batch(h, mask, 8, _epoch_rng(4, 3))
+    for name in ("plus_e", "minus_e", "gap"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(again, name))
+    assert not np.array_equal(first.plus_e, other.plus_e)
+
+
 # ---------------------------------------------------------------------------
 # negative loss
 # ---------------------------------------------------------------------------
@@ -363,21 +494,29 @@ def _fd_grads(loss_fn, params, step=1e-5):
     return grads
 
 
+def _gradcheck_setup(g, cfg, seed):
+    """Mask, parameters, forward tape and frozen pairs of one gradient case."""
+    mask = khop_mask(g, cfg.k)
+    params = init_params(cfg.dims_for(g.feature_dim), seed)
+    emb, h_last, tapes = _forward_tape(g.features, mask, params, mode=cfg.mode)
+    batch = _pair_batch(emb, mask, cfg.pair_cap, np.random.default_rng(cfg.seed))
+    return mask, params, emb, h_last, tapes, batch
+
+
+def _hinges(batch, gamma):
+    """Per-pair hinge arguments; a pair's hinge is active where this is > 0."""
+    return (np.exp(batch.edge_sims[batch.minus_e])
+            - np.exp(batch.edge_sims[batch.plus_e]) + gamma * batch.gap)
+
+
 def _gradcheck_case(g, cfg, seed, min_hinge_margin=1e-3):
     """Return True if the case is usable (no hinge sitting on its kink) and,
     if so, assert analytic == finite differences."""
-    mask = khop_mask(g, cfg.k)
+    mask, params, emb, h_last, tapes, batch = _gradcheck_setup(g, cfg, seed)
     weights = khop_weights(g, cfg.k) if cfg.lam != 0 else None
-    dims = cfg.dims_for(g.feature_dim)
-    params = init_params(dims, seed)
-    emb, h_last, tapes = _forward_tape(g.features, mask, params, mode=cfg.mode)
-    batch = _pair_batch(emb, mask, cfg.pair_cap, np.random.default_rng(cfg.seed))
 
     if cfg.use_neg and batch.n_contrib:
-        s_plus = batch.edge_sims[batch.plus_e]
-        s_minus = batch.edge_sims[batch.minus_e]
-        hinge = np.exp(s_minus) - np.exp(s_plus) + cfg.gamma * batch.gap
-        if np.abs(hinge).min() < min_hinge_margin:
+        if np.abs(_hinges(batch, cfg.gamma)).min() < min_hinge_margin:
             return False
 
     def frozen_loss():
