@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -42,6 +43,18 @@ def main(argv=None) -> int:
         where = "" if exc.filename is None else f"{exc.filename}: "
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
+
+
+def _say(text: str):
+    """Print one line to stdout. A reader that has gone away (``agcn train
+    ... | head -1``) ends the output, not the command: stdout then goes to
+    devnull, and the command finishes its work and exits as it would."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _build_parser():
@@ -249,15 +262,15 @@ def cmd_train(args) -> int:
     if not args.sweep:
         record = _run_single(g, cfg, args.out_dir)
         if record["result"] is not None:
-            print(f"acc={record['result']['acc']:.4f} "
-                  f"nmi={record['result']['nmi']:.4f}")
-        print(f"artifacts written to {args.out_dir}")
+            _say(f"acc={record['result']['acc']:.4f} "
+                 f"nmi={record['result']['nmi']:.4f}")
+        _say(f"artifacts written to {args.out_dir}")
         return 0
 
     if g.labels is None:
         raise ConfigError("--sweep ranks by accuracy and needs --labels")
-    print(f"sweeping {len(k_grid)} x {len(lam_grid)} = "
-          f"{len(k_grid) * len(lam_grid)} configurations")
+    _say(f"sweeping {len(k_grid)} x {len(lam_grid)} = "
+         f"{len(k_grid) * len(lam_grid)} configurations")
     records = []
     for k in k_grid:
         for lam in lam_grid:
@@ -271,12 +284,12 @@ def cmd_train(args) -> int:
                 "nmi": record["result"]["nmi"],
                 "out_dir": sub_dir.name,
             })
-            print(f"k={k} lambda={lam:g} acc={record['result']['acc']:.4f} "
-                  f"nmi={record['result']['nmi']:.4f}")
+            _say(f"k={k} lambda={lam:g} acc={record['result']['acc']:.4f} "
+                 f"nmi={record['result']['nmi']:.4f}")
     records.sort(key=lambda r: -r["acc"])
     _write_json(args.out_dir / "sweep.json", {"ranked": records})
     best = records[0]
-    print(f"best: k={best['k']} lambda={best['lambda']:g} acc={best['acc']:.4f}")
+    _say(f"best: k={best['k']} lambda={best['lambda']:g} acc={best['acc']:.4f}")
     return 0
 
 
@@ -300,7 +313,7 @@ def cmd_analyze_grouping(args) -> int:
         "error_rate": float(res.errors.mean()),
         "coords_csv": "grouping_coords.csv",
     })
-    print(f"{int(res.errors.sum())} of {g.n_nodes} nodes misclustered")
+    _say(f"{int(res.errors.sum())} of {g.n_nodes} nodes misclustered")
     return 0
 
 
@@ -311,7 +324,7 @@ def cmd_analyze_paths(args) -> int:
                for key, count in hist.items()}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(args.out_dir / "report.json", {"histogram": payload})
-    print(json.dumps(payload))
+    _say(json.dumps(payload))
     return 0
 
 
@@ -335,7 +348,7 @@ def cmd_analyze_r_ratio(args) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(args.out_dir / "report.json", report.to_dict())
     shown = sum(e.pair_mean is not None for e in report.entries)
-    print(f"{shown} (cluster, k) ratios written")
+    _say(f"{shown} (cluster, k) ratios written")
     return 0
 
 
@@ -348,7 +361,7 @@ def cmd_analyze_mask_features(args) -> int:
         "n_masked": int(round(args.fraction * g.n_nodes)),
         "files": {k: str(v.name) for k, v in paths.items()},
     })
-    print(f"masked dataset written to {args.out_dir}")
+    _say(f"masked dataset written to {args.out_dir}")
     return 0
 
 
@@ -362,7 +375,7 @@ def cmd_generate_sbm(args) -> int:
                    feature_dim=args.feature_dim, mean_scale=args.mean_scale,
                    noise_scale=args.noise_scale, seed=args.seed)
     paths = write_graph_files(gen_sbm(spec), args.out_dir, prefix=args.prefix)
-    print(" ".join(str(p) for p in paths.values()))
+    _say(" ".join(str(p) for p in paths.values()))
     return 0
 
 
@@ -370,7 +383,7 @@ def cmd_generate_tree(args) -> int:
     spec = TreeMatchSpec(depth=args.depth, seed=args.seed)
     paths = write_graph_files(gen_tree_match(spec), args.out_dir,
                               prefix=args.prefix)
-    print(" ".join(str(p) for p in paths.values()))
+    _say(" ".join(str(p) for p in paths.values()))
     return 0
 
 

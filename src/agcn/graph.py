@@ -257,10 +257,6 @@ class KHopMask:
     def total_nnz(self) -> int:
         return int(self.indptr[-1])
 
-    @property
-    def d_max(self) -> int:
-        return int(self.list_sizes().max(initial=0))
-
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 

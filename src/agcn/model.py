@@ -4,9 +4,10 @@ Each layer projects keys and values once for all nodes and caches them;
 per-node attention then gathers only the rows allowed by the k-hop mask,
 so the number of score evaluations per layer and head is exactly the total
 mask size. Vanilla mode swaps that masked kernel for a dense softmax over
-all node pairs. The residual path maps the original node features (default) or
-the previous hidden state into the layer output. A final linear projection
-produces the embedding matrix.
+all node pairs, computed in row blocks whose backward pass recomputes the
+scores, so no n x n matrix is ever kept. The residual path maps the
+original node features (default) or the previous hidden state into the
+layer output. A final linear projection produces the embedding matrix.
 """
 
 from __future__ import annotations
@@ -103,15 +104,6 @@ class ModelParams:
                 yield f"layers.{i}.{name}", getattr(lp, name)
         yield "final_proj", self.final_proj
 
-    def zeros_like(self) -> "ModelParams":
-        layers = tuple(
-            LayerParams(*(np.zeros_like(getattr(lp, n))
-                          for n in ("wq", "wk", "wv", "wo", "wres")),
-                        heads=lp.heads)
-            for lp in self.layers
-        )
-        return ModelParams(self.dims, layers, np.zeros_like(self.final_proj))
-
 
 class EvalCounter:
     """Counts attention-score evaluations per (layer, head)."""
@@ -164,7 +156,8 @@ class _LayerTape:
     k_full: np.ndarray
     v_full: np.ndarray
     ctx: np.ndarray
-    alphas: list            # per head: flat (nnz,) for masked, (n, n) for dense
+    alphas: list            # per head: flat (nnz,) alpha for masked,
+                            # (n,) row log-sum-exp for dense
     dense: bool
 
 
@@ -175,8 +168,9 @@ def _check_finite(h: np.ndarray, layer: int):
     raise NumericError(f"non-finite output at layer {layer}, node {bad}")
 
 
-# Per-head attention kernels. Each forward returns (ctx_h, alpha) and each
-# backward (d_q, d_k, d_v) for the head's column slices.
+# Per-head attention kernels. Each forward returns ctx_h and what its
+# backward needs (the masked alpha, the dense row log-sum-exp); each
+# backward returns (d_q, d_k, d_v) for the head's column slices.
 
 def _masked_layer(qh, kh, vh, mask: KHopMask, inv_scale):
     """Segment softmax over the scores of each node's mask list."""
@@ -200,20 +194,62 @@ def _masked_layer_backward(qh, kh, vh, alpha, d_ctx_h, mask: KHopMask, inv_scale
     return score_mat @ kh, score_mat.T @ qh, mask.pattern(alpha).T @ d_ctx_h
 
 
+# Byte budget of one row block of the dense kernel: a block holds
+# DENSE_BLOCK_BYTES // (8 n) rows of n float64 scores, and the forward and
+# backward passes keep at most two such blocks live per head.
+DENSE_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n):
+    step = max(1, DENSE_BLOCK_BYTES // (8 * n))
+    for r0 in range(0, n, step):
+        yield slice(r0, min(r0 + step, n))
+
+
 def _dense_layer(qh, kh, vh, inv_scale):
-    """Row softmax over all node pairs (vanilla attention)."""
-    scores = (qh @ kh.T) * inv_scale
-    scores -= scores.max(axis=1, keepdims=True)
-    expo = np.exp(scores)
-    attn = expo / expo.sum(axis=1, keepdims=True)
-    return attn @ vh, attn
+    """Row softmax over all node pairs (vanilla attention), one row block at
+    a time. Returns ctx_h and each row's log-sum-exp of its scaled scores,
+    from which :func:`_dense_probs` rebuilds the attention rows."""
+    n = qh.shape[0]
+    qs = qh * inv_scale
+    ctx = np.empty((n, vh.shape[1]))
+    lse = np.empty(n)
+    for r in _row_blocks(n):
+        block = qs[r] @ kh.T
+        row_max = block.max(axis=1, keepdims=True)
+        block -= row_max
+        np.exp(block, out=block)
+        row_sum = block.sum(axis=1, keepdims=True)
+        ctx[r] = (block @ vh) / row_sum
+        lse[r] = (row_max + np.log(row_sum))[:, 0]
+    return ctx, lse
 
 
-def _dense_layer_backward(qh, kh, vh, attn, d_ctx_h, inv_scale):
-    d_attn = d_ctx_h @ vh.T
-    d_score = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
-    d_score *= inv_scale
-    return d_score @ kh, d_score.T @ qh, attn.T @ d_ctx_h
+def _dense_probs(qs, kh, lse):
+    """Yield (rows, attention block) per row block, recomputed from the
+    scaled queries ``qs = qh * inv_scale`` as exp(qs kh^T - lse)."""
+    for r in _row_blocks(qs.shape[0]):
+        block = qs[r] @ kh.T
+        block -= lse[r, None]
+        np.exp(block, out=block)
+        yield r, block
+
+
+def _dense_layer_backward(qh, kh, vh, lse, ctx_h, d_ctx_h, inv_scale):
+    qs, ks = qh * inv_scale, kh * inv_scale
+    # sum_j attn_ij * d_attn_ij = d_ctx_i . ctx_i, since ctx_i = sum_j attn_ij v_j
+    row_dot = np.einsum("ij,ij->i", d_ctx_h, ctx_h)
+    d_q = np.empty(qh.shape)
+    d_k = np.zeros(kh.shape)
+    d_v = np.zeros(vh.shape)
+    for r, attn in _dense_probs(qs, kh, lse):
+        d_v += attn.T @ d_ctx_h[r]
+        d_score = d_ctx_h[r] @ vh.T
+        d_score -= row_dot[r, None]
+        d_score *= attn
+        d_q[r] = d_score @ ks
+        d_k += d_score.T @ qs[r]
+    return d_q, d_k, d_v
 
 
 def _attention_mask(mask, mode):
@@ -242,7 +278,7 @@ def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams,
         else:
             ctx[:, vs], alpha = _masked_layer(qh, kh, vh, mask, inv_scale)
         if counter is not None:
-            counter.add(layer_idx, h, alpha.size)
+            counter.add(layer_idx, h, n * n if mask is None else alpha.size)
         alphas.append(alpha)
     out = ctx @ p.wo + res_src @ p.wres
     _check_finite(out, layer=layer_idx)
@@ -266,7 +302,7 @@ def _layer_backward(tape: _LayerTape, d_out, mask: KHopMask, p: LayerParams):
         alpha, d_ctx_h = tape.alphas[h], d_ctx[:, vs]
         if tape.dense:
             d_q[:, qs], d_k[:, qs], d_v[:, vs] = _dense_layer_backward(
-                qh, kh, vh, alpha, d_ctx_h, inv_scale)
+                qh, kh, vh, alpha, tape.ctx[:, vs], d_ctx_h, inv_scale)
         else:
             d_q[:, qs], d_k[:, qs], d_v[:, vs] = _masked_layer_backward(
                 qh, kh, vh, alpha, d_ctx_h, mask, inv_scale)

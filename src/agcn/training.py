@@ -239,7 +239,9 @@ def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
     e_src, e_dst = src[keep], dst[keep]
     norms = _row_norms(h)
     sims = _pair_sims(h, norms, e_src, e_dst)
-    order = np.lexsort((e_dst, -sims, e_src))
+    # mask lists are sorted ascending, so the stable sort breaks ties in
+    # similarity by neighbor index
+    order = np.lexsort((-sims, e_src))
     sizes = np.bincount(e_src, minlength=n)
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=starts[1:])

@@ -299,6 +299,31 @@ def test_train_reruns_in_fresh_processes_are_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("sweep", [False, True])
+def test_train_into_a_closed_pipe_exits_zero(tmp_path, unbuffered, sweep):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    out = tmp_path / "run"
+    extra = ["--sweep", "--k", "1,2", "--lambda", "1e-2"] if sweep else []
+    read_end, write_end = os.pipe()
+    os.close(read_end)          # like `agcn train ... | true`
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "agcn.cli",
+             *_train_args(edges, feats, labels, out, extra)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_child_env(PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    runs = [out / "k1_lam0.01", out / "k2_lam0.01"] if sweep else [out]
+    for run in runs:
+        for name in ("result.json", "params.bin", "history.csv", "labels.csv"):
+            assert (run / name).exists(), (run, name)
+    assert (out / "sweep.json").exists() == sweep
+
+
 class _Bomb:
     """Fails when formatted or converted, so a writer stops midway."""
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agcn.errors import ConfigError, DimensionError, ParseError
-from agcn.graph import (build_graph, homophily_ratio, khop_mask, khop_weights,
-                        load_graph, normalized_adjacency,
+from agcn.graph import (KHopMask, build_graph, homophily_ratio, khop_mask,
+                        khop_weights, load_graph, normalized_adjacency,
                         shortest_path_histogram)
 
 from conftest import bfs_distances, dense_normalized, path_graph, random_graph
@@ -187,7 +189,19 @@ def test_khop_counts():
     mask = khop_mask(g, 2)
     sizes = mask.list_sizes()
     assert mask.total_nnz == sizes.sum()
-    assert mask.d_max == sizes.max()
+    assert sizes.tolist() == [len(mask.neighbors(i)) for i in range(9)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 14), p_edge=st.floats(0.0, 1.0), k=st.integers(1, 3),
+       cap=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_mask_rows_strictly_increase_and_hold_self(n, p_edge, k, cap, seed):
+    mask = khop_mask(random_graph(n, p_edge, seed=seed), k)
+    for m in (mask, KHopMask.complete(n), mask.subsample(cap, seed)):
+        for i in range(n):
+            nb = m.neighbors(i)
+            assert (np.diff(nb) > 0).all()
+            assert i in nb
 
 
 def test_subsample_caps_lists_and_keeps_self():

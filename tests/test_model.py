@@ -1,17 +1,20 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import agcn.model
 from agcn.errors import ConfigError, NumericError
 from agcn.graph import KHopMask, khop_mask
 from agcn.model import (Dims, EvalCounter, init_params, layer_forward,
                         load_params, save_params, forward, _forward_tape,
-                        _layer, _model_backward)
+                        _dense_probs, _layer, _layer_backward, _model_backward)
 
 from conftest import path_graph, random_graph
 
@@ -92,16 +95,36 @@ def test_single_node_layer_hand_eval():
     np.testing.assert_array_equal(layer_forward(x, x, mask, p), out)
 
 
-def test_attention_rows_sum_to_one():
-    g = random_graph(9, 0.4, seed=8)
-    mask = khop_mask(g, 2)
-    params = init_params(DIMS, seed=5)
-    _, tape = _layer(g.features, g.features, mask, params.layers[0])
-    starts = mask.indptr[:-1]
+def _dense_rows(p, tape):
+    """Per head, the row blocks of attention the dense backward rebuilds."""
+    inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // p.heads)
+    for (qs, _), lse in zip(p.head_slices(), tape.alphas):
+        yield list(_dense_probs(tape.q_full[:, qs] * inv_scale,
+                                tape.k_full[:, qs], lse))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), p_edge=st.floats(0.0, 1.0), k=st.integers(1, 3),
+       block_rows=st.integers(1, 5), scale=st.sampled_from([1.0, 30.0]),
+       seed=st.integers(0, 2 ** 16))
+@example(n=9, p_edge=0.4, k=2, block_rows=3, scale=1.0, seed=8)
+def test_attention_rows_sum_to_one(n, p_edge, k, block_rows, scale, seed):
+    g = random_graph(n, p_edge, seed=seed)
+    x = g.features * scale
+    p = init_params(DIMS, seed=seed).layers[0]
+    mask = khop_mask(g, k)
+    _, tape = _layer(x, x, mask, p)
     for alpha in tape.alphas:
-        sums = np.add.reduceat(alpha, starts)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.add.reduceat(alpha, mask.indptr[:-1]),
+                                   1.0, atol=1e-9)
         assert alpha.min() >= 0
+    with mock.patch.object(agcn.model, "DENSE_BLOCK_BYTES", 8 * n * block_rows):
+        _, tape = _layer(x, x, None, p)
+        for blocks in _dense_rows(p, tape):
+            assert sum(r.stop - r.start for r, _ in blocks) == n
+            for _, attn in blocks:
+                np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
+                assert attn.min() >= 0
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -224,6 +247,48 @@ def test_vanilla_backward_equals_masked_with_complete_mask(residual):
     for (name, a), (_, b) in zip(grads["structure"].tensors(),
                                  grads["vanilla"].tensors()):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 8])
+def test_dense_row_blocks_match_masked_complete(block_rows, monkeypatch):
+    # 8 nodes in blocks of 1, of 3 (the last one ragged) and of all rows
+    monkeypatch.setattr(agcn.model, "DENSE_BLOCK_BYTES", 8 * 8 * block_rows)
+    g = random_graph(8, 0.4, seed=10)
+    dims = Dims(d=3, d_model=4, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
+    params = init_params(dims, seed=10)
+    full = KHopMask.complete(8)
+    d_emb = np.random.default_rng(10).standard_normal((8, dims.d_out))
+    runs = {}
+    for mode in ("structure", "vanilla"):
+        emb, h_last, tapes = _forward_tape(g.features, full, params, mode=mode)
+        runs[mode] = emb, _model_backward(params, tapes, h_last, full, d_emb)
+    np.testing.assert_allclose(runs["vanilla"][0], runs["structure"][0],
+                               rtol=1e-12, atol=1e-12)
+    for (name, a), (_, b) in zip(runs["structure"][1].tensors(),
+                                 runs["vanilla"][1].tensors()):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+    _, tape = _layer(g.features, g.features, None, params.layers[0])
+    for blocks in _dense_rows(params.layers[0], tape):
+        assert blocks[0][0] == slice(0, block_rows)
+
+
+def test_dense_layer_memory_is_bounded_by_row_blocks():
+    # taping one n x n attention matrix per head would alone take
+    # heads * n^2 * 8 B = 32 MiB here; the row blocks need a few MiB
+    n = 1024
+    dims = Dims(d=8, d_model=64, d_q=64, d_v=64, heads=4, layers=1, d_out=4)
+    p = init_params(dims, seed=0).layers[0]
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, dims.d))
+    d_out = rng.standard_normal((n, dims.d_model))
+    tracemalloc.start()
+    try:
+        _, tape = _layer(x, x, None, p)
+        _layer_backward(tape, d_out, None, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_vanilla_identical_rows_agree():

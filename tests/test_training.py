@@ -11,8 +11,9 @@ from agcn.model import Dims, init_params, _forward_tape
 from agcn.training import (TrainingConfig, adam_step, init_adam_state,
                            train, _adam_update, _grads_from_tape,
                            _loss_neg_impl, _loss_pos_impl, _objective,
-                           _decode_pairs, _pair_batch, _pair_sims, _row_norms,
-                           _sample_rows, SIMS_CHUNK)
+                           _decode_pairs, _pair_batch, _pair_sims,
+                           _params_from_tensors, _row_norms, _sample_rows,
+                           SIMS_CHUNK)
 
 from conftest import cosine_sim, pair_sims_oracle, random_graph, reanchor
 
@@ -595,10 +596,16 @@ def test_gradient_lambda_zero_positive_term_contributes_nothing():
 # Adam
 # ---------------------------------------------------------------------------
 
+def _zeros_like(params):
+    """Parameters of the same shapes, every entry zero."""
+    return _params_from_tensors(
+        params, [np.zeros_like(a) for _, a in params.tensors()])
+
+
 def test_adam_first_step_magnitude_close_to_lr():
     params = init_params(Dims(d=2, d_model=2, d_q=2, d_v=2, heads=1,
                               layers=1, d_out=2), seed=0)
-    grads = params.zeros_like()
+    grads = _zeros_like(params)
     grads.layers[0].wq[:] = 3.0
     state = init_adam_state(params)
     new, _ = adam_step(params, grads, state, lr=0.01)
@@ -610,7 +617,7 @@ def test_adam_zero_gradient_keeps_params():
     params = init_params(Dims(d=2, d_model=2, d_q=2, d_v=2, heads=1,
                               layers=1, d_out=2), seed=1)
     state = init_adam_state(params)
-    new, _ = adam_step(params, params.zeros_like(), state, lr=0.5)
+    new, _ = adam_step(params, _zeros_like(params), state, lr=0.5)
     for (_, a), (_, b) in zip(params.tensors(), new.tensors()):
         np.testing.assert_array_equal(a, b)
 
