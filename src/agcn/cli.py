@@ -14,13 +14,14 @@ import math
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 from . import __version__
 from .analysis import grouping_probe, mask_features, r_ratio
 from .clustering import evaluate, kmeans
 from .datagen import SBMSpec, TreeMatchSpec, gen_sbm, gen_tree_match, write_graph_files
-from .errors import AgcnError, ConfigError
+from .errors import AgcnError, ConfigError, ParseError
 from .graph import (Graph, _atomic_open, _read_labels, khop_mask,
                     load_graph, shortest_path_histogram)
 from .model import forward, save_params
@@ -32,7 +33,10 @@ N_EVAL_SEEDS = 10
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    finally:
+        _say("", end="")    # flushes what --help or --version printed
     try:
         return args.func(args)
     except AgcnError as exc:
@@ -45,12 +49,12 @@ def main(argv=None) -> int:
         return 2
 
 
-def _say(text: str):
+def _say(text: str, end: str = "\n"):
     """Print one line to stdout. A reader that has gone away (``agcn train
     ... | head -1``) ends the output, not the command: stdout then goes to
     devnull, and the command finishes its work and exits as it would."""
     try:
-        print(text, flush=True)
+        print(text, end=end, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -184,17 +188,44 @@ def _parse_grid(text, caster, name):
         raise ConfigError(f"bad {name} value {text!r}") from exc
 
 
+# the JSON name of each type a TrainingConfig field holds
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", type(None): "null"}
+
+
+def _read_config(path) -> dict:
+    """The ``--config`` object, each value of its :class:`TrainingConfig`
+    field's type (a float field also takes an integer, but no NaN or
+    infinity)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            overrides = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc.msg}", path, exc.lineno) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}", path) from exc
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{path}: the top-level value must be a JSON object")
+    if "lambda" in overrides:
+        overrides["lam"] = overrides.pop("lambda")
+    hints = typing.get_type_hints(TrainingConfig)
+    unknown = set(overrides) - set(hints)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        fits = type(value) in kinds or (type(value) is int and float in kinds)
+        if not fits or (type(value) is float and not math.isfinite(value)):
+            wanted = " or ".join(_JSON_KINDS[k] for k in kinds)
+            raise ConfigError(f"{path}: config key {key!r} takes {wanted}, "
+                              f"not {json.dumps(value)}")
+    return overrides
+
+
 def _train_config(args) -> tuple[TrainingConfig, list, list]:
     base = {f.name: f.default for f in dataclasses.fields(TrainingConfig)}
     if args.config is not None:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-        if "lambda" in overrides:
-            overrides["lam"] = overrides.pop("lambda")
-        unknown = set(overrides) - set(base)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        base.update(overrides)
+        base.update(_read_config(args.config))
     k_grid = [int(base["k"])]
     lam_grid = [float(base["lam"])]
     if args.k is not None:

@@ -27,7 +27,6 @@ __all__ = [
     "ModelParams",
     "EvalCounter",
     "init_params",
-    "layer_forward",
     "forward",
     "save_params",
     "load_params",
@@ -104,6 +103,15 @@ class ModelParams:
                 yield f"layers.{i}.{name}", getattr(lp, name)
         yield "final_proj", self.final_proj
 
+    @classmethod
+    def from_tensors(cls, dims: Dims, arrays) -> ModelParams:
+        """The inverse of :meth:`tensors`: parameters from their arrays,
+        given in serialization order."""
+        it = iter(arrays)
+        layers = tuple(LayerParams(*itertools.islice(it, 5), heads=dims.heads)
+                       for _ in range(dims.layers))
+        return cls(dims=dims, layers=layers, final_proj=next(it))
+
 
 class EvalCounter:
     """Counts attention-score evaluations per (layer, head)."""
@@ -158,7 +166,7 @@ class _LayerTape:
     ctx: np.ndarray
     alphas: list            # per head: flat (nnz,) alpha for masked,
                             # (n,) row log-sum-exp for dense
-    dense: bool
+    mask: KHopMask | None   # the lists attended over, None for all pairs
 
 
 def _check_finite(h: np.ndarray, layer: int):
@@ -252,13 +260,6 @@ def _dense_layer_backward(qh, kh, vh, lse, ctx_h, d_ctx_h, inv_scale):
     return d_q, d_k, d_v
 
 
-def _attention_mask(mask, mode):
-    """The mask the masked kernel gathers over, or None for the dense kernel."""
-    if mode not in ("structure", "vanilla"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    return mask if mode == "structure" else None
-
-
 def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams,
            layer_idx=0, counter: EvalCounter | None = None):
     """Project keys and values once for all nodes, attend per head with the
@@ -284,15 +285,17 @@ def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams,
     _check_finite(out, layer=layer_idx)
     tape = _LayerTape(h_in=h_prev, res_src=res_src, q_full=q_full,
                       k_full=k_full, v_full=v_full, ctx=ctx,
-                      alphas=alphas, dense=mask is None)
+                      alphas=alphas, mask=mask)
     return out, tape
 
 
-def _layer_backward(tape: _LayerTape, d_out, mask: KHopMask, p: LayerParams):
+def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
+    """Parameter gradients of one layer and, if ``input_grad``, the gradient
+    at its input ``tape.h_in``. That gradient takes the residual path too
+    when the residual source is the input itself (the "hidden" wiring)."""
     d_wo = tape.ctx.T @ d_out
     d_ctx = d_out @ p.wo.T
     d_wres = tape.res_src.T @ d_out
-    d_res = d_out @ p.wres.T
     d_q = np.empty_like(tape.q_full)
     d_k = np.empty_like(tape.k_full)
     d_v = np.empty_like(tape.v_full)
@@ -300,32 +303,28 @@ def _layer_backward(tape: _LayerTape, d_out, mask: KHopMask, p: LayerParams):
     for h, (qs, vs) in enumerate(p.head_slices()):
         qh, kh, vh = tape.q_full[:, qs], tape.k_full[:, qs], tape.v_full[:, vs]
         alpha, d_ctx_h = tape.alphas[h], d_ctx[:, vs]
-        if tape.dense:
+        if tape.mask is None:
             d_q[:, qs], d_k[:, qs], d_v[:, vs] = _dense_layer_backward(
                 qh, kh, vh, alpha, tape.ctx[:, vs], d_ctx_h, inv_scale)
         else:
             d_q[:, qs], d_k[:, qs], d_v[:, vs] = _masked_layer_backward(
-                qh, kh, vh, alpha, d_ctx_h, mask, inv_scale)
-    d_h_in = d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
+                qh, kh, vh, alpha, d_ctx_h, tape.mask, inv_scale)
     grads = LayerParams(tape.h_in.T @ d_q, tape.h_in.T @ d_k, tape.h_in.T @ d_v,
                         d_wo, d_wres, heads=p.heads)
-    return grads, d_h_in, d_res
-
-
-def layer_forward(h_prev, x, mask: KHopMask, p: LayerParams,
-                  mode: str = "structure", counter: EvalCounter | None = None):
-    """One attention layer: over each node's k-hop list in "structure" mode,
-    over all node pairs in "vanilla" mode.
-
-    ``x`` is the residual source added through ``wres`` (the original node
-    features under the default residual mode). Returns the layer output.
-    """
-    out, _ = _layer(h_prev, x, _attention_mask(mask, mode), p, counter=counter)
-    return out
+    if not input_grad:
+        return grads, None
+    d_h_in = d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
+    if tape.res_src is tape.h_in:
+        d_h_in += d_out @ p.wres.T
+    return grads, d_h_in
 
 
 def _run_layers(x, mask, params: ModelParams, mode, counter):
-    attn_mask = _attention_mask(mask, mode)
+    """Chain the layers over ``mask`` ("structure") or over all node pairs
+    ("vanilla"); the residual source is ``x`` or each layer's own input."""
+    if mode not in ("structure", "vanilla"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    attn_mask = mask if mode == "structure" else None
     dims = params.dims
     if x.shape[1] != dims.d:
         raise ConfigError(f"feature dim {x.shape[1]} != dims.d {dims.d}")
@@ -352,16 +351,15 @@ def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
     return embeddings, h_last, tapes
 
 
-def _model_backward(params: ModelParams, tapes, h_last, mask, d_embeddings):
+def _model_backward(params: ModelParams, tapes, h_last, d_embeddings):
     """Gradients of all parameters given the gradient at the final embeddings."""
     d_final = h_last.T @ d_embeddings
     d_h = d_embeddings @ params.final_proj.T
     layer_grads = [None] * len(params.layers)
-    input_mode = params.dims.residual == "input"
     for l in range(len(params.layers) - 1, -1, -1):
-        g, d_h_in, d_res = _layer_backward(tapes[l], d_h, mask, params.layers[l])
-        layer_grads[l] = g
-        d_h = d_h_in if input_mode else d_h_in + d_res
+        # no layer reads the gradient at the raw features
+        layer_grads[l], d_h = _layer_backward(tapes[l], d_h, params.layers[l],
+                                              input_grad=l > 0)
     return ModelParams(dims=params.dims, layers=tuple(layer_grads),
                        final_proj=d_final)
 
@@ -444,22 +442,16 @@ def load_params(path) -> ModelParams:
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: bad header: {exc!r}") from exc
     _check_specs(path, specs, dims)
-    tensors = {}
+    arrays = []
     for name, shape in specs:
         count = int(np.prod(shape))
         if offset + 8 * count > len(data):
             raise ConfigError(f"{path}: tensor {name} needs {8 * count} "
                               f"bytes, {len(data) - offset} present")
-        tensors[name] = np.frombuffer(
-            data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        arrays.append(np.frombuffer(
+            data, dtype="<f8", count=count, offset=offset).reshape(shape).copy())
         offset += 8 * count
     if offset != len(data):
         raise ConfigError(f"{path}: {len(data) - offset} trailing bytes "
                           f"after the last tensor")
-    layers = tuple(
-        LayerParams(*(tensors[f"layers.{i}.{n}"]
-                      for n in ("wq", "wk", "wv", "wo", "wres")),
-                    heads=dims.heads)
-        for i in range(dims.layers)
-    )
-    return ModelParams(dims=dims, layers=layers, final_proj=tensors["final_proj"])
+    return ModelParams.from_tensors(dims, arrays)

@@ -343,10 +343,10 @@ def _objective(emb, batch: _PairBatch, weights, cfg: TrainingConfig, need_grad):
     return l_pos, l_neg, l_neg + cfg.lam * l_pos, d_emb
 
 
-def _grads_from_tape(params, tapes, h_last, emb, attn_mask, cfg, weights, batch):
+def _grads_from_tape(params, tapes, h_last, emb, cfg, weights, batch):
     """Losses and parameter gradients for one forward pass and frozen pairs."""
     l_pos, l_neg, l_total, d_emb = _objective(emb, batch, weights, cfg, True)
-    grads = _model_backward(params, tapes, h_last, attn_mask, d_emb)
+    grads = _model_backward(params, tapes, h_last, d_emb)
     for name, tensor in grads.tensors():
         if not np.all(np.isfinite(tensor)):
             raise NumericError(f"non-finite gradient in {name}")
@@ -395,16 +395,7 @@ def adam_step(params: ModelParams, grads: ModelParams,
     tensors = [a for _, a in params.tensors()]
     gtensors = [a for _, a in grads.tensors()]
     updated, new_state = _adam_update(tensors, gtensors, state, lr)
-    return _params_from_tensors(params, updated), new_state
-
-
-def _params_from_tensors(template: ModelParams, tensors) -> ModelParams:
-    it = iter(tensors)
-    layers = tuple(
-        type(lp)(next(it), next(it), next(it), next(it), next(it), heads=lp.heads)
-        for lp in template.layers
-    )
-    return ModelParams(dims=template.dims, layers=layers, final_proj=next(it))
+    return ModelParams.from_tensors(params.dims, updated), new_state
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +422,7 @@ def train(g: Graph, cfg: TrainingConfig):
         batch = _pair_batch(emb, loss_mask, cfg.pair_cap, rng)
         try:
             grads, l_pos, l_neg, l_total = _grads_from_tape(
-                params, tapes, h_last, emb, attn_mask, cfg, weights, batch)
+                params, tapes, h_last, emb, cfg, weights, batch)
         except (NumericError, DegenerateLossError) as exc:
             raise type(exc)(f"epoch {epoch}: {exc}") from exc
         history[epoch] = (l_pos, l_neg, l_total)

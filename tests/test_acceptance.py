@@ -15,7 +15,7 @@ import pytest
 from agcn.clustering import accuracy, evaluate, nmi
 from agcn.datagen import SBMSpec, gen_sbm, write_graph_files
 from agcn.graph import build_graph, homophily_ratio, khop_mask, load_graph
-from agcn.model import Dims, EvalCounter, forward, init_params, layer_forward
+from agcn.model import Dims, EvalCounter, forward, init_params, _layer
 from agcn.training import TrainingConfig, train
 
 from conftest import bfs_distances, path_graph, random_graph
@@ -92,7 +92,7 @@ def test_kv_cache_oracle():
                         layers=1, d_out=2)
             p = init_params(dims, seed).layers[0]
             mask = khop_mask(g, int(rng.integers(1, 4)))
-            got = layer_forward(g.features, g.features, mask, p)
+            got = _layer(g.features, g.features, mask, p)[0]
             expect = naive_layer_oracle(g.features, g.features, mask, p)
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -133,7 +133,7 @@ def _edge_list(g):
 
 def test_equivariance_and_attention_rows():
     with criterion("equivariance-and-attention-rows"):
-        from agcn.model import _dense_probs, _layer
+        from agcn.model import _dense_probs
         g = random_graph(12, 0.35, seed=3, d=4)
         mask = khop_mask(g, 2)
         dims = Dims(d=4, d_model=5, d_q=4, d_v=4, heads=2, layers=2, d_out=3)

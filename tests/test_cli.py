@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,35 @@ def test_train_config_file_merging(tmp_path):
     record = json.loads((out / "result.json").read_text())
     assert record["config"]["epochs"] == 4      # flag wins over config
     assert record["config"]["lam"] == 0.0       # config wins over default
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"{bad", r"bad JSON: .* \[.*cfg\.json:1\]$"),
+    (b'{"k": 2,\n bad}', r"bad JSON: .* \[.*cfg\.json:2\]$"),
+    (b'"k"', r"cfg\.json: the top-level value must be a JSON object$"),
+    (b"[1, 2]", r"cfg\.json: the top-level value must be a JSON object$"),
+    (b'{"gamma": "x"}', r"cfg\.json: config key 'gamma' takes a number, not \"x\"$"),
+    (b'{"lr": null}', r"cfg\.json: config key 'lr' takes a number, not null$"),
+    (b'{"epochs": 2.5}', r"cfg\.json: config key 'epochs' takes an integer, not 2\.5$"),
+    (b'{"use_neg": 1}', r"cfg\.json: config key 'use_neg' takes true or false"),
+    (b'{"max_neighbors": "4"}', r"config key 'max_neighbors' takes an integer or null"),
+    (b'{"lr": NaN}', r"cfg\.json: config key 'lr' takes a number, not NaN$"),
+    (b'\xff{}', r"not UTF-8 text: .* \[.*cfg\.json\]$"),
+])
+def test_train_malformed_config_is_one_error_line(tmp_path, capsys, text, message):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(text)
+    capsys.readouterr()
+    rc = main(_train_args(edges, feats, labels, tmp_path / "run",
+                          ("--config", str(cfg_path))))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    assert re.search(message, line), line
+    assert not (tmp_path / "run").exists()
 
 
 def test_analyze_paths_histogram_with_inf(tmp_path):
@@ -300,28 +330,32 @@ def test_train_reruns_in_fresh_processes_are_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
-@pytest.mark.parametrize("sweep", [False, True])
+@pytest.mark.parametrize("sweep", [False, True, "--help", "--version"])
 def test_train_into_a_closed_pipe_exits_zero(tmp_path, unbuffered, sweep):
-    edges, feats, labels = _gen_dataset(tmp_path)
-    out = tmp_path / "run"
-    extra = ["--sweep", "--k", "1,2", "--lambda", "1e-2"] if sweep else []
+    # False and True train once or sweep; a flag prints and exits at once
+    argv, runs = [sweep], []
+    if not isinstance(sweep, str):
+        edges, feats, labels = _gen_dataset(tmp_path)
+        out = tmp_path / "run"
+        extra = ["--sweep", "--k", "1,2", "--lambda", "1e-2"] if sweep else []
+        argv = _train_args(edges, feats, labels, out, extra)
+        runs = [out / "k1_lam0.01", out / "k2_lam0.01"] if sweep else [out]
     read_end, write_end = os.pipe()
     os.close(read_end)          # like `agcn train ... | true`
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "agcn.cli",
-             *_train_args(edges, feats, labels, out, extra)],
+            [sys.executable, "-m", "agcn.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True,
             env=_child_env(PYTHONUNBUFFERED=unbuffered))
     finally:
         os.close(write_end)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    runs = [out / "k1_lam0.01", out / "k2_lam0.01"] if sweep else [out]
     for run in runs:
         for name in ("result.json", "params.bin", "history.csv", "labels.csv"):
             assert (run / name).exists(), (run, name)
-    assert (out / "sweep.json").exists() == sweep
+    if runs:
+        assert (out / "sweep.json").exists() == sweep
 
 
 class _Bomb:

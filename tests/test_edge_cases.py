@@ -41,7 +41,7 @@ def test_gradcheck_with_isolated_and_noncontributing_nodes():
         e, _, _ = _forward_tape(g.features, mask, params)
         return _objective(e, reanchor(batch, e), weights, cfg, False)[2]
 
-    analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, mask, cfg,
+    analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, cfg,
                                     weights, batch)
     for (name, a), (_, f) in zip(analytic.tensors(), _fd_grads(frozen_loss, params)):
         np.testing.assert_allclose(a, f, rtol=1e-4, atol=1e-8,
@@ -64,7 +64,7 @@ def test_gradcheck_unequal_head_widths():
         e, _, _ = _forward_tape(g.features, mask, params)
         return _objective(e, reanchor(batch, e), weights, cfg, False)[2]
 
-    analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, mask, cfg,
+    analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, cfg,
                                     weights, batch)
     for (name, a), (_, f) in zip(analytic.tensors(), _fd_grads(frozen_loss, params)):
         np.testing.assert_allclose(a, f, rtol=1e-4, atol=1e-8,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import agcn.model
 from agcn.errors import ConfigError, NumericError
 from agcn.graph import KHopMask, khop_mask
-from agcn.model import (Dims, EvalCounter, init_params, layer_forward,
+from agcn.model import (Dims, EvalCounter, init_params,
                         load_params, save_params, forward, _forward_tape,
                         _dense_probs, _layer, _layer_backward, _model_backward)
 
@@ -92,7 +93,7 @@ def test_single_node_layer_hand_eval():
     expected = (x @ p.wv) @ p.wo + x @ p.wres   # softmax over self is 1
     np.testing.assert_allclose(out, expected, atol=1e-14)
     np.testing.assert_allclose(tape.k_full, x @ p.wk, atol=0)
-    np.testing.assert_array_equal(layer_forward(x, x, mask, p), out)
+    np.testing.assert_array_equal(_layer(x, x, mask, p)[0], out)
 
 
 def _dense_rows(p, tape):
@@ -133,7 +134,7 @@ def test_cached_projection_matches_naive_oracle(seed):
     mask = khop_mask(g, 2)
     params = init_params(DIMS, seed=seed)
     p = params.layers[0]
-    got = layer_forward(g.features, g.features, mask, p)
+    got = _layer(g.features, g.features, mask, p)[0]
     expect = naive_layer_oracle(g.features, g.features, mask, p)
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
@@ -157,7 +158,7 @@ def test_layer_numeric_error_names_layer_and_node():
     mask = khop_mask(g, 1)
     params = init_params(DIMS, seed=0)
     with pytest.raises(NumericError, match="layer 0"):
-        layer_forward(feats, feats, mask, params.layers[0])
+        _layer(feats, feats, mask, params.layers[0])
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +175,38 @@ def test_zero_final_projection_gives_zero_embeddings():
     assert (h == 0).all()
 
 
-def test_forward_permutation_equivariance():
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 10), p_edge=st.floats(0.0, 1.0),
+       mode=st.sampled_from(["structure", "vanilla"]),
+       residual=st.sampled_from(["input", "hidden"]),
+       seed=st.integers(0, 2 ** 16))
+@example(n=10, p_edge=0.35, mode="structure", residual="input", seed=6)
+def test_forward_permutation_equivariance(n, p_edge, mode, residual, seed):
+    # permuting the nodes permutes the embeddings and leaves every
+    # parameter gradient unchanged
     from agcn.graph import build_graph
-    g = random_graph(10, 0.35, seed=6)
-    mask = khop_mask(g, 2)
-    params = init_params(DIMS, seed=6)
-    h = forward(g, mask, params)
-
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(10)
+    g = random_graph(n, p_edge, seed=seed)
+    dims = dataclasses.replace(DIMS, residual=residual)
+    params = init_params(dims, seed=seed)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)            # node i is renamed perm[i]
     inv = np.argsort(perm)
     rows, cols = g.adj.nonzero()
     keep = rows < cols
-    edges_p = np.column_stack([perm[rows[keep]], perm[cols[keep]]])
-    g_p = build_graph(edges_p, g.features[inv])
-    h_p = forward(g_p, khop_mask(g_p, 2), params)
-    np.testing.assert_allclose(h_p, h[inv], atol=1e-9)
+    g_p = build_graph(np.column_stack([perm[rows[keep]], perm[cols[keep]]]),
+                      g.features[inv])
+    d_emb = rng.standard_normal((n, dims.d_out))
+    runs = []
+    for graph, d in ((g, d_emb), (g_p, d_emb[inv])):
+        mask = khop_mask(graph, 2)
+        emb, h_last, tapes = _forward_tape(graph.features, mask, params,
+                                           mode=mode)
+        np.testing.assert_array_equal(forward(graph, mask, params, mode=mode),
+                                      emb)
+        runs.append((emb, _model_backward(params, tapes, h_last, d)))
+    np.testing.assert_allclose(runs[1][0], runs[0][0][inv], atol=1e-10)
+    for (name, a), (_, b) in zip(runs[0][1].tensors(), runs[1][1].tensors()):
+        np.testing.assert_allclose(b, a, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
 @pytest.mark.parametrize("maker,n,probe", [("path", 33, 0), ("tree", 31, 15)])
@@ -226,8 +243,8 @@ def test_vanilla_equals_masked_with_complete_mask():
     params = init_params(DIMS, seed=10)
     p = params.layers[0]
     full = KHopMask.complete(8)
-    a = layer_forward(g.features, g.features, full, p)
-    b = layer_forward(g.features, g.features, None, p, mode="vanilla")
+    a = _layer(g.features, g.features, full, p)[0]
+    b = _layer(g.features, g.features, None, p)[0]
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -242,8 +259,8 @@ def test_vanilla_backward_equals_masked_with_complete_mask(residual):
     grads = {}
     for mode, dense in (("structure", False), ("vanilla", True)):
         _, h_last, tapes = _forward_tape(g.features, full, params, mode=mode)
-        assert [t.dense for t in tapes] == [dense, dense]
-        grads[mode] = _model_backward(params, tapes, h_last, full, d_emb)
+        assert [t.mask is None for t in tapes] == [dense, dense]
+        grads[mode] = _model_backward(params, tapes, h_last, d_emb)
     for (name, a), (_, b) in zip(grads["structure"].tensors(),
                                  grads["vanilla"].tensors()):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
@@ -261,7 +278,7 @@ def test_dense_row_blocks_match_masked_complete(block_rows, monkeypatch):
     runs = {}
     for mode in ("structure", "vanilla"):
         emb, h_last, tapes = _forward_tape(g.features, full, params, mode=mode)
-        runs[mode] = emb, _model_backward(params, tapes, h_last, full, d_emb)
+        runs[mode] = emb, _model_backward(params, tapes, h_last, d_emb)
     np.testing.assert_allclose(runs["vanilla"][0], runs["structure"][0],
                                rtol=1e-12, atol=1e-12)
     for (name, a), (_, b) in zip(runs["structure"][1].tensors(),
@@ -284,18 +301,39 @@ def test_dense_layer_memory_is_bounded_by_row_blocks():
     tracemalloc.start()
     try:
         _, tape = _layer(x, x, None, p)
-        _layer_backward(tape, d_out, None, p)
+        _layer_backward(tape, d_out, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, peak
 
 
+def test_backward_forms_no_gradient_at_the_raw_features():
+    # the gradient at a 4096-wide input would take three n x d GEMMs of
+    # 8 MiB each; the parameter gradients need about 1 MiB
+    n, d = 256, 4096
+    dims = Dims(d=d, d_model=8, d_q=8, d_v=8, heads=2, layers=1, d_out=4)
+    params = init_params(dims, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, d))
+    self_only = KHopMask(k=1, n_nodes=n, indptr=np.arange(n + 1),
+                         indices=np.arange(n))
+    _, h_last, tapes = _forward_tape(x, self_only, params)
+    d_emb = rng.standard_normal((n, dims.d_out))
+    tracemalloc.start()
+    try:
+        _model_backward(params, tapes, h_last, d_emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+
+
 def test_vanilla_identical_rows_agree():
     params = init_params(DIMS, seed=1)
     row = np.array([0.5, -0.1, 1.0])
     x = np.vstack([row, row])
-    out = layer_forward(x, x, None, params.layers[0], mode="vanilla")
+    out = _layer(x, x, None, params.layers[0])[0]
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
@@ -304,7 +342,7 @@ def test_vanilla_matches_dense_softmax_oracle():
     x = rng.standard_normal((5, 3))
     params = init_params(DIMS, seed=14)
     p = params.layers[0]
-    got = layer_forward(x, x, None, p, mode="vanilla")
+    got = _layer(x, x, None, p)[0]
 
     dqh = DIMS.d_q // DIMS.heads
     dvh = DIMS.d_v // DIMS.heads

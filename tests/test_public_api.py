@@ -28,5 +28,5 @@ def test_package_exports_exactly_the_module_public_names():
 
 def test_removed_wrappers_are_not_public():
     for name in ("loss_pos", "loss_neg", "total_loss", "backward",
-                 "NormalizedAdjacency"):
+                 "NormalizedAdjacency", "layer_forward"):
         assert not hasattr(agcn, name), name

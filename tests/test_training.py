@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from agcn.errors import ConfigError, DegenerateLossError
 from agcn.graph import build_graph, khop_mask, khop_weights
-from agcn.model import Dims, init_params, _forward_tape
+from agcn.model import Dims, ModelParams, init_params, _forward_tape
 from agcn.training import (TrainingConfig, adam_step, init_adam_state,
                            train, _adam_update, _grads_from_tape,
                            _loss_neg_impl, _loss_pos_impl, _objective,
                            _decode_pairs, _pair_batch, _pair_sims,
-                           _params_from_tensors, _row_norms, _sample_rows,
-                           SIMS_CHUNK)
+                           _row_norms, _sample_rows, SIMS_CHUNK)
 
 from conftest import cosine_sim, pair_sims_oracle, random_graph, reanchor
 
@@ -524,7 +523,7 @@ def _gradcheck_case(g, cfg, seed, min_hinge_margin=1e-3):
         e, _, _ = _forward_tape(g.features, mask, params, mode=cfg.mode)
         return _objective(e, reanchor(batch, e), weights, cfg, False)[2]
 
-    analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, mask, cfg,
+    analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, cfg,
                                     weights, batch)
     numeric = _fd_grads(frozen_loss, params)
     for (name, a), (_, f) in zip(analytic.tensors(), numeric):
@@ -586,7 +585,7 @@ def test_gradient_lambda_zero_positive_term_contributes_nothing():
     batch = _batch(emb, mask, cfg0.pair_cap, cfg0.seed)
     # no weights: at lambda 0 the positive term is never evaluated
     grads, l_pos, l_neg, l_total = _grads_from_tape(
-        params, tapes, h_last, emb, mask, cfg0, None, batch)
+        params, tapes, h_last, emb, cfg0, None, batch)
     assert math.isnan(l_pos) and l_neg == l_total == 0.0
     for _, tensor in grads.tensors():
         np.testing.assert_allclose(tensor, 0.0, atol=1e-15)
@@ -598,8 +597,8 @@ def test_gradient_lambda_zero_positive_term_contributes_nothing():
 
 def _zeros_like(params):
     """Parameters of the same shapes, every entry zero."""
-    return _params_from_tensors(
-        params, [np.zeros_like(a) for _, a in params.tensors()])
+    return ModelParams.from_tensors(
+        params.dims, [np.zeros_like(a) for _, a in params.tensors()])
 
 
 def test_adam_first_step_magnitude_close_to_lr():
