@@ -28,7 +28,6 @@ __all__ = [
     "normalized_adjacency",
     "khop_mask",
     "khop_weights",
-    "homophily_ratio",
     "shortest_path_histogram",
 ]
 
@@ -247,7 +246,6 @@ class KHopMask:
     are ``indices[indptr[i]:indptr[i+1]]``, sorted ascending.
     """
 
-    k: int
     n_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
@@ -276,13 +274,6 @@ class KHopMask:
             (data, self.indices, self.indptr), shape=(self.n_nodes, self.n_nodes)
         )
 
-    @classmethod
-    def complete(cls, n: int, k: int = 1) -> "KHopMask":
-        """Mask in which every node reaches every node (vanilla attention)."""
-        indptr = np.arange(0, n * n + 1, n, dtype=np.int64)
-        indices = np.tile(np.arange(n, dtype=np.int64), n)
-        return cls(k=k, n_nodes=n, indptr=indptr, indices=indices)
-
     def subsample(self, max_neighbors: int, seed: int) -> "KHopMask":
         """Cap every list at ``max_neighbors`` by seeded uniform subsampling.
 
@@ -301,15 +292,15 @@ class KHopMask:
             others = nb[nb != i]
             pick = rng.choice(len(others), size=max_neighbors - 1, replace=False)
             lists.append(np.sort(np.append(others[pick], i)))
-        return _mask_from_lists(self.k, self.n_nodes, lists)
+        return _mask_from_lists(self.n_nodes, lists)
 
 
-def _mask_from_lists(k, n, lists) -> KHopMask:
+def _mask_from_lists(n, lists) -> KHopMask:
     sizes = np.fromiter((len(l) for l in lists), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     indices = (np.concatenate(lists) if n else np.empty(0)).astype(np.int64)
-    return KHopMask(k=k, n_nodes=n, indptr=indptr, indices=indices)
+    return KHopMask(n_nodes=n, indptr=indptr, indices=indices)
 
 
 def khop_mask(g: Graph, k: int) -> KHopMask:
@@ -326,7 +317,7 @@ def khop_mask(g: Graph, k: int) -> KHopMask:
     reach = reach.tocsr()
     reach.sort_indices()
     return KHopMask(
-        k=k, n_nodes=n,
+        n_nodes=n,
         indptr=reach.indptr.astype(np.int64),
         indices=reach.indices.astype(np.int64),
     )
@@ -349,24 +340,6 @@ def khop_weights(g: Graph, k: int) -> sparse.csr_array:
     w.eliminate_zeros()
     w.sort_indices()
     return w
-
-
-def homophily_ratio(g: Graph) -> float:
-    """Mean over non-isolated nodes of the same-label fraction of 1-hop neighbors."""
-    if g.labels is None:
-        raise ConfigError("homophily_ratio requires node labels")
-    adj = g.adj
-    same = 0.0
-    count = 0
-    for i in range(g.n_nodes):
-        nb = adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
-        if len(nb) == 0:
-            continue
-        same += float(np.mean(g.labels[nb] == g.labels[i]))
-        count += 1
-    if count == 0:
-        raise ConfigError("graph has no edges; homophily undefined")
-    return same / count
 
 
 def shortest_path_histogram(g: Graph) -> dict:

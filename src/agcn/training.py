@@ -31,8 +31,6 @@ __all__ = [
     "history_to_csv",
 ]
 
-EPS = 1e-12
-
 DEFAULT_K_GRID = tuple(range(1, 11))
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** e for e in range(-4, 11))
 
@@ -62,16 +60,17 @@ class TrainingConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be > 0")
+        # chained comparisons reject NaN as well as infinity
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError("lambda must be finite and >= 0")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError("gamma must be finite and > 0")
         for name in ("epochs", "layers", "heads", "d_q", "d_v", "d_out",
                      "pair_cap", "restarts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be finite and > 0")
         if self.mode not in ("structure", "vanilla"):
             raise ConfigError("mode must be 'structure' or 'vanilla'")
         if self.residual not in ("input", "hidden"):
@@ -93,8 +92,17 @@ class TrainingConfig:
         return loss_mask.subsample(self.max_neighbors, self.seed)
 
 
-def _row_norms(h):
-    return np.sqrt(np.einsum("ij,ij->i", h, h))
+# ---------------------------------------------------------------------------
+# cosine similarity: dot products of unit rows
+# ---------------------------------------------------------------------------
+
+def _unit_rows(h):
+    """Rows of ``h`` scaled to unit length, and the row norms; zero rows stay
+    zero, so their cosine with anything is 0."""
+    norms = np.sqrt(np.einsum("ij,ij->i", h, h))
+    u = np.divide(h, norms[:, None], out=np.zeros_like(h),
+                  where=norms[:, None] > 0)
+    return u, norms
 
 
 # edges per gather block in _pair_sims: two (chunk, d) row blocks stay in
@@ -102,12 +110,22 @@ def _row_norms(h):
 SIMS_CHUNK = 2048
 
 
-def _pair_sims(h, norms, rows, cols):
+def _pair_sims(u, rows, cols):
     dots = np.empty(len(rows))
     for s in range(0, len(rows), SIMS_CHUNK):
         r, c = rows[s:s + SIMS_CHUNK], cols[s:s + SIMS_CHUNK]
-        np.einsum("ij,ij->i", h[r], h[c], out=dots[s:s + SIMS_CHUNK])
-    return dots / (norms[rows] * norms[cols] + EPS)
+        np.einsum("ij,ij->i", u[r], u[c], out=dots[s:s + SIMS_CHUNK])
+    return dots
+
+
+def _cosine_backward(u, norms, m):
+    """Gradient with respect to h of sum_ij G_ij * (u_i . u_j), given the
+    dense or sparse ``m = G + G^T``: back through u = h / |h|. Zero rows
+    get 0."""
+    mu = m @ u
+    mu -= np.einsum("ij,ij->i", mu, u)[:, None] * u
+    return np.divide(mu, norms[:, None], out=np.zeros_like(mu),
+                     where=norms[:, None] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +136,9 @@ def _loss_pos_impl(h, weights, need_grad):
     n = h.shape[0]
     if n < 2:
         raise ConfigError("positive loss needs at least two nodes")
-    norms = _row_norms(h)
-    denom = norms[:, None] * norms[None, :]
-    denom += EPS
-    sims = h @ h.T
-    sims /= denom
-    expo = np.exp(sims)
+    u, norms = _unit_rows(h)
+    expo = u @ u.T
+    np.exp(expo, out=expo)
     np.fill_diagonal(expo, 0.0)
     den = expo.sum(axis=1)
 
@@ -138,22 +153,11 @@ def _loss_pos_impl(h, weights, need_grad):
     if not need_grad:
         return value, None
 
-    # turn expo into the similarity gradient in place, then into B = G / D
-    expo /= den[:, None]
+    # turn expo into G, the gradient with respect to the similarities
+    expo /= (n_contrib * den)[:, None]
     expo[~contrib] = 0.0
-    expo[coo.row, coo.col] -= coo.data * e_at / num[coo.row]
-    zero = norms == 0
-    if zero.any():
-        expo[zero, :] = 0.0
-        expo[:, zero] = 0.0
-    denom *= n_contrib
-    expo /= denom
-    m = expo + expo.T
-    sims *= m                            # rank-one correction term (M .* S)
-    r = sims @ norms
-    safe = np.where(norms > 0, norms, 1.0)
-    d_h = m @ h - (r / safe)[:, None] * h
-    return value, d_h
+    expo[coo.row, coo.col] -= coo.data * e_at / (n_contrib * num[coo.row])
+    return value, _cosine_backward(u, norms, expo + expo.T)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +241,7 @@ def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
     dst = mask.indices
     keep = src != dst
     e_src, e_dst = src[keep], dst[keep]
-    norms = _row_norms(h)
-    sims = _pair_sims(h, norms, e_src, e_dst)
+    sims = _pair_sims(_unit_rows(h)[0], e_src, e_dst)
     # mask lists are sorted ascending, so the stable sort breaks ties in
     # similarity by neighbor index
     order = np.lexsort((-sims, e_src))
@@ -295,25 +298,10 @@ def _loss_neg_impl(h, batch: _PairBatch, gamma: float, need_grad):
                           weights=np.exp(s_plus[active]), minlength=n_edges)
     g_edge /= batch.n_contrib
     nz = g_edge != 0
-    d_h = _cosine_backward_pairs(h, _row_norms(h), batch.e_src[nz],
-                                 batch.e_dst[nz], edge_sims[nz], g_edge[nz])
-    return value, d_h
-
-
-def _cosine_backward_pairs(h, norms, rows, cols, svals, gvals):
-    """Gradient of sum_e g_e * sim(h_rows[e], h_cols[e]) with respect to h."""
     n = h.shape[0]
-    d = norms[rows] * norms[cols] + EPS
-    b = gvals / d
-    bad = (norms[rows] == 0) | (norms[cols] == 0)
-    if bad.any():
-        b = np.where(bad, 0.0, b)
-    m = sparse.coo_array((b, (rows, cols)), shape=(n, n))
-    m = (m + m.T).tocsr()
-    r = (np.bincount(rows, weights=b * svals * norms[cols], minlength=n)
-         + np.bincount(cols, weights=b * svals * norms[rows], minlength=n))
-    safe = np.where(norms > 0, norms, 1.0)
-    return m @ h - (r / safe)[:, None] * h
+    g = sparse.coo_array((g_edge[nz], (batch.e_src[nz], batch.e_dst[nz])),
+                         shape=(n, n))
+    return value, _cosine_backward(*_unit_rows(h), (g + g.T).tocsr())
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,15 @@
 import dataclasses
 
 import numpy as np
+from hypothesis import settings
 
-from agcn.graph import build_graph
-from agcn.training import _pair_sims, _row_norms
+from agcn.errors import ConfigError
+from agcn.graph import KHopMask, build_graph
+from agcn.training import _pair_sims, _unit_rows
+
+# every property draws the same examples on every run, with no time limit
+settings.register_profile("agcn", deadline=None, derandomize=True)
+settings.load_profile("agcn")
 
 
 def random_graph(n, p, seed, d=3, labels=None):
@@ -22,6 +28,25 @@ def path_graph(n, d=2, labels=None, seed=0):
     rng = np.random.default_rng(seed)
     edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
     return build_graph(edges, rng.standard_normal((n, d)), labels)
+
+
+def complete_mask(n):
+    """Mask in which every node reaches every node, self included."""
+    return KHopMask(n_nodes=n, indptr=np.arange(0, n * n + 1, n),
+                    indices=np.tile(np.arange(n), n))
+
+
+def homophily_ratio(g) -> float:
+    """Mean over non-isolated nodes of the same-label share of 1-hop neighbors."""
+    if g.labels is None:
+        raise ConfigError("homophily_ratio requires node labels")
+    adj = g.adj.tocoo()
+    deg = np.bincount(adj.row, minlength=g.n_nodes)
+    same = np.bincount(adj.row, weights=g.labels[adj.row] == g.labels[adj.col],
+                       minlength=g.n_nodes)
+    if not deg.any():
+        raise ConfigError("graph has no edges; homophily undefined")
+    return float(np.mean(same[deg > 0] / deg[deg > 0]))
 
 
 def bfs_distances(adj_dense, source, cutoff=None):
@@ -52,10 +77,9 @@ def cosine_sim(u, v) -> float:
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v) + 1e-12))
 
 
-def pair_sims_oracle(h, norms, rows, cols):
-    """Per-edge cosine similarities from one gather of every edge."""
-    return (np.einsum("ij,ij->i", h[rows], h[cols])
-            / (norms[rows] * norms[cols] + 1e-12))
+def pair_sims_oracle(u, rows, cols):
+    """Per-edge dot products of unit rows ``u`` from one gather of every edge."""
+    return np.einsum("ij,ij->i", u[rows], u[cols])
 
 
 def dense_normalized(adj_dense, self_loops):
@@ -78,5 +102,5 @@ def assign_oracle(points, centers):
 def reanchor(batch, emb):
     """``batch`` with its per-edge similarities recomputed from ``emb``: the
     same frozen pairs, scored at perturbed embeddings (finite differences)."""
-    sims = _pair_sims(emb, _row_norms(emb), batch.e_src, batch.e_dst)
+    sims = _pair_sims(_unit_rows(emb)[0], batch.e_src, batch.e_dst)
     return dataclasses.replace(batch, edge_sims=sims)

@@ -14,11 +14,11 @@ import pytest
 
 from agcn.clustering import accuracy, evaluate, nmi
 from agcn.datagen import SBMSpec, gen_sbm, write_graph_files
-from agcn.graph import build_graph, homophily_ratio, khop_mask, load_graph
+from agcn.graph import build_graph, khop_mask, load_graph
 from agcn.model import Dims, EvalCounter, forward, init_params, _layer
 from agcn.training import TrainingConfig, train
 
-from conftest import bfs_distances, path_graph, random_graph
+from conftest import bfs_distances, homophily_ratio, path_graph, random_graph
 from test_analysis import brute_force_r
 from test_clustering import brute_force_accuracy
 from test_model import naive_layer_oracle

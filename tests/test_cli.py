@@ -177,6 +177,17 @@ def test_train_malformed_config_is_one_error_line(tmp_path, capsys, text, messag
     assert not (tmp_path / "run").exists()
 
 
+def test_train_non_finite_flag_is_one_error_line(tmp_path, capsys):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    capsys.readouterr()
+    rc = main(_train_args(edges, feats, labels, tmp_path / "run",
+                          ("--lr", "nan")))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == ["error: lr must be finite and > 0"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_analyze_paths_histogram_with_inf(tmp_path):
     data = tmp_path / "d"
     data.mkdir()

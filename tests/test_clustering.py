@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import agcn.clustering as clustering
@@ -110,7 +110,6 @@ def test_assign_matches_broadcast_oracle(seed, offset):
     np.testing.assert_array_equal(labels, ref_labels)
 
 
-@settings(deadline=None, derandomize=True)
 @given(n=st.integers(1, 60), n_clusters=st.integers(1, 8),
        d=st.integers(1, 12), offset=st.sampled_from([0.0, -3.0, 50.0, 1e3]),
        spread=st.sampled_from([1e-3, 1.0, 30.0]),

@@ -4,9 +4,9 @@ import pytest
 from agcn.datagen import (SBMSpec, TreeMatchSpec, gen_sbm, gen_tree_match,
                           write_graph_files)
 from agcn.errors import ConfigError
-from agcn.graph import homophily_ratio, khop_mask, load_graph
+from agcn.graph import khop_mask, load_graph
 
-from conftest import bfs_distances
+from conftest import bfs_distances, homophily_ratio
 
 
 def test_sbm_two_cliques():

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agcn.errors import ConfigError, DimensionError, ParseError
-from agcn.graph import (KHopMask, build_graph, homophily_ratio, khop_mask,
-                        khop_weights, load_graph, normalized_adjacency,
-                        shortest_path_histogram)
+from agcn.graph import (build_graph, khop_mask, khop_weights, load_graph,
+                        normalized_adjacency, shortest_path_histogram)
 
-from conftest import bfs_distances, dense_normalized, path_graph, random_graph
+from conftest import (bfs_distances, complete_mask, dense_normalized,
+                      homophily_ratio, path_graph, random_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +192,12 @@ def test_khop_counts():
     assert sizes.tolist() == [len(mask.neighbors(i)) for i in range(9)]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(n=st.integers(1, 14), p_edge=st.floats(0.0, 1.0), k=st.integers(1, 3),
        cap=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
 def test_mask_rows_strictly_increase_and_hold_self(n, p_edge, k, cap, seed):
     mask = khop_mask(random_graph(n, p_edge, seed=seed), k)
-    for m in (mask, KHopMask.complete(n), mask.subsample(cap, seed)):
+    for m in (mask, complete_mask(n), mask.subsample(cap, seed)):
         for i in range(n):
             nb = m.neighbors(i)
             assert (np.diff(nb) > 0).all()

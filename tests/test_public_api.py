@@ -28,5 +28,6 @@ def test_package_exports_exactly_the_module_public_names():
 
 def test_removed_wrappers_are_not_public():
     for name in ("loss_pos", "loss_neg", "total_loss", "backward",
-                 "NormalizedAdjacency", "layer_forward"):
+                 "NormalizedAdjacency", "layer_forward", "homophily_ratio"):
         assert not hasattr(agcn, name), name
+    assert not hasattr(agcn.KHopMask, "complete")
