@@ -361,12 +361,16 @@ def cmd_analyze_paths(args) -> int:
 
 def _parse_k_range(text) -> tuple:
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        try:
+            lo, hi = (int(t) for t in text.split(":", 1))
+        except ValueError as exc:
+            raise ConfigError(f"bad --k-range value {text!r}") from exc
+        return tuple(range(lo, hi + 1))
     return tuple(_parse_grid(text, int, "--k-range"))
 
 
 def cmd_analyze_r_ratio(args) -> int:
+    k_range = _parse_k_range(args.k_range)
     g = _load_dataset(args)
     if g.labels is None:
         raise ConfigError("r-ratio needs --labels")
@@ -375,7 +379,7 @@ def cmd_analyze_r_ratio(args) -> int:
     else:
         pred = kmeans(g.features, g.n_clusters, seed=args.seed,
                       restarts=args.restarts)
-    report = r_ratio(g, pred, g.labels, _parse_k_range(args.k_range))
+    report = r_ratio(g, pred, g.labels, k_range)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(args.out_dir / "report.json", report.to_dict())
     shown = sum(e.pair_mean is not None for e in report.entries)

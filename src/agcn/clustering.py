@@ -104,6 +104,8 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int,
 
 def _kmeans_with_inertia(points, n_clusters, seed, restarts, tol=1e-6, max_iter=300):
     """(labels, inertia) of the lowest-inertia restart."""
+    if restarts < 1:
+        raise ConfigError(f"restarts={restarts} must be >= 1")
     points = np.asarray(points, dtype=np.float64)
     if not 1 <= n_clusters <= points.shape[0]:
         raise ConfigError(f"n_clusters={n_clusters} must lie in [1, "

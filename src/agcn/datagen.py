@@ -36,6 +36,12 @@ class SBMSpec:
         for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
+        if self.feature_dim is not None and self.feature_dim < 1:
+            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        for name, s in (("mean_scale", self.mean_scale),
+                        ("noise_scale", self.noise_scale)):
+            if not np.isfinite(s):
+                raise ConfigError(f"{name} must be finite, got {s}")
 
 
 @dataclass(frozen=True)

@@ -350,20 +350,16 @@ def shortest_path_histogram(g: Graph) -> dict:
     """
     if g.labels is None:
         raise ConfigError("shortest_path_histogram requires node labels")
-    counts: dict = {}
+    dists = [np.empty(0)]
     for lab in np.unique(g.labels):
         members = np.flatnonzero(g.labels == lab)
         if len(members) < 2:
             continue
         dist = _sp_shortest_path(g.adj, method="D", unweighted=True,
                                  directed=False, indices=members)
-        sub = dist[:, members]
         iu, ju = np.triu_indices(len(members), k=1)
-        for d in sub[iu, ju]:
-            key = math.inf if math.isinf(d) else int(d)
-            counts[key] = counts.get(key, 0) + 1
-    finite = sorted(k for k in counts if k is not math.inf)
-    ordered = {k: counts[k] for k in finite}
-    if math.inf in counts:
-        ordered[math.inf] = counts[math.inf]
-    return ordered
+        dists.append(dist[:, members][iu, ju])
+    # np.unique sorts ascending, so an infinite distance comes last
+    keys, counts = np.unique(np.concatenate(dists), return_counts=True)
+    return {(math.inf if math.isinf(k) else int(k)): int(c)
+            for k, c in zip(keys, counts)}

@@ -65,12 +65,6 @@ class Dims:
         if self.residual not in ("input", "hidden"):
             raise ConfigError("residual must be 'input' or 'hidden'")
 
-    def layer_in(self, layer: int) -> int:
-        return self.d if layer == 0 else self.d_model
-
-    def residual_in(self, layer: int) -> int:
-        return self.d if self.residual == "input" else self.layer_in(layer)
-
 
 @dataclass(frozen=True)
 class LayerParams:
@@ -123,12 +117,6 @@ class EvalCounter:
         key = (layer, head)
         self.counts[key] = self.counts.get(key, 0) + n
 
-    def per_layer(self) -> dict:
-        out = {}
-        for (layer, _), n in self.counts.items():
-            out[layer] = out.get(layer, 0) + n
-        return out
-
     def total(self) -> int:
         return sum(self.counts.values())
 
@@ -141,19 +129,9 @@ def _xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
 def init_params(dims: Dims, seed: int) -> ModelParams:
     """Uniform Xavier initialization, drawn per head; deterministic under seed."""
     rng = np.random.default_rng(seed)
-    dqh = dims.d_q // dims.heads
-    dvh = dims.d_v // dims.heads
-    layers = []
-    for l in range(dims.layers):
-        d_in = dims.layer_in(l)
-        wq = np.hstack([_xavier(rng, d_in, dqh) for _ in range(dims.heads)])
-        wk = np.hstack([_xavier(rng, d_in, dqh) for _ in range(dims.heads)])
-        wv = np.hstack([_xavier(rng, d_in, dvh) for _ in range(dims.heads)])
-        wo = _xavier(rng, dims.d_v, dims.d_model)
-        wres = _xavier(rng, dims.residual_in(l), dims.d_model)
-        layers.append(LayerParams(wq, wk, wv, wo, wres, heads=dims.heads))
-    final_proj = _xavier(rng, dims.d_model, dims.d_out)
-    return ModelParams(dims=dims, layers=tuple(layers), final_proj=final_proj)
+    return ModelParams.from_tensors(dims, (
+        np.hstack([_xavier(rng, rows, cols // split) for _ in range(split)])
+        for _, (rows, cols), split in _tensor_specs(dims)))
 
 
 @dataclass
@@ -319,9 +297,17 @@ def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
     return grads, d_h_in
 
 
-def _run_layers(x, mask, params: ModelParams, mode, counter):
+def forward(g: Graph, mask: KHopMask, params: ModelParams,
+            mode: str = "structure", counter: EvalCounter | None = None) -> np.ndarray:
+    """Chain all layers from the raw features and apply the final projection."""
+    return _forward_tape(g.features, mask, params, mode, counter)[0]
+
+
+def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
     """Chain the layers over ``mask`` ("structure") or over all node pairs
-    ("vanilla"); the residual source is ``x`` or each layer's own input."""
+    ("vanilla"), the residual source being ``x`` or each layer's own input,
+    and apply the final projection. Returns (embeddings, last hidden state,
+    per-layer tapes): every intermediate the backward pass needs."""
     if mode not in ("structure", "vanilla"):
         raise ConfigError(f"unknown mode {mode!r}")
     attn_mask = mask if mode == "structure" else None
@@ -334,21 +320,7 @@ def _run_layers(x, mask, params: ModelParams, mode, counter):
         res_src = x if dims.residual == "input" else h
         h, tape = _layer(h, res_src, attn_mask, p, layer_idx=l, counter=counter)
         tapes.append(tape)
-    return h, tapes
-
-
-def forward(g: Graph, mask: KHopMask, params: ModelParams,
-            mode: str = "structure", counter: EvalCounter | None = None) -> np.ndarray:
-    """Chain all layers from the raw features and apply the final projection."""
-    h_last, _ = _run_layers(g.features, mask, params, mode, counter)
-    return h_last @ params.final_proj
-
-
-def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
-    """Forward pass keeping every intermediate needed for the backward pass."""
-    h_last, tapes = _run_layers(x, mask, params, mode, counter)
-    embeddings = h_last @ params.final_proj
-    return embeddings, h_last, tapes
+    return h @ params.final_proj, h, tapes
 
 
 def _model_backward(params: ModelParams, tapes, h_last, d_embeddings):
@@ -386,23 +358,26 @@ def save_params(params: ModelParams, path):
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _tensor_specs(dims: Dims) -> list:
-    """(name, shape) of every tensor ``dims`` implies, in serialization order."""
-    specs = []
+def _tensor_specs(dims: Dims):
+    """Yield (name, shape, split) of every tensor ``dims`` implies, in
+    serialization order; ``split`` is the number of per-head column blocks."""
+    d_in = dims.d
     for l in range(dims.layers):
-        d_in = dims.layer_in(l)
-        specs += [(f"layers.{l}.wq", (d_in, dims.d_q)),
-                  (f"layers.{l}.wk", (d_in, dims.d_q)),
-                  (f"layers.{l}.wv", (d_in, dims.d_v)),
-                  (f"layers.{l}.wo", (dims.d_v, dims.d_model)),
-                  (f"layers.{l}.wres", (dims.residual_in(l), dims.d_model))]
-    return specs + [("final_proj", (dims.d_model, dims.d_out))]
+        res_in = dims.d if dims.residual == "input" else d_in
+        yield from ((f"layers.{l}.wq", (d_in, dims.d_q), dims.heads),
+                    (f"layers.{l}.wk", (d_in, dims.d_q), dims.heads),
+                    (f"layers.{l}.wv", (d_in, dims.d_v), dims.heads),
+                    (f"layers.{l}.wo", (dims.d_v, dims.d_model), 1),
+                    (f"layers.{l}.wres", (res_in, dims.d_model), 1))
+        d_in = dims.d_model
+    yield "final_proj", (dims.d_model, dims.d_out), 1
 
 
 def _check_specs(path, specs, dims: Dims):
     """Raise ConfigError at the first header tensor whose name or shape
     differs from what ``dims`` implies."""
-    for got, want in itertools.zip_longest(specs, _tensor_specs(dims)):
+    for got, want in itertools.zip_longest(
+            specs, ((name, shape) for name, shape, _ in _tensor_specs(dims))):
         if got == want:
             continue
         if got is None:

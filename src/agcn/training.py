@@ -362,28 +362,22 @@ def init_adam_state(params: ModelParams) -> AdamState:
     return AdamState(t=0, m=zeros, v=zeros)
 
 
-def _adam_update(tensors, grads, state: AdamState, lr: float):
-    t = state.t + 1
-    c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
-    new_t, new_m, new_v = [], [], []
-    for p, g, m, v in zip(tensors, grads, state.m, state.v):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        step = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        new_t.append(p - step)
-        new_m.append(m)
-        new_v.append(v)
-    return new_t, AdamState(t=t, m=tuple(new_m), v=tuple(new_v))
-
-
 def adam_step(params: ModelParams, grads: ModelParams,
               state: AdamState, lr: float):
     """One bias-corrected Adam update; returns new params and state."""
-    tensors = [a for _, a in params.tensors()]
-    gtensors = [a for _, a in grads.tensors()]
-    updated, new_state = _adam_update(tensors, gtensors, state, lr)
-    return ModelParams.from_tensors(params.dims, updated), new_state
+    t = state.t + 1
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    new_p, new_m, new_v = [], [], []
+    for (_, p), (_, g), m, v in zip(params.tensors(), grads.tensors(),
+                                    state.m, state.v):
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        new_p.append(p - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
+        new_m.append(m)
+        new_v.append(v)
+    return (ModelParams.from_tensors(params.dims, new_p),
+            AdamState(t=t, m=tuple(new_m), v=tuple(new_v)))
 
 
 # ---------------------------------------------------------------------------

@@ -264,9 +264,10 @@ def test_complexity_instrumentation():
             params = init_params(dims, seed=0)
             counter = EvalCounter()
             forward(g, mask, params, counter=counter)
-            per_layer = counter.per_layer()
             for layer in range(dims.layers):
-                assert per_layer[layer] == dims.heads * mask.total_nnz
+                per_layer = sum(n for (l, _), n in counter.counts.items()
+                                if l == layer)
+                assert per_layer == dims.heads * mask.total_nnz
             counts.append(counter.total())
             sizes.append(n)
         x = np.asarray(sizes, dtype=float)

@@ -43,6 +43,20 @@ def test_generate_tree_match_files(tmp_path):
     assert len(edges) == 14
 
 
+@pytest.mark.parametrize("flag, value", [("--feature-dim", "0"),
+                                         ("--noise-scale", "nan"),
+                                         ("--mean-scale", "inf")])
+def test_generate_sbm_bad_feature_flag_exits_one_with_line(tmp_path, capsys,
+                                                           flag, value):
+    rc = main(["generate", "sbm", "--blocks", "4,4", "--p-in", "0.5",
+               "--p-out", "0.1", flag, value, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: " + flag[2:].replace("-", "_"))
+    assert not (tmp_path / "o").exists()
+
+
 def test_generate_sbm_rerun_byte_identical(tmp_path):
     a = _gen_dataset(tmp_path / "a", seed="5")
     b = _gen_dataset(tmp_path / "b", seed="5")
@@ -227,6 +241,33 @@ def test_analyze_r_ratio_range(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["k_range"] == [1, 2, 3]
     assert report["mode"] == "pair-mean"
+
+
+@pytest.mark.parametrize("k_range", ["a:3", "1:b"])
+def test_analyze_r_ratio_bad_k_range_exits_one_with_line(tmp_path, capsys,
+                                                         k_range):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    capsys.readouterr()
+    rc = main(["analyze", "r-ratio", "--graph", str(edges), "--features",
+               str(feats), "--labels", str(labels), "--k-range", k_range,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: bad --k-range value {k_range!r}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["grouping", "r-ratio"])
+def test_analyze_zero_restarts_exits_one_with_line(tmp_path, capsys, command):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    capsys.readouterr()
+    rc = main(["analyze", command, "--graph", str(edges), "--features",
+               str(feats), "--labels", str(labels), "--restarts", "0",
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: restarts=0 must be >= 1"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_r_ratio_accepts_external_predictions(tmp_path):

@@ -315,3 +315,9 @@ def test_evaluate_rejects_cluster_count_outside_one_to_n(n_clusters):
 def test_evaluate_rejects_empty_seed_list():
     with pytest.raises(ConfigError):
         evaluate(np.eye(3), 2, [0, 1, 1], seeds=[])
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_evaluate_rejects_fewer_than_one_restart(restarts):
+    with pytest.raises(ConfigError, match="restarts"):
+        evaluate(np.eye(3), 2, [0, 1, 1], seeds=[0], restarts=restarts)

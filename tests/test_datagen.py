@@ -45,6 +45,16 @@ def test_sbm_validates_probabilities():
         SBMSpec(block_sizes=(), p_in=0.5, p_out=0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("feature_dim", 0), ("feature_dim", -1),
+    ("mean_scale", float("inf")), ("mean_scale", float("nan")),
+    ("noise_scale", float("nan")), ("noise_scale", float("-inf")),
+])
+def test_sbm_validates_features(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SBMSpec(block_sizes=(4, 4), p_in=0.5, p_out=0.1, **{field: value})
+
+
 @pytest.mark.parametrize("depth,n_expected", [(1, 3), (3, 15), (5, 63)])
 def test_tree_node_count(depth, n_expected):
     g = gen_tree_match(TreeMatchSpec(depth=depth, seed=0))

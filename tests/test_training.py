@@ -11,7 +11,7 @@ from agcn.errors import ConfigError, DegenerateLossError
 from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import Dims, ModelParams, init_params, _forward_tape
 from agcn.training import (TrainingConfig, adam_step, init_adam_state,
-                           train, _adam_update, _grads_from_tape,
+                           train, _grads_from_tape,
                            _loss_neg_impl, _loss_pos_impl, _objective,
                            _decode_pairs, _pair_batch, _pair_sims,
                            _sample_rows, _unit_rows, SIMS_CHUNK)
@@ -682,20 +682,17 @@ def test_adam_three_steps_match_scalar_simulation():
         x = x - lr * mhat / (math.sqrt(vhat) + eps)
         trace.append(x)
 
-    tensors = [np.array([2.0])]
-    state = init_adam_state_like(tensors)
+    # a one-unit model: every tensor 1x1 at 2.0, each following the scalar
+    dims = Dims(d=1, d_model=1, d_q=1, d_v=1, heads=1, layers=1, d_out=1)
+    params = ModelParams.from_tensors(dims, [np.full((1, 1), 2.0)] * 6)
+    state = init_adam_state(params)
     got = []
     for _ in range(3):
-        grads = [2.0 * tensors[0]]
-        tensors, state = _adam_update(tensors, grads, state, lr)
-        got.append(float(tensors[0][0]))
-    np.testing.assert_allclose(got, trace, rtol=1e-12)
-
-
-def init_adam_state_like(tensors):
-    from agcn.training import AdamState
-    zeros = tuple(np.zeros_like(t) for t in tensors)
-    return AdamState(t=0, m=zeros, v=zeros)
+        grads = ModelParams.from_tensors(
+            dims, [2.0 * a for _, a in params.tensors()])
+        params, state = adam_step(params, grads, state, lr)
+        got.append([float(a[0, 0]) for _, a in params.tensors()])
+    np.testing.assert_allclose(got, [[x] * 6 for x in trace], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
