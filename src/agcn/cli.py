@@ -288,8 +288,13 @@ def _run_single(g: Graph, cfg: TrainingConfig, out_dir: Path) -> dict:
 
 
 def cmd_train(args) -> int:
-    g = _load_dataset(args)
     cfg, k_grid, lam_grid = _train_config(args)
+    points = [(k, lam, f"k{k}_lam{lam:g}") for k in k_grid for lam in lam_grid]
+    names = [name for *_, name in points]
+    if len(set(names)) < len(names):
+        clash = next(name for name in names if names.count(name) > 1)
+        raise ConfigError(f"two sweep points share the directory {clash}")
+    g = _load_dataset(args)
     if not args.sweep:
         record = _run_single(g, cfg, args.out_dir)
         if record["result"] is not None:
@@ -301,22 +306,20 @@ def cmd_train(args) -> int:
     if g.labels is None:
         raise ConfigError("--sweep ranks by accuracy and needs --labels")
     _say(f"sweeping {len(k_grid)} x {len(lam_grid)} = "
-         f"{len(k_grid) * len(lam_grid)} configurations")
+         f"{len(points)} configurations")
     records = []
-    for k in k_grid:
-        for lam in lam_grid:
-            combo = dataclasses.replace(cfg, k=k, lam=lam)
-            sub_dir = args.out_dir / f"k{k}_lam{lam:g}"
-            record = _run_single(g, combo, sub_dir)
-            records.append({
-                "k": k,
-                "lambda": lam,
-                "acc": record["result"]["acc"],
-                "nmi": record["result"]["nmi"],
-                "out_dir": sub_dir.name,
-            })
-            _say(f"k={k} lambda={lam:g} acc={record['result']['acc']:.4f} "
-                 f"nmi={record['result']['nmi']:.4f}")
+    for k, lam, name in points:
+        combo = dataclasses.replace(cfg, k=k, lam=lam)
+        record = _run_single(g, combo, args.out_dir / name)
+        records.append({
+            "k": k,
+            "lambda": lam,
+            "acc": record["result"]["acc"],
+            "nmi": record["result"]["nmi"],
+            "out_dir": name,
+        })
+        _say(f"k={k} lambda={lam:g} acc={record['result']['acc']:.4f} "
+             f"nmi={record['result']['nmi']:.4f}")
     records.sort(key=lambda r: -r["acc"])
     _write_json(args.out_dir / "sweep.json", {"ranked": records})
     best = records[0]

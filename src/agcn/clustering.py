@@ -24,11 +24,9 @@ def _sq_dist_to(points, sq_norms, center):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeans_pp_init(points, n_clusters, rng, sq_norms=None):
+def _kmeans_pp_init(points, n_clusters, rng, sq_norms):
     """k-means++ seeding: each new center is drawn with probability
     proportional to squared distance from the nearest chosen center."""
-    if sq_norms is None:
-        sq_norms = _sq_norms(points)
     n = points.shape[0]
     centers = np.empty((n_clusters, points.shape[1]))
     centers[0] = points[rng.integers(n)]
@@ -44,11 +42,9 @@ def _kmeans_pp_init(points, n_clusters, rng, sq_norms=None):
     return centers
 
 
-def _assign(points, centers, sq_norms=None):
+def _assign(points, centers, sq_norms):
     """Nearest-center labels and the (n, C) squared distances
     ``||x||^2 - 2 x.c + ||c||^2`` from one GEMM, clamped at 0."""
-    if sq_norms is None:
-        sq_norms = _sq_norms(points)
     # -2 is folded into a contiguous (d, C) right operand: with C small,
     # OpenBLAS multiplies it ~2.5x faster than the transposed view (one
     # thread on a Xeon core, n=1400, d=100, C=7)
@@ -59,12 +55,10 @@ def _assign(points, centers, sq_norms=None):
     return d2.argmin(axis=1), d2
 
 
-def _lloyd(points, centers, tol, max_iter, sq_norms=None):
+def _lloyd(points, centers, tol, max_iter, sq_norms):
     """Lloyd iterations with farthest-point repair for empty clusters.
 
     Returns (labels, inertia, inertia_trace)."""
-    if sq_norms is None:
-        sq_norms = _sq_norms(points)
     n, n_clusters = points.shape[0], centers.shape[0]
     rows = np.arange(n)
     prev_inertia = np.inf

@@ -197,6 +197,9 @@ def _read_labels(path) -> np.ndarray:
                 raise ParseError(
                     f"non-integer label {line!r}", path=path, line=lineno
                 ) from exc
+            if values[-1] < 0:
+                raise ParseError(f"negative label {line!r}", path=path,
+                                 line=lineno)
     return np.asarray(values, dtype=np.int64)
 
 
@@ -277,30 +280,27 @@ class KHopMask:
     def subsample(self, max_neighbors: int, seed: int) -> "KHopMask":
         """Cap every list at ``max_neighbors`` by seeded uniform subsampling.
 
-        The node itself is always kept. The result is generally not
+        Every entry draws one random 32-bit key (equal keys rank by index),
+        the node itself ranking first, and each list keeps its
+        ``max_neighbors`` lowest-ranked entries, still in index order. The
+        result is generally not
         symmetric, which only affects attention gathering, never losses.
         """
         if max_neighbors < 1:
             raise ConfigError("max_neighbors must be >= 1")
-        rng = np.random.default_rng(seed)
-        lists = []
-        for i in range(self.n_nodes):
-            nb = self.neighbors(i)
-            if len(nb) <= max_neighbors:
-                lists.append(nb)
-                continue
-            others = nb[nb != i]
-            pick = rng.choice(len(others), size=max_neighbors - 1, replace=False)
-            lists.append(np.sort(np.append(others[pick], i)))
-        return _mask_from_lists(self.n_nodes, lists)
-
-
-def _mask_from_lists(n, lists) -> KHopMask:
-    sizes = np.fromiter((len(l) for l in lists), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    indices = (np.concatenate(lists) if n else np.empty(0)).astype(np.int64)
-    return KHopMask(n_nodes=n, indptr=indptr, indices=indices)
+        src = self.src_ids()
+        key = np.random.default_rng(seed).integers(1, 2 ** 32, self.total_nnz)
+        key[src == self.indices] = 0
+        # one sort by (row, key); rows keep their slots, so an entry's rank
+        # is its sorted slot minus its row's start
+        order = np.argsort((src << 32) | key, kind="stable")
+        rank = np.empty(self.total_nnz, dtype=np.int64)
+        rank[order] = np.arange(self.total_nnz) - self.indptr[src]
+        keep = rank < max_neighbors
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[keep], minlength=self.n_nodes), out=indptr[1:])
+        return KHopMask(n_nodes=self.n_nodes, indptr=indptr,
+                        indices=self.indices[keep])
 
 
 def khop_mask(g: Graph, k: int) -> KHopMask:

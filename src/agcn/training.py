@@ -118,13 +118,11 @@ def _pair_sims(u, rows, cols):
     return dots
 
 
-def _cosine_backward(u, norms, m):
-    """Gradient with respect to h of sum_ij G_ij * (u_i . u_j), given the
-    dense or sparse ``m = G + G^T``: back through u = h / |h|. Zero rows
-    get 0."""
-    mu = m @ u
-    mu -= np.einsum("ij,ij->i", mu, u)[:, None] * u
-    return np.divide(mu, norms[:, None], out=np.zeros_like(mu),
+def _unit_rows_backward(u, norms, d_u):
+    """Gradient with respect to h, given the gradient ``d_u`` with respect to
+    u = h / |h|: (d_u - (d_u . u) u) / |h| row by row, 0 for zero rows."""
+    d_h = d_u - np.einsum("ij,ij->i", d_u, u)[:, None] * u
+    return np.divide(d_h, norms[:, None], out=np.zeros_like(d_h),
                      where=norms[:, None] > 0)
 
 
@@ -132,11 +130,12 @@ def _cosine_backward(u, norms, m):
 # positive-pair loss
 # ---------------------------------------------------------------------------
 
-def _loss_pos_impl(h, weights, need_grad):
-    n = h.shape[0]
+def _loss_pos_impl(u, weights):
+    """Weighted-positive value and its gradient with respect to the unit
+    rows ``u``."""
+    n = u.shape[0]
     if n < 2:
         raise ConfigError("positive loss needs at least two nodes")
-    u, norms = _unit_rows(h)
     expo = u @ u.T
     np.exp(expo, out=expo)
     np.fill_diagonal(expo, 0.0)
@@ -150,14 +149,13 @@ def _loss_pos_impl(h, weights, need_grad):
     if n_contrib == 0:
         raise DegenerateLossError("every node has an all-zero positive-weight row")
     value = float(np.mean(np.log(den[contrib]) - np.log(num[contrib])))
-    if not need_grad:
-        return value, None
 
     # turn expo into G, the gradient with respect to the similarities
     expo /= (n_contrib * den)[:, None]
     expo[~contrib] = 0.0
     expo[coo.row, coo.col] -= coo.data * e_at / (n_contrib * num[coo.row])
-    return value, _cosine_backward(u, norms, expo + expo.T)
+    # d/du of sum_ij G_ij (u_i . u_j); BLAS reads the transpose in place
+    return value, expo @ u + expo.T @ u
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +274,19 @@ def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
 # rank-margin negative loss
 # ---------------------------------------------------------------------------
 
-def _loss_neg_impl(h, batch: _PairBatch, gamma: float, need_grad):
-    """Hinge value (and gradient) at ``h``, reading the pair similarities
-    from ``batch.edge_sims``, which must have been computed from ``h``."""
+def _loss_neg_impl(u, batch: _PairBatch, gamma: float):
+    """Hinge value and its gradient with respect to the unit rows ``u``,
+    reading the pair similarities from ``batch.edge_sims``, which must have
+    been computed from ``u``."""
     if batch.n_contrib == 0:
-        return 0.0, (np.zeros_like(h) if need_grad else None)
+        return 0.0, np.zeros_like(u)
     edge_sims = batch.edge_sims
     s_plus, s_minus = edge_sims[batch.plus_e], edge_sims[batch.minus_e]
     hinge = np.exp(s_minus) - np.exp(s_plus) + gamma * batch.gap
     active = hinge > 0
     value = float(hinge[active].sum() / batch.n_contrib)
-    if not need_grad:
-        return value, None
 
-    # accumulate hinge gradients per mask edge, then one cosine backward
+    # accumulate hinge gradients per mask edge
     n_edges = len(edge_sims)
     g_edge = np.bincount(batch.minus_e[active],
                          weights=np.exp(s_minus[active]),
@@ -298,42 +295,39 @@ def _loss_neg_impl(h, batch: _PairBatch, gamma: float, need_grad):
                           weights=np.exp(s_plus[active]), minlength=n_edges)
     g_edge /= batch.n_contrib
     nz = g_edge != 0
-    n = h.shape[0]
     g = sparse.coo_array((g_edge[nz], (batch.e_src[nz], batch.e_dst[nz])),
-                         shape=(n, n))
-    return value, _cosine_backward(*_unit_rows(h), (g + g.T).tocsr())
+                         shape=(len(u), len(u)))
+    return value, (g + g.T).tocsr() @ u
 
 
 # ---------------------------------------------------------------------------
 # the training objective
 # ---------------------------------------------------------------------------
 
-def _objective(emb, batch: _PairBatch, weights, cfg: TrainingConfig, need_grad):
+def _objective(emb, batch: _PairBatch, weights, cfg: TrainingConfig):
     """The loss that training minimizes, at ``emb`` with frozen pairs.
 
     Returns ``(l_pos, l_neg, l_total, d_emb)``. ``use_neg=False`` drops the
     hinge (``l_neg`` is 0); ``lam == 0`` skips the positive term entirely
     (``l_pos`` is NaN and ``l_total`` is exactly ``l_neg``); otherwise
-    ``l_total = l_neg + lam * l_pos``. ``d_emb`` is None unless
-    ``need_grad``.
+    ``l_total = l_neg + lam * l_pos``. Both terms see the unit rows of
+    ``emb``; their gradients add up there and go back through the
+    normalization once.
     """
-    d_emb = np.zeros_like(emb) if need_grad else None
-    l_neg = 0.0
-    if cfg.use_neg:
-        l_neg, d_neg = _loss_neg_impl(emb, batch, cfg.gamma, need_grad)
-        if need_grad:
-            d_emb += d_neg
-    if cfg.lam == 0:
-        return math.nan, l_neg, l_neg, d_emb
-    l_pos, d_pos = _loss_pos_impl(emb, weights, need_grad)
-    if need_grad:
-        d_emb += cfg.lam * d_pos
-    return l_pos, l_neg, l_neg + cfg.lam * l_pos, d_emb
+    u, norms = _unit_rows(emb)
+    l_neg, d_u = (_loss_neg_impl(u, batch, cfg.gamma) if cfg.use_neg
+                  else (0.0, np.zeros_like(u)))
+    l_pos, l_total = math.nan, l_neg
+    if cfg.lam != 0:
+        l_pos, d_pos = _loss_pos_impl(u, weights)
+        d_u += cfg.lam * d_pos
+        l_total = l_neg + cfg.lam * l_pos
+    return l_pos, l_neg, l_total, _unit_rows_backward(u, norms, d_u)
 
 
 def _grads_from_tape(params, tapes, h_last, emb, cfg, weights, batch):
     """Losses and parameter gradients for one forward pass and frozen pairs."""
-    l_pos, l_neg, l_total, d_emb = _objective(emb, batch, weights, cfg, True)
+    l_pos, l_neg, l_total, d_emb = _objective(emb, batch, weights, cfg)
     grads = _model_backward(params, tapes, h_last, d_emb)
     for name, tensor in grads.tensors():
         if not np.all(np.isfinite(tensor)):

@@ -124,6 +124,19 @@ def test_train_sweep_ranked_records(tmp_path):
         assert (out / r["out_dir"] / "result.json").exists()
 
 
+@pytest.mark.parametrize("grid", [("--k", "1", "--lambda", "1234567,1234568"),
+                                  ("--k", "2,2")])
+def test_train_sweep_directory_collision_exits_one(tmp_path, capsys, grid):
+    # both grid points print as one k{k}_lam{lam:g} name
+    edges, feats, labels = _gen_dataset(tmp_path)
+    out = tmp_path / "sweep"
+    rc = main(_train_args(edges, feats, labels, out, ("--sweep", *grid)))
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "share the directory" in err[0], err
+    assert not out.exists()
+
+
 def test_train_vanilla_mode_without_margin_loss(tmp_path):
     edges, feats, labels = _gen_dataset(tmp_path)
     out = tmp_path / "run"
@@ -292,6 +305,33 @@ def test_analyze_r_ratio_bad_prediction_row_exits_one_with_line(tmp_path,
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: non-integer label 'x' [{pred}:1]"]
+
+
+def test_analyze_r_ratio_negative_prediction_exits_one_with_line(tmp_path,
+                                                                 capsys):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    pred = tmp_path / "pred.txt"
+    pred.write_text("0\n" * 3 + "-1\n" + "1\n" * 12)
+    rc = main(["analyze", "r-ratio", "--graph", str(edges), "--features",
+               str(feats), "--labels", str(labels), "--pred", str(pred),
+               "--k-range", "1,2", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: negative label '-1' [{pred}:4]"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_negative_label_exits_one_with_line(tmp_path, capsys):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    rows = labels.read_text().splitlines()
+    rows[5] = "-1"
+    labels.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    rc = main(_train_args(edges, feats, labels, out))
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: negative label '-1' [{labels}:6]"]
+    assert not out.exists()
 
 
 def test_analyze_mask_features_file_output(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import agcn.clustering as clustering
 from agcn.clustering import (accuracy, evaluate, kmeans, label_mapping, nmi,
-                             _assign, _kmeans_pp_init, _lloyd)
+                             _assign, _kmeans_pp_init, _lloyd, _sq_norms)
 from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError, DimensionError
 from agcn.graph import khop_mask
@@ -73,8 +73,9 @@ def test_kmeans_rejects_too_many_clusters():
 def test_lloyd_inertia_nonincreasing():
     rng = np.random.default_rng(8)
     pts = rng.standard_normal((40, 3))
-    centers = _kmeans_pp_init(pts, 4, rng)
-    _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50)
+    centers = _kmeans_pp_init(pts, 4, rng, _sq_norms(pts))
+    _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50,
+                         sq_norms=_sq_norms(pts))
     diffs = np.diff(np.asarray(trace))
     assert (diffs <= 1e-9).all()
 
@@ -83,14 +84,15 @@ def test_lloyd_repairs_empty_clusters():
     pts = np.zeros((5, 2))
     pts[4] = [10.0, 0.0]
     centers = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    labels, _, _ = _lloyd(pts, centers, tol=1e-6, max_iter=10)
+    labels, _, _ = _lloyd(pts, centers, tol=1e-6, max_iter=10,
+                          sq_norms=_sq_norms(pts))
     assert len(np.unique(labels)) == 3
 
 
 def _checked_assign(points, centers):
     """Run ``_assign`` and the broadcast oracle; check the distances agree
     to 1e-9 (||x||^2 + ||c||^2) and are never negative."""
-    labels, d2 = _assign(points, centers)
+    labels, d2 = _assign(points, centers, _sq_norms(points))
     ref_labels, ref = assign_oracle(points, centers)
     tol = 1e-9 * ((points ** 2).sum(axis=1)[:, None]
                   + (centers ** 2).sum(axis=1)[None, :])
@@ -131,7 +133,7 @@ def test_lloyd_calls_assign_once_per_iteration(monkeypatch, case):
     rng = np.random.default_rng(6)
     if case == "random":
         pts = rng.standard_normal((40, 3))
-        centers = _kmeans_pp_init(pts, 4, rng)
+        centers = _kmeans_pp_init(pts, 4, rng, _sq_norms(pts))
     else:
         pts = np.zeros((5, 2))
         pts[4] = [10.0, 0.0]
@@ -144,18 +146,20 @@ def test_lloyd_calls_assign_once_per_iteration(monkeypatch, case):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(clustering, "_assign", counting)
-    _kmeans_pp_init(pts, 3, rng)
+    _kmeans_pp_init(pts, 3, rng, _sq_norms(pts))
     assert calls == []
-    _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50)
+    _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50,
+                         sq_norms=_sq_norms(pts))
     assert len(calls) == len(trace)
 
 
 def test_lloyd_center_update_is_member_mean():
     rng = np.random.default_rng(10)
     pts = rng.standard_normal((50, 4)) + 100.0
-    centers = _kmeans_pp_init(pts, 5, rng)
+    centers = _kmeans_pp_init(pts, 5, rng, _sq_norms(pts))
     # tol=inf stops after one step: assign, then move every center
-    labels, _, trace = _lloyd(pts, centers, tol=np.inf, max_iter=10)
+    labels, _, trace = _lloyd(pts, centers, tol=np.inf, max_iter=10,
+                              sq_norms=_sq_norms(pts))
     assert len(trace) == 1
     means = np.array([pts[labels == c].mean(axis=0) for c in range(5)])
     np.testing.assert_allclose(centers, means, rtol=1e-13, atol=0)
@@ -171,7 +175,7 @@ def test_evaluate_matches_lloyd_driven_by_oracle(monkeypatch):
     seeds = range(5)
     fast = evaluate(emb, g.n_clusters, g.labels, seeds, restarts=cfg.restarts)
     monkeypatch.setattr(clustering, "_assign",
-                        lambda points, centers, sq_norms=None:
+                        lambda points, centers, sq_norms:
                         assign_oracle(points, centers))
     ref = evaluate(emb, g.n_clusters, g.labels, seeds, restarts=cfg.restarts)
     np.testing.assert_array_equal(fast.labels, ref.labels)

@@ -39,7 +39,7 @@ def test_gradcheck_with_isolated_and_noncontributing_nodes():
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params)
-        return _objective(e, reanchor(batch, e), weights, cfg, False)[2]
+        return _objective(e, reanchor(batch, e), weights, cfg)[2]
 
     analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, cfg,
                                     weights, batch)
@@ -62,7 +62,7 @@ def test_gradcheck_unequal_head_widths():
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params)
-        return _objective(e, reanchor(batch, e), weights, cfg, False)[2]
+        return _objective(e, reanchor(batch, e), weights, cfg)[2]
 
     analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, cfg,
                                     weights, batch)

@@ -14,7 +14,8 @@ from agcn.training import (TrainingConfig, adam_step, init_adam_state,
                            train, _grads_from_tape,
                            _loss_neg_impl, _loss_pos_impl, _objective,
                            _decode_pairs, _pair_batch, _pair_sims,
-                           _sample_rows, _unit_rows, SIMS_CHUNK)
+                           _sample_rows, _unit_rows, _unit_rows_backward,
+                           SIMS_CHUNK)
 
 from conftest import cosine_sim, pair_sims_oracle, random_graph, reanchor
 
@@ -58,7 +59,7 @@ def test_pair_sims_chunked_is_bitwise_single_shot():
 # ---------------------------------------------------------------------------
 
 def _pos(h, w):
-    return _loss_pos_impl(h, w, False)[0]
+    return _loss_pos_impl(_unit_rows(h)[0], w)[0]
 
 
 def test_loss_pos_two_nodes_single_edge_is_zero():
@@ -118,20 +119,21 @@ def test_loss_pos_nonnegative_for_power_weights():
 
 
 def test_loss_pos_gradient_peak_memory():
-    # exp(u u^T) and M = G + G^T are the two n x n arrays it needs; a dense
-    # n x n denominator or a similarity copy next to them busts the budget
+    # exp(u u^T), turned into G in place, is the one n x n array it needs;
+    # forming G + G^T, a dense n x n denominator or a similarity copy next
+    # to it busts the budget
     n = 512
     g = gen_sbm(SBMSpec(block_sizes=(n // 2, n // 2), p_in=0.03, p_out=0.005,
                         feature_dim=4, seed=0))
     w = khop_weights(g, 2)
-    h = np.random.default_rng(0).standard_normal((n, 16))
+    u, _ = _unit_rows(np.random.default_rng(0).standard_normal((n, 16)))
     tracemalloc.start()
     try:
-        _loss_pos_impl(h, w, True)
+        _loss_pos_impl(u, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * n * n, peak
+    assert peak < 2 * 8 * n * n, peak
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +391,7 @@ def test_pair_batch_is_a_function_of_seed_and_epoch():
 def _neg(h, mask, cfg):
     """The hinge on the pairs training would sample at ``h`` with cfg.seed."""
     batch = _batch(h, mask, cfg.pair_cap, cfg.seed)
-    return _loss_neg_impl(h, batch, cfg.gamma, False)[0]
+    return _loss_neg_impl(_unit_rows(h)[0], batch, cfg.gamma)[0]
 
 
 def test_loss_neg_single_pair_equal_sims_equals_margin():
@@ -452,13 +454,14 @@ def test_total_loss_lambda_zero_is_exactly_neg():
     batch = _batch(h, khop_mask(g, 2))
     cfg = TrainingConfig(lam=0.0, gamma=0.5, epochs=1)   # active hinges
     w = khop_weights(g, 2)
-    l_pos, l_neg, l_total, _ = _objective(h, batch, w, cfg, False)
+    u, norms = _unit_rows(h)
+    l_neg_alone, d_neg = _loss_neg_impl(u, batch, cfg.gamma)
+    l_pos, l_neg, l_total, _ = _objective(h, batch, w, cfg)
     assert math.isnan(l_pos) and l_neg > 0
-    assert l_total == l_neg == _loss_neg_impl(h, batch, cfg.gamma, False)[0]
+    assert l_total == l_neg == l_neg_alone
     # the positive term is skipped, not evaluated: no weights are needed
-    _, _, _, d_emb = _objective(h, batch, None, cfg, True)
-    np.testing.assert_array_equal(
-        d_emb, _loss_neg_impl(h, batch, cfg.gamma, True)[1])
+    _, _, _, d_emb = _objective(h, batch, None, cfg)
+    np.testing.assert_array_equal(d_emb, _unit_rows_backward(u, norms, d_neg))
 
 
 def test_total_loss_weighted_sum():
@@ -467,16 +470,18 @@ def test_total_loss_weighted_sum():
     batch = _batch(h, khop_mask(g, 2))
     w = khop_weights(g, 2)
     cfg = TrainingConfig(lam=1e-2, gamma=0.5, epochs=1)  # active hinges
-    l_pos, l_neg, l_total, d_emb = _objective(h, batch, w, cfg, True)
+    u, norms = _unit_rows(h)
+    l_neg_alone, d_neg = _loss_neg_impl(u, batch, cfg.gamma)
+    d_pos = _loss_pos_impl(u, w)[1]
+    l_pos, l_neg, l_total, d_emb = _objective(h, batch, w, cfg)
     assert l_pos == _pos(h, w)
-    assert l_neg > 0 and l_neg == _loss_neg_impl(h, batch, cfg.gamma, False)[0]
+    assert l_neg > 0 and l_neg == l_neg_alone
     assert l_total == pytest.approx(l_neg + 1e-2 * l_pos, rel=1e-14)
-    expect = (_loss_neg_impl(h, batch, cfg.gamma, True)[1]
-              + 1e-2 * _loss_pos_impl(h, w, True)[1])
+    expect = _unit_rows_backward(u, norms, d_neg + 1e-2 * d_pos)
     np.testing.assert_allclose(d_emb, expect, rtol=1e-14, atol=1e-17)
     # use_neg=False drops the hinge from the value and the gradient
     off = TrainingConfig(lam=1e-2, gamma=0.5, epochs=1, use_neg=False)
-    l_pos, l_neg, l_total, _ = _objective(h, batch, w, off, False)
+    l_pos, l_neg, l_total, _ = _objective(h, batch, w, off)
     assert l_neg == 0.0 and l_total == 1e-2 * l_pos
 
 
@@ -540,7 +545,7 @@ def _gradcheck_case(g, cfg, seed, min_hinge_margin=1e-3):
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params, mode=cfg.mode)
-        return _objective(e, reanchor(batch, e), weights, cfg, False)[2]
+        return _objective(e, reanchor(batch, e), weights, cfg)[2]
 
     analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, cfg,
                                     weights, batch)
@@ -621,7 +626,7 @@ def test_objective_gradient_with_a_zero_embedding_row():
     batch = _batch(emb, mask, cfg.pair_cap, cfg.seed)
     assert (_hinges(batch, cfg.gamma) > 1e-3).any()
     assert np.abs(_hinges(batch, cfg.gamma)).min() > 1e-3     # off the kink
-    d_emb = _objective(emb, batch, w, cfg, True)[3]
+    d_emb = _objective(emb, batch, w, cfg)[3]
     assert (d_emb[4] == 0.0).all()
 
     step = 1e-6
@@ -632,8 +637,7 @@ def test_objective_gradient_with_a_zero_embedding_row():
             for sign in (1.0, -1.0):
                 e = emb.copy()
                 e[i, j] += sign * step
-                vals.append(_objective(e, reanchor(batch, e), w, cfg,
-                                       False)[2])
+                vals.append(_objective(e, reanchor(batch, e), w, cfg)[2])
             numeric[i, j] = (vals[0] - vals[1]) / (2.0 * step)
     np.testing.assert_allclose(d_emb, numeric, rtol=1e-5, atol=1e-9)
 
