@@ -241,6 +241,11 @@ def normalized_adjacency(g: Graph, with_self_loops: bool = False) -> sparse.csr_
     return mat
 
 
+# entries per gather block in KHopMask.entry_dots: two (chunk, d) row blocks
+# stay in cache, where one gather of every entry would not
+ENTRY_CHUNK = 2048
+
+
 @dataclass(frozen=True)
 class KHopMask:
     """Boolean <=k-hop reachability, stored as per-node sorted neighbor lists.
@@ -258,9 +263,6 @@ class KHopMask:
     def total_nnz(self) -> int:
         return int(self.indptr[-1])
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     def list_sizes(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -270,6 +272,16 @@ class KHopMask:
             src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.list_sizes())
             object.__setattr__(self, "_src", src)
         return self._src
+
+    def entry_dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``a[i] . b[j]`` for every stored entry (i, j), in storage order,
+        gathering ``ENTRY_CHUNK`` entries at a time."""
+        src, dst = self.src_ids(), self.indices
+        dots = np.empty(self.total_nnz)
+        for s in range(0, self.total_nnz, ENTRY_CHUNK):
+            e = slice(s, s + ENTRY_CHUNK)
+            np.einsum("ij,ij->i", a[src[e]], b[dst[e]], out=dots[e])
+        return dots
 
     def pattern(self, data: np.ndarray) -> sparse.csr_array:
         """CSR array sharing this mask's sparsity pattern with given data."""

@@ -3,11 +3,14 @@
 Each layer projects keys and values once for all nodes and caches them;
 per-node attention then gathers only the rows allowed by the k-hop mask,
 so the number of score evaluations per layer and head is exactly the total
-mask size. Vanilla mode swaps that masked kernel for a dense softmax over
-all node pairs, computed in row blocks whose backward pass recomputes the
-scores, so no n x n matrix is ever kept. The residual path maps the
-original node features (default) or the previous hidden state into the
-layer output. A final linear projection produces the embedding matrix.
+mask size. The mask computes the per-entry row dot products of the scores
+and of their gradient (``KHopMask.entry_dots``), gathering a cache-sized
+chunk of entries at a time. Vanilla mode swaps that masked kernel for a
+dense softmax over all node pairs, computed in row blocks whose backward
+pass recomputes the scores, so no n x n matrix is ever kept. The residual
+path maps the original node features (default) or the previous hidden
+state into the layer output. A final linear projection produces the
+embedding matrix.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ class Dims:
     residual: str = "input"
 
     def __post_init__(self):
-        for name in ("d", "d_model", "d_q", "d_v", "heads", "layers", "d_out"):
+        # d_v before d_model, which TrainingConfig sets to d_v
+        for name in ("d", "d_q", "d_v", "d_model", "heads", "layers", "d_out"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"dims.{name} must be >= 1")
         if self.d_q % self.heads:
@@ -162,7 +166,7 @@ def _masked_layer(qh, kh, vh, mask: KHopMask, inv_scale):
     """Segment softmax over the scores of each node's mask list."""
     src = mask.src_ids()
     starts = mask.indptr[:-1]
-    scores = np.einsum("ed,ed->e", qh[src], kh[mask.indices]) * inv_scale
+    scores = mask.entry_dots(qh, kh) * inv_scale
     seg_max = np.maximum.reduceat(scores, starts)
     z = np.exp(scores - seg_max[src])
     denom = np.add.reduceat(z, starts)
@@ -173,7 +177,7 @@ def _masked_layer(qh, kh, vh, mask: KHopMask, inv_scale):
 def _masked_layer_backward(qh, kh, vh, alpha, d_ctx_h, mask: KHopMask, inv_scale):
     src = mask.src_ids()
     starts = mask.indptr[:-1]
-    d_alpha = np.einsum("ed,ed->e", d_ctx_h[src], vh[mask.indices])
+    d_alpha = mask.entry_dots(d_ctx_h, vh)
     seg_dot = np.add.reduceat(alpha * d_alpha, starts)
     d_score = alpha * (d_alpha - seg_dot[src]) * inv_scale
     score_mat = mask.pattern(d_score)
@@ -414,7 +418,7 @@ def load_params(path) -> ModelParams:
         header = json.loads(data[16:offset].decode("utf-8"))
         dims = Dims(**header["dims"])
         specs = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad header: {exc!r}") from exc
     _check_specs(path, specs, dims)
     arrays = []

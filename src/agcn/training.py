@@ -65,16 +65,17 @@ class TrainingConfig:
             raise ConfigError("lambda must be finite and >= 0")
         if not 0 < self.gamma < math.inf:
             raise ConfigError("gamma must be finite and > 0")
-        for name in ("epochs", "layers", "heads", "d_q", "d_v", "d_out",
-                     "pair_cap", "restarts"):
+        for name in ("epochs", "pair_cap", "restarts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.max_neighbors is not None and self.max_neighbors < 1:
+            raise ConfigError("max_neighbors must be >= 1")
         if not 0 < self.lr < math.inf:
             raise ConfigError("lr must be finite and > 0")
         if self.mode not in ("structure", "vanilla"):
             raise ConfigError("mode must be 'structure' or 'vanilla'")
-        if self.residual not in ("input", "hidden"):
-            raise ConfigError("residual must be 'input' or 'hidden'")
+        # the layer widths, heads and residual follow the rules of Dims
+        self.dims_for(1)
 
     def dims_for(self, feature_dim: int) -> Dims:
         # layer output width equals the value width; the final projection
@@ -103,19 +104,6 @@ def _unit_rows(h):
     u = np.divide(h, norms[:, None], out=np.zeros_like(h),
                   where=norms[:, None] > 0)
     return u, norms
-
-
-# edges per gather block in _pair_sims: two (chunk, d) row blocks stay in
-# cache, where one gather of every edge would not
-SIMS_CHUNK = 2048
-
-
-def _pair_sims(u, rows, cols):
-    dots = np.empty(len(rows))
-    for s in range(0, len(rows), SIMS_CHUNK):
-        r, c = rows[s:s + SIMS_CHUNK], cols[s:s + SIMS_CHUNK]
-        np.einsum("ij,ij->i", u[r], u[c], out=dots[s:s + SIMS_CHUNK])
-    return dots
 
 
 def _unit_rows_backward(u, norms, d_u):
@@ -213,39 +201,34 @@ def _decode_pairs(codes, sizes):
 class _PairBatch:
     """Flat sampled pairs for the whole graph, frozen for one epoch.
 
-    Pairs reference positions in the non-self mask-edge arrays, so pair
-    similarities are single gathers from the per-edge similarity vector.
+    Pairs reference entries of the loss mask they were ranked in, so pair
+    similarities are single gathers from the per-entry similarity vector.
+    No pair references a node's own entry.
     """
 
-    e_src: np.ndarray       # edge endpoints (node, neighbor), self excluded
-    e_dst: np.ndarray
-    plus_e: np.ndarray      # per pair: edge position of the better-ranked side
+    mask: KHopMask
+    plus_e: np.ndarray      # per pair: mask entry of the better-ranked side
     minus_e: np.ndarray
     gap: np.ndarray         # rank difference, always >= 1
     n_contrib: int
-    edge_sims: np.ndarray   # per-edge sims of the embeddings it was built from
+    entry_sims: np.ndarray  # per-entry sims of the unit rows it was built from
 
 
-def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
+def _pair_batch(u, mask: KHopMask, cap: int, rng) -> _PairBatch:
     """Oriented (better-ranked, worse-ranked) neighbor pairs of every node.
 
     Each node's non-self neighbors are ranked by descending cosine
-    similarity, ties going to the lower index. A node contributes all its
-    pairs when they fit under ``cap``, otherwise ``cap`` distinct pairs
-    drawn from ``rng``.
+    similarity, the dot product of their unit rows ``u``, ties going to the
+    lower index. A node contributes all its pairs when they fit under
+    ``cap``, otherwise ``cap`` distinct pairs drawn from ``rng``.
     """
-    n = h.shape[0]
     src = mask.src_ids()
-    dst = mask.indices
-    keep = src != dst
-    e_src, e_dst = src[keep], dst[keep]
-    sims = _pair_sims(_unit_rows(h)[0], e_src, e_dst)
-    # mask lists are sorted ascending, so the stable sort breaks ties in
-    # similarity by neighbor index
-    order = np.lexsort((-sims, e_src))
-    sizes = np.bincount(e_src, minlength=n)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
+    sims = mask.entry_dots(u, u)
+    # every list holds its node, which ranks first, so the non-self ranks
+    # start one slot after indptr; mask lists are sorted ascending, so the
+    # stable sort breaks ties in similarity by neighbor index
+    order = np.lexsort((np.where(src == mask.indices, -np.inf, -sims), src))
+    sizes = mask.list_sizes() - 1
 
     totals = sizes * (sizes - 1) // 2
     # nodes whose pairs fit under the cap take all of them, grouped by list
@@ -261,12 +244,10 @@ def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
         _sample_rows(rng, totals[big], cap).ravel()])
     owner = np.concatenate([np.repeat(small, counts), np.repeat(big, cap)])
     a, b = _decode_pairs(codes, sizes[owner])
-    base = starts[owner]
+    base = mask.indptr[owner] + 1
     return _PairBatch(
-        e_src=e_src, e_dst=e_dst,
-        plus_e=order[base + a], minus_e=order[base + b], gap=b - a,
-        n_contrib=int((sizes >= 2).sum()),
-        edge_sims=sims,
+        mask=mask, plus_e=order[base + a], minus_e=order[base + b], gap=b - a,
+        n_contrib=int((sizes >= 2).sum()), entry_sims=sims,
     )
 
 
@@ -276,45 +257,40 @@ def _pair_batch(h, mask: KHopMask, cap: int, rng) -> _PairBatch:
 
 def _loss_neg_impl(u, batch: _PairBatch, gamma: float):
     """Hinge value and its gradient with respect to the unit rows ``u``,
-    reading the pair similarities from ``batch.edge_sims``, which must have
+    reading the pair similarities from ``batch.entry_sims``, which must have
     been computed from ``u``."""
     if batch.n_contrib == 0:
         return 0.0, np.zeros_like(u)
-    edge_sims = batch.edge_sims
-    s_plus, s_minus = edge_sims[batch.plus_e], edge_sims[batch.minus_e]
+    sims = batch.entry_sims
+    s_plus, s_minus = sims[batch.plus_e], sims[batch.minus_e]
     hinge = np.exp(s_minus) - np.exp(s_plus) + gamma * batch.gap
     active = hinge > 0
     value = float(hinge[active].sum() / batch.n_contrib)
 
-    # accumulate hinge gradients per mask edge
-    n_edges = len(edge_sims)
-    g_edge = np.bincount(batch.minus_e[active],
-                         weights=np.exp(s_minus[active]),
-                         minlength=n_edges).astype(np.float64)
-    g_edge -= np.bincount(batch.plus_e[active],
-                          weights=np.exp(s_plus[active]), minlength=n_edges)
-    g_edge /= batch.n_contrib
-    nz = g_edge != 0
-    g = sparse.coo_array((g_edge[nz], (batch.e_src[nz], batch.e_dst[nz])),
-                         shape=(len(u), len(u)))
-    return value, (g + g.T).tocsr() @ u
+    # G, the gradient with respect to the similarities, lives on the mask
+    # entries; d/du of sum_ij G_ij (u_i . u_j) as in attention's backward
+    g_entry = np.bincount(batch.minus_e[active],
+                          weights=np.exp(s_minus[active]), minlength=len(sims))
+    g_entry -= np.bincount(batch.plus_e[active],
+                           weights=np.exp(s_plus[active]), minlength=len(sims))
+    g = batch.mask.pattern(g_entry / batch.n_contrib)
+    return value, (g + g.T) @ u
 
 
 # ---------------------------------------------------------------------------
 # the training objective
 # ---------------------------------------------------------------------------
 
-def _objective(emb, batch: _PairBatch, weights, cfg: TrainingConfig):
-    """The loss that training minimizes, at ``emb`` with frozen pairs.
+def _objective(u, norms, batch, weights, cfg: TrainingConfig):
+    """The loss that training minimizes, at the embeddings with unit rows
+    ``u`` and row norms ``norms`` (:func:`_unit_rows`), with frozen pairs.
 
     Returns ``(l_pos, l_neg, l_total, d_emb)``. ``use_neg=False`` drops the
-    hinge (``l_neg`` is 0); ``lam == 0`` skips the positive term entirely
-    (``l_pos`` is NaN and ``l_total`` is exactly ``l_neg``); otherwise
-    ``l_total = l_neg + lam * l_pos``. Both terms see the unit rows of
-    ``emb``; their gradients add up there and go back through the
-    normalization once.
+    hinge (``l_neg`` is 0, ``batch`` is not read); ``lam == 0`` skips the
+    positive term entirely (``l_pos`` is NaN and ``l_total`` is exactly
+    ``l_neg``); otherwise ``l_total = l_neg + lam * l_pos``. The gradients
+    add up at ``u`` and go back through the normalization once.
     """
-    u, norms = _unit_rows(emb)
     l_neg, d_u = (_loss_neg_impl(u, batch, cfg.gamma) if cfg.use_neg
                   else (0.0, np.zeros_like(u)))
     l_pos, l_total = math.nan, l_neg
@@ -325,9 +301,10 @@ def _objective(emb, batch: _PairBatch, weights, cfg: TrainingConfig):
     return l_pos, l_neg, l_total, _unit_rows_backward(u, norms, d_u)
 
 
-def _grads_from_tape(params, tapes, h_last, emb, cfg, weights, batch):
-    """Losses and parameter gradients for one forward pass and frozen pairs."""
-    l_pos, l_neg, l_total, d_emb = _objective(emb, batch, weights, cfg)
+def _grads_from_tape(params, tapes, h_last, u, norms, cfg, weights, batch):
+    """Losses and parameter gradients for one forward pass, given its
+    embeddings' unit rows and norms, and frozen pairs."""
+    l_pos, l_neg, l_total, d_emb = _objective(u, norms, batch, weights, cfg)
     grads = _model_backward(params, tapes, h_last, d_emb)
     for name, tensor in grads.tensors():
         if not np.all(np.isfinite(tensor)):
@@ -394,11 +371,15 @@ def train(g: Graph, cfg: TrainingConfig):
     for epoch in range(cfg.epochs):
         emb, h_last, tapes = _forward_tape(g.features, attn_mask, params,
                                            mode=cfg.mode)
+        u, norms = _unit_rows(emb)
+        # each epoch's pairs have a generator of their own, so skipping them
+        # when the hinge is off changes no other draw
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
-        batch = _pair_batch(emb, loss_mask, cfg.pair_cap, rng)
+        batch = (_pair_batch(u, loss_mask, cfg.pair_cap, rng) if cfg.use_neg
+                 else None)
         try:
             grads, l_pos, l_neg, l_total = _grads_from_tape(
-                params, tapes, h_last, emb, cfg, weights, batch)
+                params, tapes, h_last, u, norms, cfg, weights, batch)
         except (NumericError, DegenerateLossError) as exc:
             raise type(exc)(f"epoch {epoch}: {exc}") from exc
         history[epoch] = (l_pos, l_neg, l_total)

@@ -7,7 +7,6 @@ from hypothesis import settings
 
 from agcn.errors import ConfigError
 from agcn.graph import KHopMask, build_graph
-from agcn.training import _pair_sims, _unit_rows
 
 # every property draws the same examples on every run, with no time limit
 settings.register_profile("agcn", deadline=None, derandomize=True)
@@ -28,6 +27,11 @@ def path_graph(n, d=2, labels=None, seed=0):
     rng = np.random.default_rng(seed)
     edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
     return build_graph(edges, rng.standard_normal((n, d)), labels)
+
+
+def neighbors(mask, i):
+    """The sorted list of node ``i`` in ``mask``, itself included."""
+    return mask.indices[mask.indptr[i]:mask.indptr[i + 1]]
 
 
 def complete_mask(n):
@@ -77,9 +81,10 @@ def cosine_sim(u, v) -> float:
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v) + 1e-12))
 
 
-def pair_sims_oracle(u, rows, cols):
-    """Per-edge dot products of unit rows ``u`` from one gather of every edge."""
-    return np.einsum("ij,ij->i", u[rows], u[cols])
+def pair_sims_oracle(a, b, rows, cols):
+    """Dot products ``a[rows[e]] . b[cols[e]]`` from one gather of every
+    entry e."""
+    return np.einsum("ij,ij->i", a[rows], b[cols])
 
 
 def dense_normalized(adj_dense, self_loops):
@@ -99,8 +104,8 @@ def assign_oracle(points, centers):
     return d2.argmin(axis=1), d2
 
 
-def reanchor(batch, emb):
-    """``batch`` with its per-edge similarities recomputed from ``emb``: the
-    same frozen pairs, scored at perturbed embeddings (finite differences)."""
-    sims = _pair_sims(_unit_rows(emb)[0], batch.e_src, batch.e_dst)
-    return dataclasses.replace(batch, edge_sims=sims)
+def reanchor(batch, u):
+    """``batch`` with its per-entry similarities recomputed from the unit
+    rows ``u``: the same frozen pairs, scored at perturbed embeddings
+    (finite differences)."""
+    return dataclasses.replace(batch, entry_sims=batch.mask.entry_dots(u, u))

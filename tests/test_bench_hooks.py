@@ -28,14 +28,25 @@ def _load_tracing():
     return module
 
 
-@pytest.mark.parametrize("mode,unused", [("structure", "model.dense_layer"),
-                                         ("vanilla", "model.masked_layer")])
-def test_every_wrapped_hook_fires_and_is_restored(mode, unused):
+# without the hinge no pairs are sampled and no hinge is evaluated
+_NO_HINGE = {"training.pair_batch", "training.loss_neg"}
+
+
+@pytest.mark.parametrize("mode,use_neg,unused", [
+    pytest.param("structure", True, {"model.dense_layer"},
+                 id="structure-model.dense_layer"),
+    pytest.param("vanilla", True, {"model.masked_layer"},
+                 id="vanilla-model.masked_layer"),
+    pytest.param("structure", False, {"model.dense_layer"} | _NO_HINGE,
+                 id="structure-no-lneg"),
+])
+def test_every_wrapped_hook_fires_and_is_restored(mode, use_neg, unused):
     tracing = _load_tracing()
     g = gen_sbm(SBMSpec(block_sizes=(10, 10), p_in=0.5, p_out=0.05,
                         feature_dim=4, seed=0))
     cfg = TrainingConfig(k=2, lam=1e-2, epochs=2, layers=2, heads=2, d_q=4,
-                         d_v=4, d_out=3, pair_cap=4, restarts=2, mode=mode)
+                         d_v=4, d_out=3, pair_cap=4, restarts=2, mode=mode,
+                         use_neg=use_neg)
     mask = khop_mask(g, cfg.k)
     tracer = tracing.Tracer(cfg.pair_cap)
     tracer.install()
@@ -49,7 +60,7 @@ def test_every_wrapped_hook_fires_and_is_restored(mode, unused):
 
     fired = {s["name"] for s in tracer.spans}
     wrapped = {name for _, _, name in tracing.WRAPPED}
-    assert fired == wrapped - {unused}
+    assert fired == wrapped - unused
 
     per_head = mask.total_nnz if mode == "structure" else g.n_nodes ** 2
     forwards = [s for s in tracer.spans if s["name"] == "model.forward"]

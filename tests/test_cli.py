@@ -215,6 +215,21 @@ def test_train_non_finite_flag_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--max-neighbors", "0"), "max_neighbors must be >= 1"),
+    (("--dq", "6", "--heads", "4"), "d_q=6 not divisible by heads=4"),
+], ids=["max_neighbors", "indivisible_heads"])
+def test_train_bad_setting_fails_before_reading_inputs(tmp_path, capsys,
+                                                       flags, message):
+    # the graph file does not exist: the setting is rejected first
+    rc = main(["train", "--graph", str(tmp_path / "nowhere.edges"),
+               "--features", str(tmp_path / "nowhere.csv"), *flags,
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_analyze_paths_histogram_with_inf(tmp_path):
     data = tmp_path / "d"
     data.mkdir()

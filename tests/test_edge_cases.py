@@ -11,7 +11,7 @@ from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import (Dims, forward, init_params, load_params, save_params,
                         _forward_tape)
 from agcn.training import (TrainingConfig, train, _grads_from_tape,
-                           _objective, _pair_batch)
+                           _objective, _pair_batch, _unit_rows)
 
 from conftest import random_graph, reanchor
 from test_training import _fd_grads
@@ -35,14 +35,16 @@ def test_gradcheck_with_isolated_and_noncontributing_nodes():
     assert weights.toarray()[7].sum() == 0     # isolated: zero positive row
     params = init_params(cfg.dims_for(4), 3)
     emb, h_last, tapes = _forward_tape(g.features, mask, params)
-    batch = _pair_batch(emb, mask, cfg.pair_cap, np.random.default_rng(3))
+    batch = _pair_batch(_unit_rows(emb)[0], mask, cfg.pair_cap,
+                        np.random.default_rng(3))
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params)
-        return _objective(e, reanchor(batch, e), weights, cfg)[2]
+        u, norms = _unit_rows(e)
+        return _objective(u, norms, reanchor(batch, u), weights, cfg)[2]
 
-    analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, cfg,
-                                    weights, batch)
+    analytic, *_ = _grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
+                                    cfg, weights, batch)
     for (name, a), (_, f) in zip(analytic.tensors(), _fd_grads(frozen_loss, params)):
         np.testing.assert_allclose(a, f, rtol=1e-4, atol=1e-8,
                                    err_msg=f"gradient mismatch in {name}")
@@ -58,14 +60,16 @@ def test_gradcheck_unequal_head_widths():
     weights = khop_weights(g, cfg.k)
     params = init_params(dims, 41)
     emb, h_last, tapes = _forward_tape(g.features, mask, params)
-    batch = _pair_batch(emb, mask, cfg.pair_cap, np.random.default_rng(41))
+    batch = _pair_batch(_unit_rows(emb)[0], mask, cfg.pair_cap,
+                        np.random.default_rng(41))
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params)
-        return _objective(e, reanchor(batch, e), weights, cfg)[2]
+        u, norms = _unit_rows(e)
+        return _objective(u, norms, reanchor(batch, u), weights, cfg)[2]
 
-    analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, cfg,
-                                    weights, batch)
+    analytic, *_ = _grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
+                                    cfg, weights, batch)
     for (name, a), (_, f) in zip(analytic.tensors(), _fd_grads(frozen_loss, params)):
         np.testing.assert_allclose(a, f, rtol=1e-4, atol=1e-8,
                                    err_msg=f"gradient mismatch in {name}")

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agcn.errors import ConfigError, DimensionError, ParseError
-from agcn.graph import (build_graph, khop_mask, khop_weights, load_graph,
-                        normalized_adjacency, shortest_path_histogram)
+from agcn.graph import (ENTRY_CHUNK, build_graph, khop_mask, khop_weights,
+                        load_graph, normalized_adjacency,
+                        shortest_path_histogram)
 
 from conftest import (bfs_distances, complete_mask, dense_normalized,
-                      homophily_ratio, path_graph, random_graph)
+                      homophily_ratio, neighbors, pair_sims_oracle, path_graph,
+                      random_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +126,14 @@ def rng_n(seed):
 def test_khop_path_two_hops():
     g = path_graph(3)
     mask = khop_mask(g, 2)
-    assert mask.neighbors(0).tolist() == [0, 1, 2]
+    assert neighbors(mask, 0).tolist() == [0, 1, 2]
 
 
 def test_khop_triangle_one_hop():
     g = build_graph([[0, 1], [1, 2], [0, 2]], np.zeros((3, 1)))
     mask = khop_mask(g, 1)
     for i in range(3):
-        assert mask.neighbors(i).tolist() == [0, 1, 2]
+        assert neighbors(mask, i).tolist() == [0, 1, 2]
 
 
 def test_khop_rejects_zero():
@@ -147,7 +149,7 @@ def test_khop_matches_bfs_oracle(k):
     for i in range(10):
         dist = bfs_distances(dense, i, cutoff=k)
         expected = np.flatnonzero(dist >= 0)
-        assert mask.neighbors(i).tolist() == expected.tolist()
+        assert neighbors(mask, i).tolist() == expected.tolist()
 
 
 def test_khop_monotone_and_symmetric():
@@ -157,31 +159,31 @@ def test_khop_monotone_and_symmetric():
         mask = khop_mask(g, k)
         dense = np.zeros((12, 12), dtype=bool)
         for i in range(12):
-            nb = mask.neighbors(i)
+            nb = neighbors(mask, i)
             dense[i, nb] = True
             assert i in nb
             if prev is not None:
                 assert set(prev[i]) <= set(nb.tolist())
         assert (dense == dense.T).all()
-        prev = [mask.neighbors(i).tolist() for i in range(12)]
+        prev = [neighbors(mask, i).tolist() for i in range(12)]
 
 
 def test_khop_at_diameter_covers_component():
     g = path_graph(6)
     mask = khop_mask(g, 5)
     for i in range(6):
-        assert mask.neighbors(i).tolist() == list(range(6))
+        assert neighbors(mask, i).tolist() == list(range(6))
     # disconnected pair stays separate at any k
     g2 = build_graph([[0, 1], [2, 3]], np.zeros((4, 1)))
     mask2 = khop_mask(g2, 4)
-    assert mask2.neighbors(0).tolist() == [0, 1]
-    assert mask2.neighbors(3).tolist() == [2, 3]
+    assert neighbors(mask2, 0).tolist() == [0, 1]
+    assert neighbors(mask2, 3).tolist() == [2, 3]
 
 
 def test_khop_isolated_node_self_only():
     g = build_graph([[0, 1]], np.zeros((3, 1)))
     mask = khop_mask(g, 3)
-    assert mask.neighbors(2).tolist() == [2]
+    assert neighbors(mask, 2).tolist() == [2]
 
 
 def test_khop_counts():
@@ -189,7 +191,7 @@ def test_khop_counts():
     mask = khop_mask(g, 2)
     sizes = mask.list_sizes()
     assert mask.total_nnz == sizes.sum()
-    assert sizes.tolist() == [len(mask.neighbors(i)) for i in range(9)]
+    assert sizes.tolist() == [len(neighbors(mask, i)) for i in range(9)]
 
 
 @settings(max_examples=40)
@@ -199,7 +201,7 @@ def test_mask_rows_strictly_increase_and_hold_self(n, p_edge, k, cap, seed):
     mask = khop_mask(random_graph(n, p_edge, seed=seed), k)
     for m in (mask, complete_mask(n), mask.subsample(cap, seed)):
         for i in range(n):
-            nb = m.neighbors(i)
+            nb = neighbors(m, i)
             assert (np.diff(nb) > 0).all()
             assert i in nb
 
@@ -209,10 +211,26 @@ def test_subsample_caps_lists_and_keeps_self():
     mask = khop_mask(g, 2)
     capped = mask.subsample(4, seed=0)
     for i in range(12):
-        nb = capped.neighbors(i)
-        assert len(nb) == min(len(mask.neighbors(i)), 4)
+        nb = neighbors(capped, i)
+        assert len(nb) == min(len(neighbors(mask, i)), 4)
         assert i in nb
-        assert set(nb.tolist()) <= set(mask.neighbors(i).tolist())
+        assert set(nb.tolist()) <= set(neighbors(mask, i).tolist())
+
+
+def test_entry_dots_chunked_is_bitwise_single_shot():
+    rng = np.random.default_rng(11)
+    full = complete_mask(90)          # 8100 entries: several chunks and a remainder
+    assert full.total_nnz > 3 * ENTRY_CHUNK and full.total_nnz % ENTRY_CHUNK
+    h = rng.standard_normal((90, 37))
+    h[3] = 0.0
+    qkv = rng.standard_normal((90, 3 * 16))
+    # a subsample is not symmetric: entry (i, j) need not have (j, i)
+    for mask in (full, full.subsample(50, seed=1)):
+        rows, cols = mask.src_ids(), mask.indices
+        # whole rows, and strided per-head column views like _layer's
+        for a, b in ((h, h), (qkv[:, 4:8], qkv[:, 20:24])):
+            got = mask.entry_dots(a, b)
+            assert got.tobytes() == pair_sims_oracle(a, b, rows, cols).tobytes()
 
 
 # ---------------------------------------------------------------------------

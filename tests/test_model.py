@@ -18,7 +18,7 @@ from agcn.model import (Dims, EvalCounter, init_params,
                         load_params, save_params, forward, _forward_tape,
                         _dense_probs, _layer, _layer_backward, _model_backward)
 
-from conftest import complete_mask, path_graph, random_graph
+from conftest import complete_mask, neighbors, path_graph, random_graph
 
 DIMS = Dims(d=3, d_model=5, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
 
@@ -31,7 +31,7 @@ def naive_layer_oracle(h_prev, x, mask, p):
     dvh = p.wv.shape[1] // heads
     out = np.zeros((n, p.wo.shape[1]))
     for i in range(n):
-        nb = mask.neighbors(i)
+        nb = neighbors(mask, i)
         gathered = h_prev[nb]
         ctx_parts = []
         for h in range(heads):
@@ -437,7 +437,8 @@ def _with_header(blob: bytes, edit) -> bytes:
 
 
 @pytest.mark.parametrize("damage", ["truncated_header", "header_without_dims",
-                                    "truncated_tensor", "trailing_bytes"])
+                                    "indivisible_heads", "truncated_tensor",
+                                    "trailing_bytes"])
 def test_load_rejects_damaged_params(tmp_path, damage):
     path = tmp_path / "params.bin"
     save_params(init_params(DIMS, seed=33), path)
@@ -445,6 +446,9 @@ def test_load_rejects_damaged_params(tmp_path, damage):
     damaged = {
         "truncated_header": blob[:_header_end(blob) - 5],
         "header_without_dims": _with_header(blob, lambda h: h.pop("dims")),
+        # invalid dims: d_q=4 over 3 heads
+        "indivisible_heads": _with_header(
+            blob, lambda h: h["dims"].update(heads=3)),
         "truncated_tensor": blob[:-8],
         "trailing_bytes": blob + b"\x00",
     }[damage]

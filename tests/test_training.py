@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agcn.training
 from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError, DegenerateLossError
 from agcn.graph import build_graph, khop_mask, khop_weights
@@ -13,11 +14,11 @@ from agcn.model import Dims, ModelParams, init_params, _forward_tape
 from agcn.training import (TrainingConfig, adam_step, init_adam_state,
                            train, _grads_from_tape,
                            _loss_neg_impl, _loss_pos_impl, _objective,
-                           _decode_pairs, _pair_batch, _pair_sims,
-                           _sample_rows, _unit_rows, _unit_rows_backward,
-                           SIMS_CHUNK)
+                           _decode_pairs, _pair_batch,
+                           _sample_rows, _unit_rows, _unit_rows_backward)
 
-from conftest import cosine_sim, pair_sims_oracle, random_graph, reanchor
+from conftest import (complete_mask, cosine_sim, neighbors, pair_sims_oracle,
+                      random_graph, reanchor)
 
 
 # ---------------------------------------------------------------------------
@@ -26,8 +27,8 @@ from conftest import cosine_sim, pair_sims_oracle, random_graph, reanchor
 
 def _cosine(u, v):
     """Production pair similarity of two row vectors."""
-    h = np.array([u, v], dtype=np.float64)
-    return float(_pair_sims(_unit_rows(h)[0], np.array([0]), np.array([1]))[0])
+    u = _unit_rows(np.array([u, v], dtype=np.float64))[0]
+    return float(complete_mask(2).entry_dots(u, u)[1])     # entry (0, 1)
 
 
 def test_cosine_basic_cases():
@@ -40,18 +41,6 @@ def test_cosine_basic_cases():
 def test_cosine_zero_vector_gives_zero():
     assert _cosine([0, 0], [1, 2]) == 0.0
     assert cosine_sim([0, 0], [1, 2]) == 0.0
-
-
-def test_pair_sims_chunked_is_bitwise_single_shot():
-    rng = np.random.default_rng(11)
-    h = rng.standard_normal((40, 37))
-    h[3] = 0.0
-    n_edges = 3 * SIMS_CHUNK + 123            # several chunks and a remainder
-    rows = rng.integers(0, 40, n_edges)
-    cols = rng.integers(0, 40, n_edges)
-    u, _ = _unit_rows(h)
-    got = _pair_sims(u, rows, cols)
-    assert got.tobytes() == pair_sims_oracle(u, rows, cols).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +131,17 @@ def test_loss_pos_gradient_peak_memory():
 
 def _node_pairs(batch, i):
     """(better-ranked, worse-ranked, rank gap) neighbor triples of node i."""
-    of_i = batch.e_src[batch.plus_e] == i
-    assert (batch.e_src[batch.minus_e[of_i]] == i).all()
-    return list(zip(batch.e_dst[batch.plus_e[of_i]].tolist(),
-                    batch.e_dst[batch.minus_e[of_i]].tolist(),
+    src, dst = batch.mask.src_ids(), batch.mask.indices
+    of_i = src[batch.plus_e] == i
+    assert (src[batch.minus_e[of_i]] == i).all()
+    return list(zip(dst[batch.plus_e[of_i]].tolist(),
+                    dst[batch.minus_e[of_i]].tolist(),
                     batch.gap[of_i].tolist()))
 
 
 def _oracle_ranking(h, i, mask):
     """Non-self neighbors of i by descending cosine similarity, ties by index."""
-    nb = [j for j in mask.neighbors(i).tolist() if j != i]
+    nb = [j for j in neighbors(mask, i).tolist() if j != i]
     return sorted(nb, key=lambda j: (-cosine_sim(h[i], h[j]), j))
 
 
@@ -161,7 +151,7 @@ def _oracle_all_pairs(order):
 
 
 def _batch(h, mask, cap=256, seed=0):
-    return _pair_batch(h, mask, cap, np.random.default_rng(seed))
+    return _pair_batch(_unit_rows(h)[0], mask, cap, np.random.default_rng(seed))
 
 
 def test_rank_neighbors_orders_by_similarity():
@@ -176,8 +166,8 @@ def test_rank_neighbors_tie_prefers_lower_index():
     h = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
     g = build_graph([[0, 1], [0, 2]], h)
     batch = _batch(h, khop_mask(g, 1))
-    of_0 = batch.e_src == 0
-    sims = batch.edge_sims[of_0]
+    of_0 = (batch.mask.src_ids() == 0) & (batch.mask.indices != 0)
+    sims = batch.entry_sims[of_0]
     assert sims[0] == sims[1]                       # bitwise-equal similarities
     assert _node_pairs(batch, 0) == [(1, 2, 1)]     # tie broken by ascending index
 
@@ -233,27 +223,31 @@ def test_pair_batch_invariants_property(n, p, k, ties, pick, offset, seed):
     m = mask.list_sizes() - 1                      # non-self neighbors
     # a cap at or next to some node's pair count: lists straddle it
     cap = max(1, int(m[pick % n] * (m[pick % n] - 1) // 2) + offset)
-    batch = _pair_batch(h, mask, cap, rng)
+    u = _unit_rows(h)[0]
+    batch = _pair_batch(u, mask, cap, rng)
 
-    sims = batch.edge_sims
-    np.testing.assert_array_equal(
-        sims, _pair_sims(_unit_rows(h)[0], batch.e_src, batch.e_dst))
-    rank = np.empty(len(sims), dtype=np.int64)
+    assert batch.mask is mask
+    src, dst = mask.src_ids(), mask.indices
+    sims = batch.entry_sims
+    np.testing.assert_array_equal(sims, pair_sims_oracle(u, u, src, dst))
+    rank = np.full(len(sims), -1, dtype=np.int64)
     for i in range(n):
-        edges = np.flatnonzero(batch.e_src == i)
-        order = sorted(edges, key=lambda e: (-sims[e], batch.e_dst[e]))
+        entries = np.flatnonzero((src == i) & (dst != i))
+        order = sorted(entries, key=lambda e: (-sims[e], dst[e]))
         rank[order] = np.arange(len(order))
     plus, minus = batch.plus_e, batch.minus_e
-    assert (batch.e_src[plus] == batch.e_src[minus]).all()
+    # no pair references a node's own entry
+    assert (src[plus] != dst[plus]).all() and (src[minus] != dst[minus]).all()
+    assert (src[plus] == src[minus]).all()
     assert (batch.gap >= 1).all()
     np.testing.assert_array_equal(batch.gap, rank[minus] - rank[plus])
     # oriented by similarity, a tie going to the lower neighbor index
     tie = sims[plus] == sims[minus]
     assert ((sims[plus] > sims[minus])
-            | (tie & (batch.e_dst[plus] < batch.e_dst[minus]))).all()
+            | (tie & (dst[plus] < dst[minus]))).all()
     assert len(set(zip(plus.tolist(), minus.tolist()))) == len(plus)
     np.testing.assert_array_equal(
-        np.bincount(batch.e_src[plus], minlength=n),
+        np.bincount(src[plus], minlength=n),
         np.minimum(m * (m - 1) // 2, cap))
     assert batch.n_contrib == int((m >= 2).sum())
 
@@ -267,13 +261,13 @@ def _tiny_ranked(n_neighbors):
 
 
 def _stars(n_stars, leaves, seed=0):
-    """Features and 1-hop mask of ``n_stars`` disjoint stars: each center
-    has ``leaves`` neighbors, each leaf one."""
+    """Unit feature rows and 1-hop mask of ``n_stars`` disjoint stars: each
+    center has ``leaves`` neighbors, each leaf one."""
     size = leaves + 1
     edges = [[s * size, s * size + j]
              for s in range(n_stars) for j in range(1, size)]
     h = np.random.default_rng(seed).standard_normal((n_stars * size, 4))
-    return h, khop_mask(build_graph(edges, h), 1)
+    return _unit_rows(h)[0], khop_mask(build_graph(edges, h), 1)
 
 
 class _CountingRng:
@@ -305,7 +299,7 @@ def test_pair_batch_draw_count_does_not_grow_with_overcap_nodes():
         batch = _pair_batch(h, mask, 4, rng)
         centers = np.arange(n_stars) * 13
         np.testing.assert_array_equal(
-            np.bincount(batch.e_src[batch.plus_e], minlength=len(h))[centers], 4)
+            np.bincount(mask.src_ids()[batch.plus_e], minlength=len(h))[centers], 4)
         calls[n_stars] = rng.integers_calls
     assert calls[1] >= 1
     assert calls[8] == calls[1] and calls[64] == calls[1], calls
@@ -338,7 +332,7 @@ def test_sampler_top_up_keeps_cap_distinct_uniform_pairs():
     rng = _CountingRng(5)
     batch = _pair_batch(h, mask, 256, rng)
     assert rng.integers_calls > 1                   # the top-up round ran
-    owner = batch.e_src[batch.plus_e]
+    owner = mask.src_ids()[batch.plus_e]
     for center in np.arange(8) * 25:
         of_c = owner == center
         pairs = set(zip(batch.plus_e[of_c].tolist(), batch.minus_e[of_c].tolist()))
@@ -424,7 +418,7 @@ def test_loss_neg_matches_exhaustive_oracle():
 
     total, contrib = 0.0, 0
     for i in range(6):
-        nb = [j for j in mask.neighbors(i).tolist() if j != i]
+        nb = [j for j in neighbors(mask, i).tolist() if j != i]
         if len(nb) < 2:
             continue
         contrib += 1
@@ -456,11 +450,11 @@ def test_total_loss_lambda_zero_is_exactly_neg():
     w = khop_weights(g, 2)
     u, norms = _unit_rows(h)
     l_neg_alone, d_neg = _loss_neg_impl(u, batch, cfg.gamma)
-    l_pos, l_neg, l_total, _ = _objective(h, batch, w, cfg)
+    l_pos, l_neg, l_total, _ = _objective(u, norms, batch, w, cfg)
     assert math.isnan(l_pos) and l_neg > 0
     assert l_total == l_neg == l_neg_alone
     # the positive term is skipped, not evaluated: no weights are needed
-    _, _, _, d_emb = _objective(h, batch, None, cfg)
+    _, _, _, d_emb = _objective(u, norms, batch, None, cfg)
     np.testing.assert_array_equal(d_emb, _unit_rows_backward(u, norms, d_neg))
 
 
@@ -473,15 +467,16 @@ def test_total_loss_weighted_sum():
     u, norms = _unit_rows(h)
     l_neg_alone, d_neg = _loss_neg_impl(u, batch, cfg.gamma)
     d_pos = _loss_pos_impl(u, w)[1]
-    l_pos, l_neg, l_total, d_emb = _objective(h, batch, w, cfg)
+    l_pos, l_neg, l_total, d_emb = _objective(u, norms, batch, w, cfg)
     assert l_pos == _pos(h, w)
     assert l_neg > 0 and l_neg == l_neg_alone
     assert l_total == pytest.approx(l_neg + 1e-2 * l_pos, rel=1e-14)
     expect = _unit_rows_backward(u, norms, d_neg + 1e-2 * d_pos)
     np.testing.assert_allclose(d_emb, expect, rtol=1e-14, atol=1e-17)
-    # use_neg=False drops the hinge from the value and the gradient
+    # use_neg=False drops the hinge from the value and the gradient, and
+    # reads no pairs
     off = TrainingConfig(lam=1e-2, gamma=0.5, epochs=1, use_neg=False)
-    l_pos, l_neg, l_total, _ = _objective(h, batch, w, off)
+    l_pos, l_neg, l_total, _ = _objective(u, norms, None, w, off)
     assert l_neg == 0.0 and l_total == 1e-2 * l_pos
 
 
@@ -523,14 +518,14 @@ def _gradcheck_setup(g, cfg, seed):
     mask = khop_mask(g, cfg.k)
     params = init_params(cfg.dims_for(g.feature_dim), seed)
     emb, h_last, tapes = _forward_tape(g.features, mask, params, mode=cfg.mode)
-    batch = _pair_batch(emb, mask, cfg.pair_cap, np.random.default_rng(cfg.seed))
+    batch = _batch(emb, mask, cfg.pair_cap, cfg.seed)
     return mask, params, emb, h_last, tapes, batch
 
 
 def _hinges(batch, gamma):
     """Per-pair hinge arguments; a pair's hinge is active where this is > 0."""
-    return (np.exp(batch.edge_sims[batch.minus_e])
-            - np.exp(batch.edge_sims[batch.plus_e]) + gamma * batch.gap)
+    return (np.exp(batch.entry_sims[batch.minus_e])
+            - np.exp(batch.entry_sims[batch.plus_e]) + gamma * batch.gap)
 
 
 def _gradcheck_case(g, cfg, seed, min_hinge_margin=1e-3):
@@ -545,10 +540,11 @@ def _gradcheck_case(g, cfg, seed, min_hinge_margin=1e-3):
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params, mode=cfg.mode)
-        return _objective(e, reanchor(batch, e), weights, cfg)[2]
+        u, norms = _unit_rows(e)
+        return _objective(u, norms, reanchor(batch, u), weights, cfg)[2]
 
-    analytic, *_ = _grads_from_tape(params, tapes, h_last, emb, cfg,
-                                    weights, batch)
+    analytic, *_ = _grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
+                                    cfg, weights, batch)
     numeric = _fd_grads(frozen_loss, params)
     for (name, a), (_, f) in zip(analytic.tensors(), numeric):
         np.testing.assert_allclose(
@@ -609,7 +605,7 @@ def test_gradient_lambda_zero_positive_term_contributes_nothing():
     batch = _batch(emb, mask, cfg0.pair_cap, cfg0.seed)
     # no weights: at lambda 0 the positive term is never evaluated
     grads, l_pos, l_neg, l_total = _grads_from_tape(
-        params, tapes, h_last, emb, cfg0, None, batch)
+        params, tapes, h_last, *_unit_rows(emb), cfg0, None, batch)
     assert math.isnan(l_pos) and l_neg == l_total == 0.0
     for _, tensor in grads.tensors():
         np.testing.assert_allclose(tensor, 0.0, atol=1e-15)
@@ -626,7 +622,7 @@ def test_objective_gradient_with_a_zero_embedding_row():
     batch = _batch(emb, mask, cfg.pair_cap, cfg.seed)
     assert (_hinges(batch, cfg.gamma) > 1e-3).any()
     assert np.abs(_hinges(batch, cfg.gamma)).min() > 1e-3     # off the kink
-    d_emb = _objective(emb, batch, w, cfg)[3]
+    d_emb = _objective(*_unit_rows(emb), batch, w, cfg)[3]
     assert (d_emb[4] == 0.0).all()
 
     step = 1e-6
@@ -637,7 +633,8 @@ def test_objective_gradient_with_a_zero_embedding_row():
             for sign in (1.0, -1.0):
                 e = emb.copy()
                 e[i, j] += sign * step
-                vals.append(_objective(e, reanchor(batch, e), w, cfg)[2])
+                u, norms = _unit_rows(e)
+                vals.append(_objective(u, norms, reanchor(batch, u), w, cfg)[2])
             numeric[i, j] = (vals[0] - vals[1]) / (2.0 * step)
     np.testing.assert_allclose(d_emb, numeric, rtol=1e-5, atol=1e-9)
 
@@ -733,6 +730,49 @@ def test_train_deterministic_bitwise():
         np.testing.assert_array_equal(a, b)
 
 
+def test_train_normalizes_embeddings_once_per_epoch(monkeypatch):
+    calls = []
+    unit_rows = agcn.training._unit_rows
+
+    def counting(h):
+        calls.append(h.shape)
+        return unit_rows(h)
+
+    monkeypatch.setattr(agcn.training, "_unit_rows", counting)
+    g = random_graph(9, 0.5, seed=22, d=3)
+    cfg = TrainingConfig(k=2, epochs=3, layers=1, heads=1, d_q=2, d_v=2,
+                         d_out=2)
+    train(g, cfg)
+    # the pair sampler and the objective share each epoch's unit rows
+    assert len(calls) == cfg.epochs
+
+
+def test_train_without_hinge_builds_no_pairs(monkeypatch):
+    g = random_graph(10, 0.5, seed=23, d=3)
+    cfg = TrainingConfig(k=2, lam=0.5, epochs=4, layers=1, heads=2, d_q=4,
+                         d_v=4, d_out=3, seed=5, use_neg=False)
+    # the loop as it was when every epoch built its pairs and discarded them
+    mask, weights = khop_mask(g, cfg.k), khop_weights(g, cfg.k)
+    params = init_params(cfg.dims_for(g.feature_dim), cfg.seed)
+    state = init_adam_state(params)
+    expect = []
+    for epoch in range(cfg.epochs):
+        emb, h_last, tapes = _forward_tape(g.features, mask, params)
+        u, norms = _unit_rows(emb)
+        batch = _pair_batch(u, mask, cfg.pair_cap, _epoch_rng(cfg.seed, epoch))
+        grads, *losses = _grads_from_tape(params, tapes, h_last, u, norms,
+                                          cfg, weights, batch)
+        expect.append(losses)
+        params, state = adam_step(params, grads, state, cfg.lr)
+
+    def no_pairs(*args):
+        raise AssertionError("pairs built while the hinge is off")
+
+    monkeypatch.setattr(agcn.training, "_pair_batch", no_pairs)
+    _, history = train(g, cfg)
+    np.testing.assert_array_equal(history, expect)
+
+
 def test_heterophilic_structure_recovered_at_two_hops():
     # cross-block edges dominate and features are pure noise: one-hop
     # positive weights pull the wrong pairs together, while two-hop walks
@@ -774,6 +814,13 @@ def test_train_rejects_bad_config():
         TrainingConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         TrainingConfig(mode="other")
+    # the layer settings follow Dims' rules, checked before any graph is read
+    for bad, message in (({"max_neighbors": 0}, "max_neighbors must be >= 1"),
+                         ({"d_q": 6, "heads": 4}, "not divisible by heads"),
+                         ({"d_v": 0}, "d_v must be >= 1"),
+                         ({"residual": "other"}, "residual must be")):
+        with pytest.raises(ConfigError, match=message):
+            TrainingConfig(**bad)
     # NaN passes no ordering test, and infinity passes a lower bound
     for bad in ({"lr": math.nan}, {"gamma": math.inf}, {"lam": math.nan},
                 {"lam": math.inf}):
