@@ -30,20 +30,19 @@ class GroupingProbeResult:
     coords: np.ndarray       # (n, 2) PCA coordinates for plotting
 
 
-def grouping_probe(g: Graph, k: int, n_clusters: int | None = None,
-                   seed: int = 0, restarts: int = 10) -> GroupingProbeResult:
+def grouping_probe(g: Graph, k: int, seed: int = 0,
+                   restarts: int = 10) -> GroupingProbeResult:
     """Smooth features with k self-loop-normalized adjacency multiplications,
     cluster them, and flag the nodes the clustering gets wrong."""
     if k < 1:
         raise ConfigError(f"filter order k must be >= 1, got {k}")
     if g.labels is None:
         raise ConfigError("grouping_probe requires node labels")
-    n_clusters = n_clusters if n_clusters is not None else g.n_clusters
     ahat = normalized_adjacency(g, with_self_loops=True)
     filtered = g.features
     for _ in range(k):
         filtered = ahat @ filtered
-    pred = kmeans(filtered, n_clusters, seed=seed, restarts=restarts)
+    pred = kmeans(filtered, g.n_clusters, seed=seed, restarts=restarts)
     mapping = label_mapping(pred, g.labels)
     errors = mapping[pred] != g.labels
     coords = _pca_2d(filtered)
@@ -102,11 +101,11 @@ class RRatioReport:
 
 
 def _pair_dist_stats(dist, members):
-    """(sum, count) of pairwise distances among ``members`` (i < j)."""
-    sub = dist[np.ix_(members, members)]
-    iu, ju = np.triu_indices(len(members), k=1)
-    vals = sub[iu, ju]
-    return float(vals.sum()), len(vals)
+    """(sum, count) of pairwise distances among ``members`` (i < j). The
+    distances are symmetric with a zero diagonal, so the sum is half the
+    block's total."""
+    m = len(members)
+    return float(dist[np.ix_(members, members)].sum()) / 2, m * (m - 1) // 2
 
 
 def r_ratio(g: Graph, pred, truth, k_range) -> RRatioReport:
@@ -127,20 +126,22 @@ def r_ratio(g: Graph, pred, truth, k_range) -> RRatioReport:
 
     n = g.n_nodes
     entries = []
-    power = g.adj.copy()
+    power = g.adj
     for k in range(1, max(k_range) + 1):
         if k > 1:
             power = (power @ g.adj).tocsr()
             power.data[:] = 1.0
         if k not in k_range:
             continue
-        binary = power.copy()
-        binary.data[:] = 1.0
-        gram = (binary @ binary.T).toarray()
-        sq = np.diag(gram)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-        dist = np.sqrt(d2)
-        all_sum, all_pairs = _pair_dist_stats(dist, np.arange(n))
+        # row distances of the 0/1 power, formed inside its Gram matrix:
+        # |p_i - p_j|^2 = |p_i|^2 + |p_j|^2 - 2 p_i . p_j
+        dist = (power @ power.T).toarray()
+        sq = dist.diagonal().copy()
+        dist *= -2.0
+        dist += sq[:, None]
+        dist += sq[None, :]
+        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+        all_sum, all_pairs = float(dist.sum()) / 2, n * (n - 1) // 2
         for t in clusters:
             members = misclustered[int(t)]
             if len(members) < 2:
@@ -176,5 +177,4 @@ def mask_features(g: Graph, fraction: float, seed: int) -> Graph:
         rng = np.random.default_rng(seed)
         rows = rng.choice(g.n_nodes, size=n_masked, replace=False)
         feats[rows] = 0.0
-    return Graph(n_nodes=g.n_nodes, adj=g.adj, features=feats,
-                 labels=g.labels, n_clusters=g.n_clusters)
+    return Graph(n_nodes=g.n_nodes, adj=g.adj, features=feats, labels=g.labels)

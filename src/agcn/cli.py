@@ -222,7 +222,9 @@ def _read_config(path) -> dict:
     return overrides
 
 
-def _train_config(args) -> tuple[TrainingConfig, list, list]:
+def _train_config(args) -> dict[str, TrainingConfig]:
+    """One checked :class:`TrainingConfig` per run point, keyed by the
+    directory a sweep writes it to, in sweep order."""
     base = {f.name: f.default for f in dataclasses.fields(TrainingConfig)}
     if args.config is not None:
         base.update(_read_config(args.config))
@@ -246,8 +248,14 @@ def _train_config(args) -> tuple[TrainingConfig, list, list]:
             base[name] = value
     if args.no_lneg:
         base["use_neg"] = False
-    base["k"], base["lam"] = k_grid[0], lam_grid[0]
-    return TrainingConfig(**base), k_grid, lam_grid
+    configs = {}
+    for k in k_grid:
+        for lam in lam_grid:
+            name = f"k{k}_lam{lam:g}"
+            if name in configs:
+                raise ConfigError(f"two sweep points share the directory {name}")
+            configs[name] = TrainingConfig(**{**base, "k": k, "lam": lam})
+    return configs
 
 
 def _run_single(g: Graph, cfg: TrainingConfig, out_dir: Path) -> dict:
@@ -288,14 +296,12 @@ def _run_single(g: Graph, cfg: TrainingConfig, out_dir: Path) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg, k_grid, lam_grid = _train_config(args)
-    points = [(k, lam, f"k{k}_lam{lam:g}") for k in k_grid for lam in lam_grid]
-    names = [name for *_, name in points]
-    if len(set(names)) < len(names):
-        clash = next(name for name in names if names.count(name) > 1)
-        raise ConfigError(f"two sweep points share the directory {clash}")
+    configs = _train_config(args)
+    if args.sweep and args.labels is None:
+        raise ConfigError("--sweep ranks by accuracy and needs --labels")
     g = _load_dataset(args)
     if not args.sweep:
+        [cfg] = configs.values()
         record = _run_single(g, cfg, args.out_dir)
         if record["result"] is not None:
             _say(f"acc={record['result']['acc']:.4f} "
@@ -303,22 +309,21 @@ def cmd_train(args) -> int:
         _say(f"artifacts written to {args.out_dir}")
         return 0
 
-    if g.labels is None:
-        raise ConfigError("--sweep ranks by accuracy and needs --labels")
-    _say(f"sweeping {len(k_grid)} x {len(lam_grid)} = "
-         f"{len(points)} configurations")
+    # point names are unique, so the grid is (distinct k) x (points per k)
+    n_k = len({cfg.k for cfg in configs.values()})
+    _say(f"sweeping {n_k} x {len(configs) // n_k} = "
+         f"{len(configs)} configurations")
     records = []
-    for k, lam, name in points:
-        combo = dataclasses.replace(cfg, k=k, lam=lam)
-        record = _run_single(g, combo, args.out_dir / name)
+    for name, cfg in configs.items():
+        record = _run_single(g, cfg, args.out_dir / name)
         records.append({
-            "k": k,
-            "lambda": lam,
+            "k": cfg.k,
+            "lambda": cfg.lam,
             "acc": record["result"]["acc"],
             "nmi": record["result"]["nmi"],
             "out_dir": name,
         })
-        _say(f"k={k} lambda={lam:g} acc={record['result']['acc']:.4f} "
+        _say(f"k={cfg.k} lambda={cfg.lam:g} acc={record['result']['acc']:.4f} "
              f"nmi={record['result']['nmi']:.4f}")
     records.sort(key=lambda r: -r["acc"])
     _write_json(args.out_dir / "sweep.json", {"ranked": records})

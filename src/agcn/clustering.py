@@ -90,13 +90,18 @@ def _lloyd(points, centers, tol, max_iter, sq_norms):
     return labels, trace[-1], trace
 
 
+# Lloyd stops at an inertia drop <= LLOYD_TOL or after LLOYD_MAX_ITER steps
+LLOYD_TOL = 1e-6
+LLOYD_MAX_ITER = 300
+
+
 def kmeans(points: np.ndarray, n_clusters: int, seed: int,
-           restarts: int = 10, tol: float = 1e-6, max_iter: int = 300) -> np.ndarray:
+           restarts: int = 10) -> np.ndarray:
     """Best-of-restarts k-means labels (k-means++ init, Lloyd refinement)."""
-    return _kmeans_with_inertia(points, n_clusters, seed, restarts, tol, max_iter)[0]
+    return _kmeans_with_inertia(points, n_clusters, seed, restarts)[0]
 
 
-def _kmeans_with_inertia(points, n_clusters, seed, restarts, tol=1e-6, max_iter=300):
+def _kmeans_with_inertia(points, n_clusters, seed, restarts):
     """(labels, inertia) of the lowest-inertia restart."""
     if restarts < 1:
         raise ConfigError(f"restarts={restarts} must be >= 1")
@@ -109,7 +114,8 @@ def _kmeans_with_inertia(points, n_clusters, seed, restarts, tol=1e-6, max_iter=
     best = (None, np.inf)
     for _ in range(restarts):
         centers = _kmeans_pp_init(points, n_clusters, rng, sq_norms)
-        labels, inertia, _ = _lloyd(points, centers, tol, max_iter, sq_norms)
+        labels, inertia, _ = _lloyd(points, centers, LLOYD_TOL, LLOYD_MAX_ITER,
+                                    sq_norms)
         if inertia < best[1]:
             best = (labels, inertia)
     return best

@@ -1,7 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types. Every input is checked where it is read, before
+training starts, so a NumericError never reports bad input late."""
 
 __all__ = ["AgcnError", "ParseError", "DimensionError", "ConfigError",
-           "NumericError", "DegenerateLossError"]
+           "NumericError"]
 
 
 class AgcnError(Exception):
@@ -33,7 +34,3 @@ class ConfigError(AgcnError):
 
 class NumericError(AgcnError):
     """Non-finite value produced during a numeric computation."""
-
-
-class DegenerateLossError(AgcnError):
-    """A loss term has no contributing nodes."""

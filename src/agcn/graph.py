@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,13 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph with node features and optional cluster labels."""
+    """Undirected graph with node features and optional cluster labels in
+    ``[0, n_nodes)``; ``n_clusters`` is the largest label plus one."""
 
     n_nodes: int
     adj: sparse.csr_array          # symmetric, 0/1 float64, zero diagonal
     features: np.ndarray           # (n_nodes, d) float64
     labels: np.ndarray | None = None
-    n_clusters: int | None = None
 
     def __post_init__(self):
         if self.features.shape[0] != self.n_nodes:
@@ -52,10 +53,13 @@ class Graph:
                 raise DimensionError(
                     f"label count ({len(self.labels)}) != n_nodes ({self.n_nodes})"
                 )
-            if self.n_clusters is None:
-                object.__setattr__(self, "n_clusters", int(self.labels.max()) + 1)
-            if self.labels.min() < 0 or self.labels.max() >= self.n_clusters:
-                raise ConfigError("labels must lie in [0, n_clusters)")
+            if self.labels.min() < 0 or self.labels.max() >= self.n_nodes:
+                raise ConfigError(f"labels must lie in [0, {self.n_nodes}), "
+                                  f"the node count")
+
+    @property
+    def n_clusters(self) -> int | None:
+        return None if self.labels is None else int(self.labels.max()) + 1
 
     @property
     def n_edges(self) -> int:
@@ -110,32 +114,27 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     """Load a graph from an edge list, a features CSV and optional labels.
 
     The edge file holds one integer pair per line (whitespace or comma
-    separated); the feature file is CSV with one row per node; the label
-    file holds one integer per line. Node count is set by the feature file.
+    separated); the feature file is CSV with one row per node and sets the
+    node count; the label file holds one integer in [0, node count) per line.
     """
     features = _read_features(feature_path)
-    n = features.shape[0]
-    edges = _read_edges(edge_path, n)
-    labels = None
-    if label_path is not None:
-        labels = _read_labels(label_path)
-        if len(labels) != n:
-            raise DimensionError(
-                f"label file has {len(labels)} rows but feature file has {n}"
-            )
+    edges = _read_edges(edge_path, features.shape[0])
+    labels = None if label_path is None else _read_labels(label_path)
     return build_graph(edges, features, labels)
 
 
 def _read_features(path) -> np.ndarray:
     # opened here, not by numpy, so that a missing file raises an OSError
     # carrying its filename
-    with open(path) as fh:
+    with open(path) as fh, warnings.catch_warnings():
+        # loadtxt only warns when the file holds no data row
+        warnings.simplefilter("error", UserWarning)
         try:
             feats = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+        except UserWarning as exc:
+            raise ParseError("empty feature file", path=path) from exc
         except ValueError as exc:
             raise ParseError(f"bad feature row: {exc}", path=path) from exc
-    if feats.size == 0:
-        raise ParseError("empty feature file", path=path)
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
         raise ParseError("non-finite feature value", path=path,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -377,31 +378,14 @@ def _tensor_specs(dims: Dims):
     yield "final_proj", (dims.d_model, dims.d_out), 1
 
 
-def _check_specs(path, specs, dims: Dims):
-    """Raise ConfigError at the first header tensor whose name or shape
-    differs from what ``dims`` implies."""
-    for got, want in itertools.zip_longest(
-            specs, ((name, shape) for name, shape, _ in _tensor_specs(dims))):
-        if got == want:
-            continue
-        if got is None:
-            raise ConfigError(f"{path}: tensor {want[0]} missing from the header")
-        if want is None or got[0] != want[0]:
-            implied = "no further tensor" if want is None else want[0]
-            raise ConfigError(f"{path}: header lists tensor {got[0]} where "
-                              f"dims imply {implied}")
-        raise ConfigError(f"{path}: tensor {got[0]} has shape {got[1]}, "
-                          f"dims imply {want[1]}")
-
-
 def load_params(path) -> ModelParams:
     """Read parameters written by :func:`save_params`.
 
     A bad magic, a header shorter than its stated length or without the
-    dims and tensor list, a tensor list whose names or shapes differ from
-    what the dims imply, a tensor with fewer bytes than its shape needs,
-    and bytes after the last tensor each raise :class:`ConfigError` naming
-    ``path``.
+    dims and tensor list, a tensor list other than the names and shapes the
+    dims imply (the error names the first tensor that differs), and a body
+    whose byte count is not what those shapes need each raise
+    :class:`ConfigError` naming ``path``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -420,17 +404,16 @@ def load_params(path) -> ModelParams:
         specs = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad header: {exc!r}") from exc
-    _check_specs(path, specs, dims)
-    arrays = []
-    for name, shape in specs:
-        count = int(np.prod(shape))
-        if offset + 8 * count > len(data):
-            raise ConfigError(f"{path}: tensor {name} needs {8 * count} "
-                              f"bytes, {len(data) - offset} present")
-        arrays.append(np.frombuffer(
-            data, dtype="<f8", count=count, offset=offset).reshape(shape).copy())
-        offset += 8 * count
-    if offset != len(data):
-        raise ConfigError(f"{path}: {len(data) - offset} trailing bytes "
-                          f"after the last tensor")
-    return ModelParams.from_tensors(dims, arrays)
+    want = [(name, shape) for name, shape, _ in _tensor_specs(dims)]
+    if specs != want:
+        first = next(p for p in itertools.zip_longest(specs, want) if p[0] != p[1])
+        got, implied = ("nothing" if t is None else f"{t[0]} {t[1]}" for t in first)
+        raise ConfigError(f"{path}: header lists {got} where dims imply {implied}")
+    sizes = [math.prod(shape) for _, shape in want]
+    if len(data) - offset != 8 * sum(sizes):
+        raise ConfigError(f"{path}: the tensors need {8 * sum(sizes)} bytes "
+                          f"after the header, {len(data) - offset} present")
+    body = np.frombuffer(data, dtype="<f8", offset=offset)
+    return ModelParams.from_tensors(dims, (
+        part.reshape(shape).copy() for part, (_, shape)
+        in zip(np.split(body, np.cumsum(sizes)[:-1]), want)))

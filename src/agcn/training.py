@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, DegenerateLossError, NumericError
+from .errors import ConfigError, NumericError
 from .graph import Graph, KHopMask, _atomic_open, khop_mask, khop_weights
 from .model import Dims, ModelParams, _forward_tape, _model_backward, init_params
 
@@ -120,10 +120,8 @@ def _unit_rows_backward(u, norms, d_u):
 
 def _loss_pos_impl(u, weights):
     """Weighted-positive value and its gradient with respect to the unit
-    rows ``u``."""
+    rows ``u``; ``weights`` has an entry, as :func:`train` checks."""
     n = u.shape[0]
-    if n < 2:
-        raise ConfigError("positive loss needs at least two nodes")
     expo = u @ u.T
     np.exp(expo, out=expo)
     np.fill_diagonal(expo, 0.0)
@@ -134,8 +132,6 @@ def _loss_pos_impl(u, weights):
     num = np.bincount(coo.row, weights=coo.data * e_at, minlength=n)
     contrib = num > 0
     n_contrib = int(contrib.sum())
-    if n_contrib == 0:
-        raise DegenerateLossError("every node has an all-zero positive-weight row")
     value = float(np.mean(np.log(den[contrib]) - np.log(num[contrib])))
 
     # turn expo into G, the gradient with respect to the similarities
@@ -301,17 +297,6 @@ def _objective(u, norms, batch, weights, cfg: TrainingConfig):
     return l_pos, l_neg, l_total, _unit_rows_backward(u, norms, d_u)
 
 
-def _grads_from_tape(params, tapes, h_last, u, norms, cfg, weights, batch):
-    """Losses and parameter gradients for one forward pass, given its
-    embeddings' unit rows and norms, and frozen pairs."""
-    l_pos, l_neg, l_total, d_emb = _objective(u, norms, batch, weights, cfg)
-    grads = _model_backward(params, tapes, h_last, d_emb)
-    for name, tensor in grads.tensors():
-        if not np.all(np.isfinite(tensor)):
-            raise NumericError(f"non-finite gradient in {name}")
-    return grads, l_pos, l_neg, l_total
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -360,28 +345,37 @@ def train(g: Graph, cfg: TrainingConfig):
 
     History is an (epochs, 3) array with columns (l_pos, l_neg, l_total);
     l_pos is NaN when lambda is zero (the term is skipped entirely).
-    Deterministic for fixed (graph, config, seed).
+    Deterministic for fixed (graph, config, seed). lambda > 0 on a graph
+    with no k-hop positive weight is a :class:`ConfigError` before epoch 0;
+    a :class:`NumericError` names its epoch.
     """
     loss_mask = khop_mask(g, cfg.k)
     attn_mask = cfg.attention_mask(loss_mask)
     weights = khop_weights(g, cfg.k) if cfg.lam != 0 else None
+    if weights is not None and weights.nnz == 0:
+        raise ConfigError(f"lambda > 0 needs positive weights, but no walk of "
+                          f"exactly k={cfg.k} hops joins two distinct nodes")
     params = init_params(cfg.dims_for(g.feature_dim), cfg.seed)
     state = init_adam_state(params)
     history = np.empty((cfg.epochs, 3))
     for epoch in range(cfg.epochs):
-        emb, h_last, tapes = _forward_tape(g.features, attn_mask, params,
-                                           mode=cfg.mode)
-        u, norms = _unit_rows(emb)
-        # each epoch's pairs have a generator of their own, so skipping them
-        # when the hinge is off changes no other draw
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
-        batch = (_pair_batch(u, loss_mask, cfg.pair_cap, rng) if cfg.use_neg
-                 else None)
         try:
-            grads, l_pos, l_neg, l_total = _grads_from_tape(
-                params, tapes, h_last, u, norms, cfg, weights, batch)
-        except (NumericError, DegenerateLossError) as exc:
-            raise type(exc)(f"epoch {epoch}: {exc}") from exc
+            emb, h_last, tapes = _forward_tape(g.features, attn_mask, params,
+                                               mode=cfg.mode)
+            u, norms = _unit_rows(emb)
+            # each epoch's pairs have a generator of their own, so skipping
+            # them when the hinge is off changes no other draw
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
+            batch = (_pair_batch(u, loss_mask, cfg.pair_cap, rng)
+                     if cfg.use_neg else None)
+            l_pos, l_neg, l_total, d_emb = _objective(u, norms, batch,
+                                                      weights, cfg)
+            grads = _model_backward(params, tapes, h_last, d_emb)
+            for name, tensor in grads.tensors():
+                if not np.all(np.isfinite(tensor)):
+                    raise NumericError(f"non-finite gradient in {name}")
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch}: {exc}") from exc
         history[epoch] = (l_pos, l_neg, l_total)
         params, state = adam_step(params, grads, state, cfg.lr)
     return params, history

@@ -7,6 +7,8 @@ from hypothesis import settings
 
 from agcn.errors import ConfigError
 from agcn.graph import KHopMask, build_graph
+from agcn.model import _model_backward
+from agcn.training import _objective
 
 # every property draws the same examples on every run, with no time limit
 settings.register_profile("agcn", deadline=None, derandomize=True)
@@ -109,3 +111,11 @@ def reanchor(batch, u):
     rows ``u``: the same frozen pairs, scored at perturbed embeddings
     (finite differences)."""
     return dataclasses.replace(batch, entry_sims=batch.mask.entry_dots(u, u))
+
+
+def grads_from_tape(params, tapes, h_last, u, norms, cfg, weights, batch):
+    """``(grads, l_pos, l_neg, l_total)`` of one forward pass, given its
+    embeddings' unit rows and norms and frozen pairs: the objective, then
+    the model's backward pass, as one training epoch runs them."""
+    l_pos, l_neg, l_total, d_emb = _objective(u, norms, batch, weights, cfg)
+    return _model_backward(params, tapes, h_last, d_emb), l_pos, l_neg, l_total

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from agcn.analysis import grouping_probe, mask_features, r_ratio
 from agcn.clustering import label_mapping
+from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError
 from agcn.graph import build_graph, normalized_adjacency
 
@@ -39,7 +42,7 @@ def test_grouping_probe_filter_matches_dense_oracle():
     g = random_graph(12, 0.3, seed=2, d=4,
                      labels=np.random.default_rng(2).integers(0, 2, 12))
     k = 3
-    res = grouping_probe(g, k=k, n_clusters=2, seed=1)
+    res = grouping_probe(g, k=k, seed=1)
     ahat = normalized_adjacency(g, with_self_loops=True).toarray()
     expect = np.linalg.matrix_power(ahat, k) @ g.features
     np.testing.assert_allclose(res.filtered, expect, atol=1e-10)
@@ -48,14 +51,14 @@ def test_grouping_probe_filter_matches_dense_oracle():
 def test_grouping_probe_edgeless_filter_is_identity():
     g = build_graph(np.empty((0, 2)), np.random.default_rng(0).standard_normal((6, 3)),
                     labels=np.array([0, 0, 0, 1, 1, 1]))
-    res = grouping_probe(g, k=1, n_clusters=2, seed=0)
+    res = grouping_probe(g, k=1, seed=0)
     np.testing.assert_allclose(res.filtered, g.features, atol=1e-12)
 
 
 def test_grouping_probe_requires_labels():
     g = random_graph(6, 0.5, seed=1)
     with pytest.raises(ConfigError):
-        grouping_probe(g, k=2, n_clusters=2)
+        grouping_probe(g, k=2)
 
 
 def test_grouping_probe_coords_deterministic():
@@ -115,6 +118,24 @@ def test_r_ratio_matches_exhaustive_pair_loop():
         else:
             assert entry.pair_mean == pytest.approx(want[0], rel=1e-9)
             assert entry.literal == pytest.approx(want[1], rel=1e-9)
+
+
+def test_r_ratio_distances_are_one_dense_array():
+    # at k=1 the Gram matrix of the adjacency is sparse, so the distances,
+    # formed in place inside its dense copy, are the one n x n array; a
+    # separate squared-distance matrix, or a copy of the distances for the
+    # population's pairs, busts the budget
+    n = 512
+    g = gen_sbm(SBMSpec(block_sizes=(n // 2, n // 2), p_in=0.03, p_out=0.005,
+                        feature_dim=4, seed=0))
+    pred = np.random.default_rng(0).integers(0, 2, n)
+    tracemalloc.start()
+    try:
+        r_ratio(g, pred, g.labels, k_range=(1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n * n, peak
 
 
 def test_r_ratio_equal_distances_give_one_and_degenerate_power_is_omitted():

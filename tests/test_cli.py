@@ -187,6 +187,7 @@ def test_train_config_file_merging(tmp_path):
     (b'{"max_neighbors": "4"}', r"config key 'max_neighbors' takes an integer or null"),
     (b'{"lr": NaN}', r"cfg\.json: config key 'lr' takes a number, not NaN$"),
     (b'\xff{}', r"not UTF-8 text: .* \[.*cfg\.json\]$"),
+    (b'{"k": 2, "bogus": 1}', r"cfg\.json: unknown config keys: \['bogus'\]$"),
 ])
 def test_train_malformed_config_is_one_error_line(tmp_path, capsys, text, message):
     edges, feats, labels = _gen_dataset(tmp_path)
@@ -218,7 +219,13 @@ def test_train_non_finite_flag_is_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (("--max-neighbors", "0"), "max_neighbors must be >= 1"),
     (("--dq", "6", "--heads", "4"), "d_q=6 not divisible by heads=4"),
-], ids=["max_neighbors", "indivisible_heads"])
+    # every sweep point is checked, not only the first
+    (("--sweep", "--k", "1,0"), "k must be >= 1"),
+    (("--sweep", "--k", "1", "--lambda", "1,-1"), "lambda must be finite and >= 0"),
+    (("--k", "1,x"), "bad --k value '1,x'"),
+    (("--sweep",), "--sweep ranks by accuracy and needs --labels"),
+], ids=["max_neighbors", "indivisible_heads", "sweep_k_zero",
+        "sweep_negative_lambda", "unparsable_k", "sweep_without_labels"])
 def test_train_bad_setting_fails_before_reading_inputs(tmp_path, capsys,
                                                        flags, message):
     # the graph file does not exist: the setting is rejected first

@@ -55,6 +55,11 @@ def test_sbm_validates_features(field, value):
         SBMSpec(block_sizes=(4, 4), p_in=0.5, p_out=0.1, **{field: value})
 
 
+def test_tree_rejects_depth_zero():
+    with pytest.raises(ConfigError, match="tree depth must be >= 1"):
+        TreeMatchSpec(depth=0)
+
+
 @pytest.mark.parametrize("depth,n_expected", [(1, 3), (3, 15), (5, 63)])
 def test_tree_node_count(depth, n_expected):
     g = gen_tree_match(TreeMatchSpec(depth=depth, seed=0))

@@ -10,10 +10,10 @@ from agcn.cli import main
 from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import (Dims, forward, init_params, load_params, save_params,
                         _forward_tape)
-from agcn.training import (TrainingConfig, train, _grads_from_tape,
-                           _objective, _pair_batch, _unit_rows)
+from agcn.training import (TrainingConfig, train, _objective, _pair_batch,
+                           _unit_rows)
 
-from conftest import random_graph, reanchor
+from conftest import grads_from_tape, random_graph, reanchor
 from test_training import _fd_grads
 
 
@@ -43,8 +43,8 @@ def test_gradcheck_with_isolated_and_noncontributing_nodes():
         u, norms = _unit_rows(e)
         return _objective(u, norms, reanchor(batch, u), weights, cfg)[2]
 
-    analytic, *_ = _grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
-                                    cfg, weights, batch)
+    analytic, *_ = grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
+                                   cfg, weights, batch)
     for (name, a), (_, f) in zip(analytic.tensors(), _fd_grads(frozen_loss, params)):
         np.testing.assert_allclose(a, f, rtol=1e-4, atol=1e-8,
                                    err_msg=f"gradient mismatch in {name}")
@@ -68,8 +68,8 @@ def test_gradcheck_unequal_head_widths():
         u, norms = _unit_rows(e)
         return _objective(u, norms, reanchor(batch, u), weights, cfg)[2]
 
-    analytic, *_ = _grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
-                                    cfg, weights, batch)
+    analytic, *_ = grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
+                                   cfg, weights, batch)
     for (name, a), (_, f) in zip(analytic.tensors(), _fd_grads(frozen_loss, params)):
         np.testing.assert_allclose(a, f, rtol=1e-4, atol=1e-8,
                                    err_msg=f"gradient mismatch in {name}")

@@ -46,6 +46,33 @@ def test_load_reports_out_of_range_with_line(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("edges, feats, bad, line, message", [
+    ("0 1\n0 1 2\n", "0\n0\n", "g.edges", 2,
+     "expected two integers, got 3 fields"),
+    ("0 1\n\n1 x\n", "0\n0\n", "g.edges", 3, "non-integer edge endpoint"),
+    ("0 1\n", "0,0\n1,x\n", "g.csv", None, "bad feature row"),
+    ("0 1\n", "", "g.csv", None, "empty feature file"),
+    ("0 1\n", "# x,y\n\n", "g.csv", None, "empty feature file"),
+], ids=["three_fields", "non_integer_endpoint", "unparsable_feature",
+        "empty_features", "comment_only_features"])
+def test_load_rejects_malformed_file(tmp_path, edges, feats, bad, line,
+                                     message):
+    (tmp_path / "g.edges").write_text(edges)
+    (tmp_path / "g.csv").write_text(feats)
+    with pytest.raises(ParseError, match=message) as err:
+        load_graph(tmp_path / "g.edges", tmp_path / "g.csv")
+    assert err.value.path == tmp_path / bad
+    if line is not None:
+        assert err.value.line == line
+        assert f"{bad}:{line}]" in str(err.value)
+
+
+@pytest.mark.parametrize("edges", [[[0, 3]], [[-1, 0]]])
+def test_build_graph_rejects_endpoint_out_of_range(edges):
+    with pytest.raises(ParseError, match="outside \\[0, 3\\)"):
+        build_graph(edges, np.ones((3, 1)))
+
+
 @pytest.mark.parametrize("rows,line", [
     ("0,0\n1,nan\n2,2\n", 2),
     ("# x,y\n0,0\n\n1,1\ninf,2\n", 5),
@@ -65,6 +92,17 @@ def test_load_label_row_mismatch(tmp_path):
     (tmp_path / "g.csv").write_text("0\n0\n0\n")
     (tmp_path / "g.lab").write_text("0\n1\n")
     with pytest.raises(DimensionError):
+        load_graph(tmp_path / "g.edges", tmp_path / "g.csv", tmp_path / "g.lab")
+
+
+@pytest.mark.parametrize("label", ["3", "7"])
+def test_load_rejects_label_outside_node_count(tmp_path, label):
+    # K-means cannot fit more clusters than there are nodes, so a label at
+    # or above the node count fails here, not after training
+    (tmp_path / "g.edges").write_text("0 1\n1 2\n")
+    (tmp_path / "g.csv").write_text("0\n0\n0\n")
+    (tmp_path / "g.lab").write_text(f"0\n{label}\n1\n")
+    with pytest.raises(ConfigError, match="labels must lie in \\[0, 3\\)"):
         load_graph(tmp_path / "g.edges", tmp_path / "g.csv", tmp_path / "g.lab")
 
 
@@ -139,6 +177,8 @@ def test_khop_triangle_one_hop():
 def test_khop_rejects_zero():
     with pytest.raises(ConfigError):
         khop_mask(path_graph(3), 0)
+    with pytest.raises(ConfigError, match="k must be >= 1"):
+        khop_weights(path_graph(3), 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -71,6 +71,18 @@ def test_init_differs_across_seeds():
 def test_init_rejects_indivisible_heads():
     with pytest.raises(ConfigError):
         Dims(d=3, d_model=5, d_q=6, d_v=4, heads=4, layers=1, d_out=2)
+    with pytest.raises(ConfigError, match="d_v=6 not divisible by heads=4"):
+        Dims(d=3, d_model=5, d_q=4, d_v=6, heads=4, layers=1, d_out=2)
+
+
+def test_forward_rejects_unknown_mode_and_feature_width():
+    g = random_graph(5, 0.5, seed=4, d=3)
+    mask = khop_mask(g, 1)
+    with pytest.raises(ConfigError, match="unknown mode 'bogus'"):
+        forward(g, mask, init_params(DIMS, seed=0), mode="bogus")
+    wide = init_params(dataclasses.replace(DIMS, d=4), seed=0)
+    with pytest.raises(ConfigError, match="feature dim 3 != dims.d 4"):
+        forward(g, mask, wide)
 
 
 def test_init_bounds_follow_fan_in_out():
@@ -436,14 +448,15 @@ def _with_header(blob: bytes, edit) -> bytes:
     return blob[:8] + len(text).to_bytes(8, "little") + text + blob[_header_end(blob):]
 
 
-@pytest.mark.parametrize("damage", ["truncated_header", "header_without_dims",
-                                    "indivisible_heads", "truncated_tensor",
-                                    "trailing_bytes"])
+@pytest.mark.parametrize("damage", ["short_length_field", "truncated_header",
+                                    "header_without_dims", "indivisible_heads",
+                                    "truncated_tensor", "trailing_bytes"])
 def test_load_rejects_damaged_params(tmp_path, damage):
     path = tmp_path / "params.bin"
     save_params(init_params(DIMS, seed=33), path)
     blob = path.read_bytes()
     damaged = {
+        "short_length_field": blob[:12],
         "truncated_header": blob[:_header_end(blob) - 5],
         "header_without_dims": _with_header(blob, lambda h: h.pop("dims")),
         # invalid dims: d_q=4 over 3 heads

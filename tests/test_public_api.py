@@ -1,6 +1,8 @@
 """The package's public names are the union of its modules' ``__all__``."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import agcn
@@ -31,3 +33,12 @@ def test_removed_wrappers_are_not_public():
                  "NormalizedAdjacency", "layer_forward", "homophily_ratio"):
         assert not hasattr(agcn, name), name
     assert not hasattr(agcn.KHopMask, "complete")
+    # each input is checked where it is read: the graph derives its cluster
+    # count, training checks the positive weights before epoch 0, and
+    # K-means keeps its stopping rule to itself
+    assert not hasattr(agcn, "DegenerateLossError")
+    assert "n_clusters" not in {f.name for f in dataclasses.fields(agcn.Graph)}
+    probe = inspect.signature(agcn.grouping_probe).parameters
+    assert not {"n_clusters", "tol", "max_iter"} & set(probe)
+    kmeans = inspect.signature(agcn.kmeans).parameters
+    assert not {"tol", "max_iter"} & set(kmeans)

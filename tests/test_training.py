@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 import agcn.training
 from agcn.datagen import SBMSpec, gen_sbm
-from agcn.errors import ConfigError, DegenerateLossError
+from agcn.errors import ConfigError, NumericError
 from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import Dims, ModelParams, init_params, _forward_tape
 from agcn.training import (TrainingConfig, adam_step, init_adam_state,
-                           train, _grads_from_tape,
-                           _loss_neg_impl, _loss_pos_impl, _objective,
+                           train, _loss_neg_impl, _loss_pos_impl, _objective,
                            _decode_pairs, _pair_batch,
                            _sample_rows, _unit_rows, _unit_rows_backward)
 
-from conftest import (complete_mask, cosine_sim, neighbors, pair_sims_oracle,
-                      random_graph, reanchor)
+from conftest import (complete_mask, cosine_sim, grads_from_tape, neighbors,
+                      pair_sims_oracle, random_graph, reanchor)
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +88,20 @@ def test_loss_pos_matches_brute_force():
     assert _pos(h, w) == pytest.approx(np.mean(vals), rel=1e-10)
 
 
-def test_loss_pos_degenerate_when_no_positive_rows():
-    g = build_graph(np.empty((0, 2)), np.ones((3, 2)))
-    w = khop_weights(g, 1)
-    with pytest.raises(DegenerateLossError):
-        _pos(np.ones((3, 2)), w)
+def test_loss_pos_degenerate_when_no_positive_rows(monkeypatch):
+    # no walk of exactly k hops joins two nodes, so every positive-weight row
+    # is zero: train says so before the first forward pass
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward pass run on a degenerate graph")
+
+    monkeypatch.setattr(agcn.training, "_forward_tape", no_forward)
+    for edges, k in ((np.empty((0, 2)), 1), ([[0, 1]], 2)):
+        g = build_graph(edges, np.ones((3, 2)))
+        assert khop_weights(g, k).nnz == 0
+        cfg = TrainingConfig(k=k, lam=1e-2, epochs=2, layers=1, heads=1,
+                             d_q=2, d_v=2, d_out=2)
+        with pytest.raises(ConfigError, match=f"no walk of exactly k={k} hops"):
+            train(g, cfg)
 
 
 def test_loss_pos_nonnegative_for_power_weights():
@@ -543,8 +551,8 @@ def _gradcheck_case(g, cfg, seed, min_hinge_margin=1e-3):
         u, norms = _unit_rows(e)
         return _objective(u, norms, reanchor(batch, u), weights, cfg)[2]
 
-    analytic, *_ = _grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
-                                    cfg, weights, batch)
+    analytic, *_ = grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
+                                   cfg, weights, batch)
     numeric = _fd_grads(frozen_loss, params)
     for (name, a), (_, f) in zip(analytic.tensors(), numeric):
         np.testing.assert_allclose(
@@ -604,7 +612,7 @@ def test_gradient_lambda_zero_positive_term_contributes_nothing():
     emb, h_last, tapes = _forward_tape(g.features, mask, params)
     batch = _batch(emb, mask, cfg0.pair_cap, cfg0.seed)
     # no weights: at lambda 0 the positive term is never evaluated
-    grads, l_pos, l_neg, l_total = _grads_from_tape(
+    grads, l_pos, l_neg, l_total = grads_from_tape(
         params, tapes, h_last, *_unit_rows(emb), cfg0, None, batch)
     assert math.isnan(l_pos) and l_neg == l_total == 0.0
     for _, tensor in grads.tensors():
@@ -760,8 +768,8 @@ def test_train_without_hinge_builds_no_pairs(monkeypatch):
         emb, h_last, tapes = _forward_tape(g.features, mask, params)
         u, norms = _unit_rows(emb)
         batch = _pair_batch(u, mask, cfg.pair_cap, _epoch_rng(cfg.seed, epoch))
-        grads, *losses = _grads_from_tape(params, tapes, h_last, u, norms,
-                                          cfg, weights, batch)
+        grads, *losses = grads_from_tape(params, tapes, h_last, u, norms,
+                                         cfg, weights, batch)
         expect.append(losses)
         params, state = adam_step(params, grads, state, cfg.lr)
 
@@ -771,6 +779,17 @@ def test_train_without_hinge_builds_no_pairs(monkeypatch):
     monkeypatch.setattr(agcn.training, "_pair_batch", no_pairs)
     _, history = train(g, cfg)
     np.testing.assert_array_equal(history, expect)
+
+
+def test_train_numeric_failure_names_its_epoch():
+    # epoch 0 is finite; its Adam step moves every parameter by ~lr, so
+    # epoch 1's forward pass overflows, and its error names the epoch too
+    g = random_graph(8, 0.5, seed=24, d=3)
+    cfg = TrainingConfig(k=2, epochs=3, layers=1, heads=1, d_q=2, d_v=2,
+                         d_out=2, lr=1e300)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+        train(g, cfg)
+    assert str(err.value).startswith("epoch 1: non-finite output"), err.value
 
 
 def test_heterophilic_structure_recovered_at_two_hops():
@@ -814,8 +833,12 @@ def test_train_rejects_bad_config():
         TrainingConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         TrainingConfig(mode="other")
-    # the layer settings follow Dims' rules, checked before any graph is read
-    for bad, message in (({"max_neighbors": 0}, "max_neighbors must be >= 1"),
+    # every setting, the layer settings by Dims' rules, is checked before any
+    # graph is read
+    for bad, message in (({"epochs": 0}, "epochs must be >= 1"),
+                         ({"pair_cap": 0}, "pair_cap must be >= 1"),
+                         ({"restarts": 0}, "restarts must be >= 1"),
+                         ({"max_neighbors": 0}, "max_neighbors must be >= 1"),
                          ({"d_q": 6, "heads": 4}, "not divisible by heads"),
                          ({"d_v": 0}, "d_v must be >= 1"),
                          ({"residual": "other"}, "residual must be")):
