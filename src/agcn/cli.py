@@ -251,6 +251,7 @@ def _train_config(args) -> dict[str, TrainingConfig]:
     configs = {}
     for k in k_grid:
         for lam in lam_grid:
+            lam += 0.0      # -0.0 is the point 0.0 and must share its name
             name = f"k{k}_lam{lam:g}"
             if name in configs:
                 raise ConfigError(f"two sweep points share the directory {name}")

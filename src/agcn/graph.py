@@ -134,24 +134,42 @@ def _read_features(path) -> np.ndarray:
         except UserWarning as exc:
             raise ParseError("empty feature file", path=path) from exc
         except ValueError as exc:
-            raise ParseError(f"bad feature row: {exc}", path=path) from exc
+            # numpy's own row numbers skip blank and comment lines, and are
+            # 0- or 1-based by error kind, so the file is read again
+            message, line = _first_bad_row(path, exc)
+            raise ParseError(message, path=path, line=line) from exc
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
-        raise ParseError("non-finite feature value", path=path,
-                         line=_data_line(path, int(bad.argmax())))
+        lineno, _ = _data_lines(path)[int(bad.argmax())]
+        raise ParseError("non-finite feature value", path=path, line=lineno)
     return feats
 
 
-def _data_line(path, row: int) -> int | None:
-    """1-based line number of the ``row``-th row ``np.loadtxt`` read from
-    ``path`` (it skips blank lines and ``#`` comments)."""
+def _data_lines(path) -> list:
+    """(1-based line number, text) of every line ``np.loadtxt`` reads as a
+    data row of ``path``: all but those left empty once a ``#`` comment is
+    cut off (a line of spaces is a data row, and a bad one)."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if raw.split("#", 1)[0].strip():
-                if row == 0:
-                    return lineno
-                row -= 1
-    return None
+        lines = [(lineno, raw.rstrip("\n"))
+                 for lineno, raw in enumerate(fh, start=1)]
+    return [(lineno, text) for lineno, text in lines if text.split("#", 1)[0]]
+
+
+def _first_bad_row(path, exc):
+    """(message, line) of the first data row that ``np.loadtxt`` cannot
+    parse on its own or whose value count differs from the first row's;
+    ``exc`` names the fault when no single row shows it."""
+    width = None
+    for lineno, text in _data_lines(path):
+        try:
+            values = np.loadtxt([text], delimiter=",", dtype=np.float64, ndmin=1)
+        except ValueError:
+            return f"bad feature row {text!r}: not all numbers", lineno
+        width = width or values.size
+        if values.size != width:
+            return (f"bad feature row {text!r}: {values.size} values, the "
+                    f"first row has {width}"), lineno
+    return f"bad feature row: {exc}", None
 
 
 def _read_edges(path, n_nodes: int) -> np.ndarray:
@@ -240,9 +258,11 @@ def normalized_adjacency(g: Graph, with_self_loops: bool = False) -> sparse.csr_
     return mat
 
 
-# entries per gather block in KHopMask.entry_dots: two (chunk, d) row blocks
-# stay in cache, where one gather of every entry would not
-ENTRY_CHUNK = 2048
+# entries per gather block in KHopMask.entry_dots: two (chunk, width) row
+# blocks stay in cache, where one gather of every entry would not; 512 was
+# the fastest of 256-4096 for both the 4 x 16 attention rows and the 100-wide
+# embeddings at n=1400 (one BLAS thread on a 2-vCPU Xeon VM)
+ENTRY_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -273,13 +293,16 @@ class KHopMask:
         return self._src
 
     def entry_dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``a[i] . b[j]`` for every stored entry (i, j), in storage order,
-        gathering ``ENTRY_CHUNK`` entries at a time."""
+        """``a[i] . b[j]`` over the last axis for every stored entry (i, j),
+        in storage order: ``(nnz,)`` from ``(n, d)`` operands, ``(nnz, heads)``
+        from ``(n, heads, d_h)`` ones. Each chunk of ``ENTRY_CHUNK`` entries
+        is gathered once for all heads."""
         src, dst = self.src_ids(), self.indices
-        dots = np.empty(self.total_nnz)
+        dots = np.empty((self.total_nnz,) + a.shape[1:-1])
         for s in range(0, self.total_nnz, ENTRY_CHUNK):
             e = slice(s, s + ENTRY_CHUNK)
-            np.einsum("ij,ij->i", a[src[e]], b[dst[e]], out=dots[e])
+            np.einsum("...d,...d->...", np.take(a, src[e], axis=0),
+                      np.take(b, dst[e], axis=0), out=dots[e])
         return dots
 
     def pattern(self, data: np.ndarray) -> sparse.csr_array:

@@ -5,7 +5,7 @@ per-node attention then gathers only the rows allowed by the k-hop mask,
 so the number of score evaluations per layer and head is exactly the total
 mask size. The mask computes the per-entry row dot products of the scores
 and of their gradient (``KHopMask.entry_dots``), gathering a cache-sized
-chunk of entries at a time. Vanilla mode swaps that masked kernel for a
+chunk of entries at a time once for all heads. Vanilla mode swaps that masked kernel for a
 dense softmax over all node pairs, computed in row blocks whose backward
 pass recomputes the scores, so no n x n matrix is ever kept. The residual
 path maps the original node features (default) or the previous hidden
@@ -82,12 +82,6 @@ class LayerParams:
     wres: np.ndarray    # (res_in, d_model)
     heads: int
 
-    def head_slices(self):
-        dqh = self.wq.shape[1] // self.heads
-        dvh = self.wv.shape[1] // self.heads
-        for h in range(self.heads):
-            yield slice(h * dqh, (h + 1) * dqh), slice(h * dvh, (h + 1) * dvh)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -147,8 +141,8 @@ class _LayerTape:
     k_full: np.ndarray
     v_full: np.ndarray
     ctx: np.ndarray
-    alphas: list            # per head: flat (nnz,) alpha for masked,
-                            # (n,) row log-sum-exp for dense
+    alphas: np.ndarray      # heads on the last axis: (nnz, heads) alpha for
+                            # masked, (n, heads) row log-sum-exp for dense
     mask: KHopMask | None   # the lists attended over, None for all pairs
 
 
@@ -159,35 +153,56 @@ def _check_finite(h: np.ndarray, layer: int):
     raise NumericError(f"non-finite output at layer {layer}, node {bad}")
 
 
-# Per-head attention kernels. Each forward returns ctx_h and what its
-# backward needs (the masked alpha, the dense row log-sum-exp); each
-# backward returns (d_q, d_k, d_v) for the head's column slices.
-
-def _masked_layer(qh, kh, vh, mask: KHopMask, inv_scale):
-    """Segment softmax over the scores of each node's mask list."""
-    src = mask.src_ids()
-    starts = mask.indptr[:-1]
-    scores = mask.entry_dots(qh, kh) * inv_scale
-    seg_max = np.maximum.reduceat(scores, starts)
-    z = np.exp(scores - seg_max[src])
-    denom = np.add.reduceat(z, starts)
-    alpha = z / denom[src]
-    return mask.pattern(alpha) @ vh, alpha
+def _by_head(heads, *arrays):
+    """(n, heads, width / heads) views of (n, width) arrays whose columns
+    hold one contiguous block per head."""
+    return tuple(a.reshape(a.shape[0], heads, -1) for a in arrays)
 
 
-def _masked_layer_backward(qh, kh, vh, alpha, d_ctx_h, mask: KHopMask, inv_scale):
-    src = mask.src_ids()
-    starts = mask.indptr[:-1]
-    d_alpha = mask.entry_dots(d_ctx_h, vh)
-    seg_dot = np.add.reduceat(alpha * d_alpha, starts)
-    d_score = alpha * (d_alpha - seg_dot[src]) * inv_scale
-    score_mat = mask.pattern(d_score)
-    return score_mat @ kh, score_mat.T @ qh, mask.pattern(alpha).T @ d_ctx_h
+# Attention kernels over all heads. q, k, v and d_ctx come as (n, heads, d_h)
+# views (:func:`_by_head`). Each forward returns ctx, shaped like v, and what
+# its backward needs (the masked alpha, the dense row log-sum-exp) with
+# heads on the last axis; each backward returns (d_q, d_k, d_v), shaped like
+# (q, k, v).
+
+def _masked_layer(q, k, v, mask: KHopMask, inv_scale):
+    """Segment softmax over the scores of each node's mask list. Every
+    per-entry step runs once for all heads; only the products with the
+    mask pattern go head by head."""
+    sizes, starts = mask.list_sizes(), mask.indptr[:-1]
+    # the scores, turned into their softmax in place; lists are stored by
+    # node, so a node's row reaches its entries by repetition, not a gather
+    alpha = mask.entry_dots(q, k)
+    alpha *= inv_scale
+    alpha -= np.repeat(np.maximum.reduceat(alpha, starts, axis=0), sizes, axis=0)
+    np.exp(alpha, out=alpha)
+    alpha /= np.repeat(np.add.reduceat(alpha, starts, axis=0), sizes, axis=0)
+    ctx = np.empty(v.shape)
+    for h in range(v.shape[1]):
+        ctx[:, h] = mask.pattern(alpha[:, h]) @ v[:, h]
+    return ctx, alpha
+
+
+def _masked_layer_backward(q, k, v, alpha, d_ctx, mask: KHopMask, inv_scale):
+    sizes, starts = mask.list_sizes(), mask.indptr[:-1]
+    # d_alpha, turned in place into d_score = alpha (d_alpha - seg_dot) inv_scale
+    d_score = mask.entry_dots(d_ctx, v)
+    seg_dot = np.add.reduceat(alpha * d_score, starts, axis=0)
+    d_score -= np.repeat(seg_dot, sizes, axis=0)
+    d_score *= alpha
+    d_score *= inv_scale
+    d_q, d_k, d_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+    for h in range(q.shape[1]):
+        score_mat = mask.pattern(d_score[:, h])
+        d_q[:, h] = score_mat @ k[:, h]
+        d_k[:, h] = score_mat.T @ q[:, h]
+        d_v[:, h] = mask.pattern(alpha[:, h]).T @ d_ctx[:, h]
+    return d_q, d_k, d_v
 
 
 # Byte budget of one row block of the dense kernel: a block holds
 # DENSE_BLOCK_BYTES // (8 n) rows of n float64 scores, and the forward and
-# backward passes keep at most two such blocks live per head.
+# backward passes keep at most two such blocks live.
 DENSE_BLOCK_BYTES = 1 << 20
 
 
@@ -197,28 +212,30 @@ def _row_blocks(n):
         yield slice(r0, min(r0 + step, n))
 
 
-def _dense_layer(qh, kh, vh, inv_scale):
-    """Row softmax over all node pairs (vanilla attention), one row block at
-    a time. Returns ctx_h and each row's log-sum-exp of its scaled scores,
-    from which :func:`_dense_probs` rebuilds the attention rows."""
-    n = qh.shape[0]
-    qs = qh * inv_scale
-    ctx = np.empty((n, vh.shape[1]))
-    lse = np.empty(n)
-    for r in _row_blocks(n):
-        block = qs[r] @ kh.T
-        row_max = block.max(axis=1, keepdims=True)
-        block -= row_max
-        np.exp(block, out=block)
-        row_sum = block.sum(axis=1, keepdims=True)
-        ctx[r] = (block @ vh) / row_sum
-        lse[r] = (row_max + np.log(row_sum))[:, 0]
+def _dense_layer(q, k, v, inv_scale):
+    """Row softmax over all node pairs (vanilla attention), head by head and
+    one row block at a time. Returns ctx and each row's log-sum-exp of its
+    scaled scores, from which :func:`_dense_probs` rebuilds the attention
+    rows."""
+    n, heads = q.shape[:2]
+    ctx = np.empty(v.shape)
+    lse = np.empty((n, heads))
+    for h in range(heads):
+        qs, kh, vh = q[:, h] * inv_scale, k[:, h], v[:, h]
+        for r in _row_blocks(n):
+            block = qs[r] @ kh.T
+            row_max = block.max(axis=1, keepdims=True)
+            block -= row_max
+            np.exp(block, out=block)
+            row_sum = block.sum(axis=1, keepdims=True)
+            ctx[r, h] = (block @ vh) / row_sum
+            lse[r, h] = (row_max + np.log(row_sum))[:, 0]
     return ctx, lse
 
 
 def _dense_probs(qs, kh, lse):
-    """Yield (rows, attention block) per row block, recomputed from the
-    scaled queries ``qs = qh * inv_scale`` as exp(qs kh^T - lse)."""
+    """Yield (rows, attention block) per row block of one head, recomputed
+    from its scaled queries ``qs = qh * inv_scale`` as exp(qs kh^T - lse)."""
     for r in _row_blocks(qs.shape[0]):
         block = qs[r] @ kh.T
         block -= lse[r, None]
@@ -226,44 +243,46 @@ def _dense_probs(qs, kh, lse):
         yield r, block
 
 
-def _dense_layer_backward(qh, kh, vh, lse, ctx_h, d_ctx_h, inv_scale):
-    qs, ks = qh * inv_scale, kh * inv_scale
-    # sum_j attn_ij * d_attn_ij = d_ctx_i . ctx_i, since ctx_i = sum_j attn_ij v_j
-    row_dot = np.einsum("ij,ij->i", d_ctx_h, ctx_h)
-    d_q = np.empty(qh.shape)
-    d_k = np.zeros(kh.shape)
-    d_v = np.zeros(vh.shape)
-    for r, attn in _dense_probs(qs, kh, lse):
-        d_v += attn.T @ d_ctx_h[r]
-        d_score = d_ctx_h[r] @ vh.T
-        d_score -= row_dot[r, None]
-        d_score *= attn
-        d_q[r] = d_score @ ks
-        d_k += d_score.T @ qs[r]
+def _dense_layer_backward(q, k, v, lse, ctx, d_ctx, inv_scale):
+    d_q, d_k, d_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+    for h in range(q.shape[1]):
+        qs, ks = q[:, h] * inv_scale, k[:, h] * inv_scale
+        # sum_j attn_ij * d_attn_ij = d_ctx_i . ctx_i, since ctx_i = sum_j attn_ij v_j
+        row_dot = np.einsum("ij,ij->i", d_ctx[:, h], ctx[:, h])
+        # the sums over row blocks run in contiguous arrays: adding into the
+        # strided head views was ~10% slower (n=1500, one BLAS thread on a
+        # 2-vCPU Xeon VM)
+        d_kh, d_vh = np.zeros(ks.shape), np.zeros(v[:, h].shape)
+        for r, attn in _dense_probs(qs, k[:, h], lse[:, h]):
+            d_vh += attn.T @ d_ctx[r, h]
+            d_score = d_ctx[r, h] @ v[:, h].T
+            d_score -= row_dot[r, None]
+            d_score *= attn
+            d_q[r, h] = d_score @ ks
+            d_kh += d_score.T @ qs[r]
+        d_k[:, h], d_v[:, h] = d_kh, d_vh
     return d_q, d_k, d_v
 
 
 def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams,
            layer_idx=0, counter: EvalCounter | None = None):
-    """Project keys and values once for all nodes, attend per head with the
-    masked kernel (or the dense one when ``mask`` is None), and add the
-    residual. Returns the layer output and its tape."""
+    """Project keys and values once for all nodes, attend with the masked
+    kernel (or the dense one when ``mask`` is None), and add the residual.
+    Returns the layer output and its tape."""
     n = h_prev.shape[0]
     q_full = h_prev @ p.wq
     k_full = h_prev @ p.wk
     v_full = h_prev @ p.wv
-    ctx = np.empty((n, p.wv.shape[1]))
-    alphas = []
-    inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // p.heads)
-    for h, (qs, vs) in enumerate(p.head_slices()):
-        qh, kh, vh = q_full[:, qs], k_full[:, qs], v_full[:, vs]
-        if mask is None:
-            ctx[:, vs], alpha = _dense_layer(qh, kh, vh, inv_scale)
-        else:
-            ctx[:, vs], alpha = _masked_layer(qh, kh, vh, mask, inv_scale)
-        if counter is not None:
-            counter.add(layer_idx, h, n * n if mask is None else alpha.size)
-        alphas.append(alpha)
+    q, k, v = _by_head(p.heads, q_full, k_full, v_full)
+    inv_scale = 1.0 / np.sqrt(q.shape[2])
+    if mask is None:
+        ctx, alphas = _dense_layer(q, k, v, inv_scale)
+    else:
+        ctx, alphas = _masked_layer(q, k, v, mask, inv_scale)
+    if counter is not None:
+        for h in range(p.heads):
+            counter.add(layer_idx, h, n * n if mask is None else mask.total_nnz)
+    ctx = ctx.reshape(n, -1)
     out = ctx @ p.wo + res_src @ p.wres
     _check_finite(out, layer=layer_idx)
     tape = _LayerTape(h_in=h_prev, res_src=res_src, q_full=q_full,
@@ -276,22 +295,20 @@ def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
     """Parameter gradients of one layer and, if ``input_grad``, the gradient
     at its input ``tape.h_in``. That gradient takes the residual path too
     when the residual source is the input itself (the "hidden" wiring)."""
+    n = d_out.shape[0]
     d_wo = tape.ctx.T @ d_out
     d_ctx = d_out @ p.wo.T
     d_wres = tape.res_src.T @ d_out
-    d_q = np.empty_like(tape.q_full)
-    d_k = np.empty_like(tape.k_full)
-    d_v = np.empty_like(tape.v_full)
-    inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // p.heads)
-    for h, (qs, vs) in enumerate(p.head_slices()):
-        qh, kh, vh = tape.q_full[:, qs], tape.k_full[:, qs], tape.v_full[:, vs]
-        alpha, d_ctx_h = tape.alphas[h], d_ctx[:, vs]
-        if tape.mask is None:
-            d_q[:, qs], d_k[:, qs], d_v[:, vs] = _dense_layer_backward(
-                qh, kh, vh, alpha, tape.ctx[:, vs], d_ctx_h, inv_scale)
-        else:
-            d_q[:, qs], d_k[:, qs], d_v[:, vs] = _masked_layer_backward(
-                qh, kh, vh, alpha, d_ctx_h, tape.mask, inv_scale)
+    q, k, v, ctx, d_ctx = _by_head(p.heads, tape.q_full, tape.k_full,
+                                   tape.v_full, tape.ctx, d_ctx)
+    inv_scale = 1.0 / np.sqrt(q.shape[2])
+    if tape.mask is None:
+        d_qkv = _dense_layer_backward(q, k, v, tape.alphas, ctx, d_ctx,
+                                      inv_scale)
+    else:
+        d_qkv = _masked_layer_backward(q, k, v, tape.alphas, d_ctx, tape.mask,
+                                       inv_scale)
+    d_q, d_k, d_v = (d.reshape(n, -1) for d in d_qkv)
     grads = LayerParams(tape.h_in.T @ d_q, tape.h_in.T @ d_k, tape.h_in.T @ d_v,
                         d_wo, d_wres, heads=p.heads)
     if not input_grad:

@@ -193,6 +193,29 @@ def _decode_pairs(codes, sizes):
     return sizes - 1 - j, sizes - 1 - i
 
 
+def _sort_within_lists(key, indptr):
+    """``np.lexsort((key, src))`` for the row ids ``src`` of the CSR lists
+    ``indptr``: the entries of each list by ascending ``key``, equal keys in
+    storage order, for keys that are not NaN.
+
+    Lists are sorted as the rows of padded arrays, one per power-of-two
+    length class, with ``+inf`` padding, which a stable sort puts after
+    every real entry. A list of m >= 1 entries is padded to less than 2m."""
+    # 2**width_exp is the least power of two >= the list size (2 if empty)
+    width_exp = np.frexp(np.diff(indptr) - 1)[1]
+    order = np.empty(len(key), dtype=np.int64)
+    for e in np.unique(width_exp):
+        rows = np.flatnonzero(width_exp == e)
+        slots = indptr[rows, None] + np.arange(1 << e)
+        real = slots < indptr[rows + 1, None]
+        entries = slots[real]
+        padded = np.full(slots.shape, np.inf)
+        padded[real] = key[entries]
+        ranked = np.argsort(padded, axis=1, kind="stable")
+        order[entries] = (indptr[rows, None] + ranked)[real]
+    return order
+
+
 @dataclass
 class _PairBatch:
     """Flat sampled pairs for the whole graph, frozen for one epoch.
@@ -218,12 +241,12 @@ def _pair_batch(u, mask: KHopMask, cap: int, rng) -> _PairBatch:
     lower index. A node contributes all its pairs when they fit under
     ``cap``, otherwise ``cap`` distinct pairs drawn from ``rng``.
     """
-    src = mask.src_ids()
     sims = mask.entry_dots(u, u)
     # every list holds its node, which ranks first, so the non-self ranks
     # start one slot after indptr; mask lists are sorted ascending, so the
     # stable sort breaks ties in similarity by neighbor index
-    order = np.lexsort((np.where(src == mask.indices, -np.inf, -sims), src))
+    order = _sort_within_lists(
+        np.where(mask.src_ids() == mask.indices, -np.inf, -sims), mask.indptr)
     sizes = mask.list_sizes() - 1
 
     totals = sizes * (sizes - 1) // 2

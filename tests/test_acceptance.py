@@ -134,7 +134,7 @@ def _edge_list(g):
 
 def test_equivariance_and_attention_rows():
     with criterion("equivariance-and-attention-rows"):
-        from agcn.model import _dense_probs
+        from agcn.model import _by_head, _dense_probs
         g = random_graph(12, 0.35, seed=3, d=4)
         mask = khop_mask(g, 2)
         dims = Dims(d=4, d_model=5, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
@@ -151,7 +151,7 @@ def test_equivariance_and_attention_rows():
 
         _, tape = _layer(g.features, g.features, mask, params.layers[0])
         starts = mask.indptr[:-1]
-        for alpha in tape.alphas:
+        for alpha in tape.alphas.T:
             sums = np.add.reduceat(alpha, starts)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
         # the dense tape keeps each row's log-sum-exp; the attention rows are
@@ -159,9 +159,9 @@ def test_equivariance_and_attention_rows():
         p = params.layers[0]
         _, dense = _layer(g.features, g.features, None, p)
         inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // p.heads)
-        for (qs, _), lse in zip(p.head_slices(), dense.alphas):
-            qh, kh = dense.q_full[:, qs], dense.k_full[:, qs]
-            for _, attn in _dense_probs(qh * inv_scale, kh, lse):
+        q, k = _by_head(p.heads, dense.q_full, dense.k_full)
+        for h, lse in enumerate(dense.alphas.T):
+            for _, attn in _dense_probs(q[:, h] * inv_scale, k[:, h], lse):
                 np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
                 assert attn.min() >= 0
 

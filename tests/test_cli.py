@@ -125,9 +125,10 @@ def test_train_sweep_ranked_records(tmp_path):
 
 
 @pytest.mark.parametrize("grid", [("--k", "1", "--lambda", "1234567,1234568"),
-                                  ("--k", "2,2")])
+                                  ("--k", "2,2"),
+                                  ("--k", "2", "--lambda", "0,-0")])
 def test_train_sweep_directory_collision_exits_one(tmp_path, capsys, grid):
-    # both grid points print as one k{k}_lam{lam:g} name
+    # both grid points print as one k{k}_lam{lam:g} name; -0 is the point 0
     edges, feats, labels = _gen_dataset(tmp_path)
     out = tmp_path / "sweep"
     rc = main(_train_args(edges, feats, labels, out, ("--sweep", *grid)))
@@ -395,6 +396,19 @@ def test_non_finite_feature_exits_one_with_one_line(tmp_path, capsys, bad):
     assert len(err) == 1
     assert err[0].startswith("error: non-finite feature value")
     assert err[0].endswith(f"{feats}:4]")
+
+
+def test_unparsable_feature_exits_one_naming_its_line(tmp_path, capsys):
+    (tmp_path / "g.edges").write_text("0 1\n")
+    feats = tmp_path / "g.csv"
+    feats.write_text("1,2\n3,x\n")
+    rc = main(["analyze", "paths", "--graph", str(tmp_path / "g.edges"),
+               "--features", str(feats), "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: bad feature row '3,x'")
+    assert err[0].endswith(f"{feats}:2]")
 
 
 @pytest.mark.parametrize("missing", ["--graph", "--features"])

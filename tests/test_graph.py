@@ -50,11 +50,15 @@ def test_load_reports_out_of_range_with_line(tmp_path):
     ("0 1\n0 1 2\n", "0\n0\n", "g.edges", 2,
      "expected two integers, got 3 fields"),
     ("0 1\n\n1 x\n", "0\n0\n", "g.edges", 3, "non-integer edge endpoint"),
-    ("0 1\n", "0,0\n1,x\n", "g.csv", None, "bad feature row"),
+    ("0 1\n", "0,0\n1,x\n", "g.csv", 2, "bad feature row"),
+    ("0 1\n", "# x,y\n0,0\n\n1,2,3\n", "g.csv", 4,
+     "3 values, the first row has 2"),
+    ("0 1\n", "0,0\n  \n1,1\n", "g.csv", 2, "bad feature row '  '"),
     ("0 1\n", "", "g.csv", None, "empty feature file"),
     ("0 1\n", "# x,y\n\n", "g.csv", None, "empty feature file"),
 ], ids=["three_fields", "non_integer_endpoint", "unparsable_feature",
-        "empty_features", "comment_only_features"])
+        "feature_width_changes", "blank_feature_row", "empty_features",
+        "comment_only_features"])
 def test_load_rejects_malformed_file(tmp_path, edges, feats, bad, line,
                                      message):
     (tmp_path / "g.edges").write_text(edges)
@@ -267,10 +271,21 @@ def test_entry_dots_chunked_is_bitwise_single_shot():
     # a subsample is not symmetric: entry (i, j) need not have (j, i)
     for mask in (full, full.subsample(50, seed=1)):
         rows, cols = mask.src_ids(), mask.indices
-        # whole rows, and strided per-head column views like _layer's
+        # whole rows, and strided per-head column views
         for a, b in ((h, h), (qkv[:, 4:8], qkv[:, 20:24])):
             got = mask.entry_dots(a, b)
             assert got.tobytes() == pair_sims_oracle(a, b, rows, cols).tobytes()
+        # all heads at once from (n, heads, d_h) views, as the attention
+        # layers pass them: column h is head h's strided view
+        for heads, d_h in ((4, 16), (3, 5)):
+            q, k = (rng.standard_normal((90, heads * d_h)) for _ in range(2))
+            got = mask.entry_dots(q.reshape(90, heads, d_h),
+                                  k.reshape(90, heads, d_h))
+            assert got.shape == (mask.total_nnz, heads)
+            for hd in range(heads):
+                c = slice(hd * d_h, (hd + 1) * d_h)
+                want = pair_sims_oracle(q[:, c], k[:, c], rows, cols)
+                assert got[:, hd].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from agcn.errors import ConfigError, NumericError
 from agcn.graph import KHopMask, khop_mask
 from agcn.model import (Dims, EvalCounter, init_params,
                         load_params, save_params, forward, _forward_tape,
-                        _dense_probs, _layer, _layer_backward, _model_backward)
+                        _by_head, _dense_probs, _layer, _layer_backward,
+                        _model_backward)
 
 from conftest import complete_mask, neighbors, path_graph, random_graph
 
@@ -126,9 +127,9 @@ def test_single_node_layer_hand_eval():
 def _dense_rows(p, tape):
     """Per head, the row blocks of attention the dense backward rebuilds."""
     inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // p.heads)
-    for (qs, _), lse in zip(p.head_slices(), tape.alphas):
-        yield list(_dense_probs(tape.q_full[:, qs] * inv_scale,
-                                tape.k_full[:, qs], lse))
+    q, k = _by_head(p.heads, tape.q_full, tape.k_full)
+    for h, lse in enumerate(tape.alphas.T):
+        yield list(_dense_probs(q[:, h] * inv_scale, k[:, h], lse))
 
 
 @settings(max_examples=40)
@@ -142,7 +143,7 @@ def test_attention_rows_sum_to_one(n, p_edge, k, block_rows, scale, seed):
     p = init_params(DIMS, seed=seed).layers[0]
     mask = khop_mask(g, k)
     _, tape = _layer(x, x, mask, p)
-    for alpha in tape.alphas:
+    for alpha in tape.alphas.T:
         np.testing.assert_allclose(np.add.reduceat(alpha, mask.indptr[:-1]),
                                    1.0, atol=1e-9)
         assert alpha.min() >= 0

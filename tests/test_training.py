@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 import agcn.training
 from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError, NumericError
-from agcn.graph import build_graph, khop_mask, khop_weights
+from agcn.graph import KHopMask, build_graph, khop_mask, khop_weights
 from agcn.model import Dims, ModelParams, init_params, _forward_tape
 from agcn.training import (TrainingConfig, adam_step, init_adam_state,
                            train, _loss_neg_impl, _loss_pos_impl, _objective,
-                           _decode_pairs, _pair_batch,
+                           _decode_pairs, _pair_batch, _sort_within_lists,
                            _sample_rows, _unit_rows, _unit_rows_backward)
 
 from conftest import (complete_mask, cosine_sim, grads_from_tape, neighbors,
@@ -189,6 +190,34 @@ def test_rank_neighbors_matches_sort_oracle():
     pairs = _node_pairs(_batch(h, mask), 0)
     assert len(pairs) == 28
     assert set(pairs) == _oracle_all_pairs(_oracle_ranking(h, 0, mask))
+
+
+@settings(max_examples=60)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=30),
+       hub=st.integers(13, 300), hub_at=st.integers(0, 30),
+       data=st.data())
+def test_sort_within_lists_is_lexsort(sizes, hub, hub_at, data):
+    sizes.insert(hub_at, hub)
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    src = np.repeat(np.arange(len(sizes)), sizes)
+    nnz = len(src)
+    # integer-valued keys tie often; each list's first entry plays its
+    # node, whose key is -inf
+    key = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=nnz,
+                                      max_size=nnz)), dtype=np.float64)
+    key[indptr[:-1]] = -np.inf
+    padded = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        padded.append(a.size)
+        return argsort(a, *args, **kwargs)
+
+    with mock.patch.object(np, "argsort", counting):
+        got = _sort_within_lists(key, indptr)
+    want = np.lexsort((key, src))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert sum(padded) < 2 * nnz
 
 
 def test_sample_pairs_returns_all_when_under_cap():
@@ -753,6 +782,26 @@ def test_train_normalizes_embeddings_once_per_epoch(monkeypatch):
     train(g, cfg)
     # the pair sampler and the objective share each epoch's unit rows
     assert len(calls) == cfg.epochs
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_mask_entries_are_gathered_once_per_pass_for_all_heads(monkeypatch,
+                                                               heads):
+    calls = []
+    entry_dots = KHopMask.entry_dots
+
+    def counting(mask, a, b):
+        calls.append(a.shape)
+        return entry_dots(mask, a, b)
+
+    monkeypatch.setattr(KHopMask, "entry_dots", counting)
+    g = random_graph(10, 0.5, seed=25, d=3)
+    cfg = TrainingConfig(k=2, epochs=1, layers=2, heads=heads, d_q=8, d_v=8,
+                         d_out=3)
+    train(g, cfg)
+    # per layer the scores and their gradient, then the pair similarities
+    assert len(calls) == 2 * cfg.layers + 1
+    assert calls[0] == (g.n_nodes, heads, cfg.d_q // heads)
 
 
 def test_train_without_hinge_builds_no_pairs(monkeypatch):
