@@ -384,7 +384,7 @@ def cmd_analyze_r_ratio(args) -> int:
     if g.labels is None:
         raise ConfigError("r-ratio needs --labels")
     if args.pred is not None:
-        pred = _read_labels(args.pred)
+        pred = _read_labels(args.pred, g.n_nodes)
     else:
         pred = kmeans(g.features, g.n_clusters, seed=args.seed,
                       restarts=args.restarts)

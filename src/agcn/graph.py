@@ -35,8 +35,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph with node features and optional cluster labels in
-    ``[0, n_nodes)``; ``n_clusters`` is the largest label plus one."""
+    """Undirected graph of at least one node, with node features and
+    optional cluster labels in ``[0, n_nodes)``; ``n_clusters`` is the
+    largest label plus one."""
 
     n_nodes: int
     adj: sparse.csr_array          # symmetric, 0/1 float64, zero diagonal
@@ -44,6 +45,8 @@ class Graph:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.n_nodes == 0:
+            raise ConfigError("graph has no nodes")
         if self.features.shape[0] != self.n_nodes:
             raise DimensionError(
                 f"feature rows ({self.features.shape[0]}) != n_nodes ({self.n_nodes})"
@@ -115,11 +118,13 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
 
     The edge file holds one integer pair per line (whitespace or comma
     separated); the feature file is CSV with one row per node and sets the
-    node count; the label file holds one integer in [0, node count) per line.
+    node count; the label file holds one integer in [0, node count) per
+    node, one per line.
     """
     features = _read_features(feature_path)
-    edges = _read_edges(edge_path, features.shape[0])
-    labels = None if label_path is None else _read_labels(label_path)
+    n = features.shape[0]
+    edges = _read_edges(edge_path, n)
+    labels = None if label_path is None else _read_labels(label_path, n)
     return build_graph(edges, features, labels)
 
 
@@ -201,13 +206,16 @@ def _read_edges(path, n_nodes: int) -> np.ndarray:
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def _read_labels(path) -> np.ndarray:
+def _read_labels(path, n_nodes: int) -> np.ndarray:
     values = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            if len(values) == n_nodes:
+                raise ParseError(f"more labels than the {n_nodes} nodes",
+                                 path=path, line=lineno)
             try:
                 values.append(int(line))
             except ValueError as exc:
@@ -217,6 +225,8 @@ def _read_labels(path) -> np.ndarray:
             if values[-1] < 0:
                 raise ParseError(f"negative label {line!r}", path=path,
                                  line=lineno)
+    if len(values) != n_nodes:
+        raise ParseError(f"{len(values)} labels for {n_nodes} nodes", path=path)
     return np.asarray(values, dtype=np.int64)
 
 
@@ -244,8 +254,6 @@ def normalized_adjacency(g: Graph, with_self_loops: bool = False) -> sparse.csr_
 
     Isolated nodes (degree zero, no self-loops) keep an all-zero row.
     """
-    if g.n_nodes == 0:
-        raise ConfigError("graph has no nodes")
     a = g.adj
     if with_self_loops:
         a = (a + sparse.eye_array(g.n_nodes, format="csr")).tocsr()

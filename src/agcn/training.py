@@ -146,39 +146,6 @@ def _loss_pos_impl(u, weights):
 # neighbor ranking and pair sampling
 # ---------------------------------------------------------------------------
 
-def _sample_rows(rng, totals, cap: int) -> np.ndarray:
-    """Row r: ``cap`` distinct codes drawn uniformly without replacement
-    from [0, totals[r]), in draw order.
-
-    Each row keeps the first ``cap`` distinct codes of its own i.i.d.
-    uniform sequence. All rows share one draw of 2*cap+16 codes each; a row
-    left short, possible only when its total is close to ``cap``, doubles
-    its sequence until it has enough.
-    """
-    out = np.empty((len(totals), cap), dtype=np.int64)
-    if not len(totals):
-        return out
-    rows = np.arange(len(totals))
-    draws = rng.integers(0, totals[:, None], size=(len(totals), 2 * cap + 16))
-    while True:
-        # one sort of code*width + column puts each code's first column in
-        # front of its repeats
-        width = draws.shape[1]
-        key = np.sort(draws * width + np.arange(width), axis=1)
-        code = key // width
-        first = np.ones(key.shape, dtype=bool)
-        first[:, 1:] = code[:, 1:] != code[:, :-1]
-        cols = np.sort(np.where(first, key - code * width, width), axis=1)
-        cols = cols[:, :cap]
-        done = cols[:, -1] < width
-        out[rows[done]] = np.take_along_axis(draws[done], cols[done], axis=1)
-        rows, draws = rows[~done], draws[~done]
-        if not len(rows):
-            return out
-        more = rng.integers(0, totals[rows, None], size=draws.shape)
-        draws = np.hstack([draws, more])
-
-
 def _decode_pairs(codes, sizes):
     """Rank positions (a, b), a < b, of pair ``codes`` in lists of ``sizes``.
 
@@ -239,7 +206,8 @@ def _pair_batch(u, mask: KHopMask, cap: int, rng) -> _PairBatch:
     Each node's non-self neighbors are ranked by descending cosine
     similarity, the dot product of their unit rows ``u``, ties going to the
     lower index. A node contributes all its pairs when they fit under
-    ``cap``, otherwise ``cap`` distinct pairs drawn from ``rng``.
+    ``cap``, otherwise ``cap`` distinct pairs drawn uniformly by one
+    ``rng.choice``; ``rng`` is not read when no node is over the cap.
     """
     sims = mask.entry_dots(u, u)
     # every list holds its node, which ranks first, so the non-self ranks
@@ -258,9 +226,9 @@ def _pair_batch(u, mask: KHopMask, cap: int, rng) -> _PairBatch:
     big = np.flatnonzero(totals > cap)
     counts = totals[small]
     firsts = np.cumsum(counts) - counts
-    codes = np.concatenate([
-        np.arange(counts.sum()) - np.repeat(firsts, counts),
-        _sample_rows(rng, totals[big], cap).ravel()])
+    codes = np.concatenate(
+        [np.arange(counts.sum()) - np.repeat(firsts, counts)]
+        + [rng.choice(total, cap, replace=False) for total in totals[big]])
     owner = np.concatenate([np.repeat(small, counts), np.repeat(big, cap)])
     a, b = _decode_pairs(codes, sizes[owner])
     base = mask.indptr[owner] + 1

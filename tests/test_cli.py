@@ -357,6 +357,42 @@ def test_train_negative_label_exits_one_with_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows, message", [
+    (15, "error: 15 labels for 16 nodes [{path}]"),
+    (17, "error: more labels than the 16 nodes [{path}:17]"),
+], ids=["too_few", "too_many"])
+def test_train_label_count_mismatch_names_file(tmp_path, capsys, rows,
+                                               message):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    labels.write_text("0\n" * rows)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(_train_args(edges, feats, labels, out))
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [message.format(path=labels)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (15, "error: 15 labels for 16 nodes [{path}]"),
+    (17, "error: more labels than the 16 nodes [{path}:17]"),
+], ids=["too_few", "too_many"])
+def test_analyze_r_ratio_prediction_count_mismatch_names_file(tmp_path, capsys,
+                                                              rows, message):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    pred = tmp_path / "pred.txt"
+    pred.write_text("0\n" * rows)
+    capsys.readouterr()
+    rc = main(["analyze", "r-ratio", "--graph", str(edges), "--features",
+               str(feats), "--labels", str(labels), "--pred", str(pred),
+               "--k-range", "1,2", "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [message.format(path=pred)]
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_mask_features_file_output(tmp_path):
     edges, feats, labels = _gen_dataset(tmp_path)
     out = tmp_path / "out"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agcn.errors import ConfigError, DimensionError, ParseError
+from agcn.errors import ConfigError, ParseError
 from agcn.graph import (ENTRY_CHUNK, build_graph, khop_mask, khop_weights,
                         load_graph, normalized_adjacency,
                         shortest_path_histogram)
@@ -95,8 +95,20 @@ def test_load_label_row_mismatch(tmp_path):
     (tmp_path / "g.edges").write_text("0 1\n")
     (tmp_path / "g.csv").write_text("0\n0\n0\n")
     (tmp_path / "g.lab").write_text("0\n1\n")
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParseError, match="2 labels for 3 nodes") as err:
         load_graph(tmp_path / "g.edges", tmp_path / "g.csv", tmp_path / "g.lab")
+    assert err.value.path == tmp_path / "g.lab" and err.value.line is None
+    # too many: the first extra line is named
+    (tmp_path / "g.lab").write_text("0\n1\n\n1\n0\n")
+    with pytest.raises(ParseError, match="more labels than the 3 nodes") as err:
+        load_graph(tmp_path / "g.edges", tmp_path / "g.csv", tmp_path / "g.lab")
+    assert err.value.path == tmp_path / "g.lab" and err.value.line == 5
+
+
+@pytest.mark.parametrize("labels", [None, np.empty(0, dtype=np.int64)])
+def test_graph_rejects_zero_nodes(labels):
+    with pytest.raises(ConfigError, match="graph has no nodes"):
+        build_graph(np.empty((0, 2)), np.empty((0, 3)), labels)
 
 
 @pytest.mark.parametrize("label", ["3", "7"])

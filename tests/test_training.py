@@ -15,7 +15,7 @@ from agcn.model import Dims, ModelParams, init_params, _forward_tape
 from agcn.training import (TrainingConfig, adam_step, init_adam_state,
                            train, _loss_neg_impl, _loss_pos_impl, _objective,
                            _decode_pairs, _pair_batch, _sort_within_lists,
-                           _sample_rows, _unit_rows, _unit_rows_backward)
+                           _unit_rows, _unit_rows_backward)
 
 from conftest import (complete_mask, cosine_sim, grads_from_tape, neighbors,
                       pair_sims_oracle, random_graph, reanchor)
@@ -289,6 +289,42 @@ def test_pair_batch_invariants_property(n, p, k, ties, pick, offset, seed):
     assert batch.n_contrib == int((m >= 2).sum())
 
 
+def test_pair_batch_order_is_the_hinge_summation_order():
+    # star centers with 4, 6, 3, 5, 7, 3 and 2 leaves against a cap of 10:
+    # 6 and 7 leaves give 15 and 21 pairs, over the cap; 5 leaves give 10
+    leaves = [4, 6, 3, 5, 7, 3, 2]
+    firsts = np.cumsum([0] + [m + 1 for m in leaves])
+    edges = [[c, c + j] for c, m in zip(firsts, leaves) for j in range(1, m + 1)]
+    h = np.random.default_rng(1).standard_normal((firsts[-1], 3))
+    mask = khop_mask(build_graph(edges, h), 1)
+    batch = _batch(h, mask, cap=10, seed=2)
+
+    src, dst, sims = mask.src_ids(), mask.indices, batch.entry_sims
+    rank = np.full(len(sims), -1, dtype=np.int64)
+    for c in firsts[:-1]:
+        entries = np.flatnonzero((src == c) & (dst != c))
+        order = sorted(entries, key=lambda e: (-sims[e], dst[e]))
+        rank[order] = np.arange(len(order))
+    owner = src[batch.plus_e]
+    # each node's pairs are one contiguous run
+    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    runs = owner[starts].tolist()
+    assert len(runs) == len(set(runs))
+    # under-cap nodes by list size, ties by index, then over-cap nodes by index
+    by_star = dict(zip(firsts[:-1].tolist(), leaves))
+    under = sorted((c for c, m in by_star.items() if m * (m - 1) // 2 <= 10),
+                   key=lambda c: (by_star[c], c))
+    over = sorted(c for c, m in by_star.items() if m * (m - 1) // 2 > 10)
+    assert runs == under + over
+    # an under-cap node's pairs are in row-major code order
+    for c in under:
+        of_c = owner == c
+        a, b = np.triu_indices(by_star[c], k=1)
+        np.testing.assert_array_equal(rank[batch.plus_e[of_c]], a)
+        np.testing.assert_array_equal(rank[batch.minus_e[of_c]], b)
+    assert np.bincount(owner)[over].tolist() == [10, 10]
+
+
 def _tiny_ranked(n_neighbors):
     rng = np.random.default_rng(n_neighbors)
     h = rng.standard_normal((n_neighbors + 1, 4))
@@ -308,15 +344,15 @@ def _stars(n_stars, leaves, seed=0):
 
 
 class _CountingRng:
-    """A ``np.random.Generator`` stand-in that counts ``integers`` calls."""
+    """A ``np.random.Generator`` stand-in that counts ``choice`` calls."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.integers_calls = 0
+        self.choice_calls = 0
 
-    def integers(self, *args, **kwargs):
-        self.integers_calls += 1
-        return self._rng.integers(*args, **kwargs)
+    def choice(self, *args, **kwargs):
+        self.choice_calls += 1
+        return self._rng.choice(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -327,8 +363,14 @@ def _epoch_rng(seed, epoch):
     return np.random.default_rng(np.random.SeedSequence((seed, epoch)))
 
 
-def test_pair_batch_draw_count_does_not_grow_with_overcap_nodes():
-    calls = {}
+def test_pair_batch_draws_once_per_overcap_node():
+    # every list fits under the cap: the generator is not read at all
+    h, mask = _stars(8, 12)
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    _pair_batch(h, mask, 66, rng)
+    assert rng.bit_generator.state == before
+
     for n_stars in (1, 8, 64):
         # 12 neighbors: 66 pairs per center against a cap of 4
         h, mask = _stars(n_stars, 12)
@@ -337,9 +379,7 @@ def test_pair_batch_draw_count_does_not_grow_with_overcap_nodes():
         centers = np.arange(n_stars) * 13
         np.testing.assert_array_equal(
             np.bincount(mask.src_ids()[batch.plus_e], minlength=len(h))[centers], 4)
-        calls[n_stars] = rng.integers_calls
-    assert calls[1] >= 1
-    assert calls[8] == calls[1] and calls[64] == calls[1], calls
+        assert rng.choice_calls == n_stars
 
 
 def test_sampled_pairs_are_uniform_over_streams():
@@ -362,27 +402,32 @@ def test_sampled_pairs_are_uniform_over_streams():
     np.testing.assert_allclose(freq, 4 / 15, atol=0.05)
 
 
-def test_sampler_top_up_keeps_cap_distinct_uniform_pairs():
-    # 24 neighbors give 276 pairs; 2*256+16 draws of them hold ~235
-    # distinct codes, so the capped rows need the top-up round
+def test_sampler_near_cap_keeps_cap_distinct_uniform_pairs():
+    # 24 neighbors give 276 pairs, of which each center keeps 256
     h, mask = _stars(8, 24)
-    rng = _CountingRng(5)
-    batch = _pair_batch(h, mask, 256, rng)
-    assert rng.integers_calls > 1                   # the top-up round ran
+    batch = _pair_batch(h, mask, 256, np.random.default_rng(5))
     owner = mask.src_ids()[batch.plus_e]
     for center in np.arange(8) * 25:
         of_c = owner == center
         pairs = set(zip(batch.plus_e[of_c].tolist(), batch.minus_e[of_c].tolist()))
         assert of_c.sum() == len(pairs) == 256
 
-    codes = _sample_rows(np.random.default_rng(6), np.full(500, 276), 256)
-    assert codes.shape == (500, 256)
-    assert (codes >= 0).all() and (codes < 276).all()
-    assert all(len(np.unique(row)) == 256 for row in codes)
-    # each code is kept with probability 256/276; one standard deviation of
-    # its frequency over 500 rows is 0.0116
-    freq = np.bincount(codes.ravel(), minlength=276) / 500
-    np.testing.assert_allclose(freq, 256 / 276, atol=0.06)
+    h, mask = _stars(500, 24)
+    batch = _pair_batch(h, mask, 256, np.random.default_rng(6))
+    src, dst = mask.src_ids(), mask.indices
+    centers = src[batch.plus_e]
+    assert (centers % 25 == 0).all() and (src[batch.minus_e] == centers).all()
+    np.testing.assert_array_equal(np.bincount(centers // 25, minlength=500), 256)
+    assert len(set(zip(batch.plus_e.tolist(), batch.minus_e.tolist()))) == 500 * 256
+    # ranking maps a center's pair codes one to one onto its leaf pairs, so
+    # each leaf pair is kept with probability 256/276 too; one standard
+    # deviation of its frequency over 500 centers is 0.0116
+    lo = np.minimum(dst[batch.plus_e], dst[batch.minus_e]) - centers
+    hi = np.maximum(dst[batch.plus_e], dst[batch.minus_e]) - centers
+    freq = np.bincount((lo - 1) * 24 + hi - 1, minlength=24 * 24) / 500
+    a, b = np.triu_indices(24, k=1)
+    np.testing.assert_allclose(freq[a * 24 + b], 256 / 276, atol=0.06)
+    assert freq.sum() == 256
 
 
 def test_decode_pairs_matches_row_major_enumeration():
