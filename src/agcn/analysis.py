@@ -171,6 +171,8 @@ def mask_features(g: Graph, fraction: float, seed: int) -> Graph:
     """
     if not 0.0 <= fraction < 1.0:
         raise ConfigError(f"fraction must lie in [0, 1), got {fraction}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     n_masked = int(round(fraction * g.n_nodes))
     feats = g.features.copy()
     if n_masked:

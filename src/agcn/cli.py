@@ -362,7 +362,6 @@ def cmd_analyze_paths(args) -> int:
     hist = shortest_path_histogram(g)
     payload = {("inf" if key is math.inf else str(key)): count
                for key, count in hist.items()}
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(args.out_dir / "report.json", {"histogram": payload})
     _say(json.dumps(payload))
     return 0
@@ -389,7 +388,6 @@ def cmd_analyze_r_ratio(args) -> int:
         pred = kmeans(g.features, g.n_clusters, seed=args.seed,
                       restarts=args.restarts)
     report = r_ratio(g, pred, g.labels, k_range)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(args.out_dir / "report.json", report.to_dict())
     shown = sum(e.pair_mean is not None for e in report.entries)
     _say(f"{shown} (cluster, k) ratios written")

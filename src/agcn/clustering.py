@@ -69,10 +69,8 @@ def _lloyd(points, centers, tol, max_iter, sq_norms):
         sizes = np.bincount(labels, minlength=n_clusters)
         # repair empty clusters with the point farthest from its center
         for c in np.flatnonzero(sizes == 0):
-            movable = sizes[labels] > 1
-            if not movable.any():
-                movable = np.ones(n, dtype=bool)
-            far = int(np.where(movable, d2[rows, labels], -np.inf).argmax())
+            # n >= n_clusters, so while c is empty some cluster holds two
+            far = int(np.where(sizes[labels] > 1, d2[rows, labels], -np.inf).argmax())
             sizes[labels[far]] -= 1
             sizes[c] += 1
             labels[far] = c
@@ -105,6 +103,8 @@ def _kmeans_with_inertia(points, n_clusters, seed, restarts):
     """(labels, inertia) of the lowest-inertia restart."""
     if restarts < 1:
         raise ConfigError(f"restarts={restarts} must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed={seed} must be >= 0")
     points = np.asarray(points, dtype=np.float64)
     if not 1 <= n_clusters <= points.shape[0]:
         raise ConfigError(f"n_clusters={n_clusters} must lie in [1, "

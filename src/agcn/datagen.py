@@ -12,6 +12,10 @@ from .graph import Graph, _atomic_open, build_graph
 
 __all__ = ["SBMSpec", "TreeMatchSpec", "gen_sbm", "gen_tree_match", "write_graph_files"]
 
+# node pairs gen_sbm draws at once: it takes the upper triangle in blocks of
+# whole rows at ~33 bytes a pair, so a draw peaks near 40 MB at any node count
+SBM_PAIR_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class SBMSpec:
@@ -42,6 +46,8 @@ class SBMSpec:
                         ("noise_scale", self.noise_scale)):
             if not np.isfinite(s):
                 raise ConfigError(f"{name} must be finite, got {s}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,8 @@ class TreeMatchSpec:
     def __post_init__(self):
         if self.depth < 1:
             raise ConfigError("tree depth must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def gen_sbm(spec: SBMSpec) -> Graph:
@@ -63,10 +71,15 @@ def gen_sbm(spec: SBMSpec) -> Graph:
     n = int(sizes.sum())
     labels = np.repeat(np.arange(len(sizes)), sizes)
 
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(labels[iu] == labels[ju], spec.p_in, spec.p_out)
-    keep = rng.random(len(iu)) < prob
-    edges = np.column_stack([iu[keep], ju[keep]])
+    # pairs (i, j > i) in the row-major order of one draw over all of them
+    step = max(1, SBM_PAIR_BUDGET // n)
+    edges = []
+    for lo in range(0, n, step):
+        iu, ju = np.triu_indices(min(step, n - lo), k=lo + 1, m=n)
+        iu += lo
+        prob = np.where(labels[iu] == labels[ju], spec.p_in, spec.p_out)
+        keep = rng.random(len(iu)) < prob
+        edges.append(np.column_stack([iu[keep], ju[keep]]))
 
     dim = spec.feature_dim if spec.feature_dim is not None else len(sizes)
     means = np.zeros((len(sizes), dim))
@@ -74,7 +87,7 @@ def gen_sbm(spec: SBMSpec) -> Graph:
         means[b, b % dim] = spec.mean_scale
     feats = means[labels] + spec.noise_scale * rng.standard_normal((n, dim))
 
-    return build_graph(edges, feats, labels)
+    return build_graph(np.concatenate(edges), feats, labels)
 
 
 def gen_tree_match(spec: TreeMatchSpec) -> Graph:

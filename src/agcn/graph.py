@@ -12,7 +12,8 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -116,10 +117,9 @@ def build_graph(edges: np.ndarray, features: np.ndarray,
 def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     """Load a graph from an edge list, a features CSV and optional labels.
 
-    The edge file holds one integer pair per line (whitespace or comma
-    separated); the feature file is CSV with one row per node and sets the
-    node count; the label file holds one integer in [0, node count) per
-    node, one per line.
+    The feature file is CSV with one row per node and sets the node count;
+    edge and label files are read by ``_read_node_rows``, two and one values
+    a line.
     """
     features = _read_features(feature_path)
     n = features.shape[0]
@@ -177,57 +177,47 @@ def _first_bad_row(path, exc):
     return f"bad feature row: {exc}", None
 
 
-def _read_edges(path, n_nodes: int) -> np.ndarray:
-    pairs = []
+def _read_node_rows(path, n_nodes: int, width: int, what: str,
+                    max_rows: int | None = None) -> np.ndarray:
+    """(rows, width) int64 array of the non-blank lines of ``path``, each
+    ``width`` values split on whitespace or commas. Every value is checked on
+    its line to be an integer in [0, n_nodes); a line past ``max_rows`` rows
+    is an error too."""
+    rows = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.replace(",", " ").strip()
-            if not line:
+            parts = raw.replace(",", " ").split()
+            if not parts:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(
-                    f"expected two integers, got {len(parts)} fields",
-                    path=path, line=lineno,
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(
-                    f"non-integer edge endpoint {parts!r}", path=path, line=lineno
-                ) from exc
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                bad = u if not (0 <= u < n_nodes) else v
-                raise ParseError(
-                    f"node index {bad} out of range [0, {n_nodes})",
-                    path=path, line=lineno,
-                )
-            pairs.append((u, v))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            if len(rows) == max_rows:
+                raise ParseError(f"more {what}s than the {n_nodes} nodes",
+                                 path=path, line=lineno)
+            if len(parts) != width:
+                raise ParseError(f"{len(parts)} values, expected {width}",
+                                 path=path, line=lineno)
+            row = []
+            for text in parts:
+                try:
+                    row.append(int(text))
+                except ValueError as exc:
+                    raise ParseError(f"non-integer {what} {text!r}",
+                                     path=path, line=lineno) from exc
+                if not 0 <= row[-1] < n_nodes:
+                    raise ParseError(f"{what} {row[-1]} outside [0, {n_nodes})",
+                                     path=path, line=lineno)
+            rows.append(row)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, width)
+
+
+def _read_edges(path, n_nodes: int) -> np.ndarray:
+    return _read_node_rows(path, n_nodes, 2, "edge endpoint")
 
 
 def _read_labels(path, n_nodes: int) -> np.ndarray:
-    values = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if len(values) == n_nodes:
-                raise ParseError(f"more labels than the {n_nodes} nodes",
-                                 path=path, line=lineno)
-            try:
-                values.append(int(line))
-            except ValueError as exc:
-                raise ParseError(
-                    f"non-integer label {line!r}", path=path, line=lineno
-                ) from exc
-            if values[-1] < 0:
-                raise ParseError(f"negative label {line!r}", path=path,
-                                 line=lineno)
-    if len(values) != n_nodes:
-        raise ParseError(f"{len(values)} labels for {n_nodes} nodes", path=path)
-    return np.asarray(values, dtype=np.int64)
+    labels = _read_node_rows(path, n_nodes, 1, "label", max_rows=n_nodes)
+    if len(labels) != n_nodes:
+        raise ParseError(f"{len(labels)} labels for {n_nodes} nodes", path=path)
+    return labels.ravel()
 
 
 @contextmanager
@@ -284,7 +274,6 @@ class KHopMask:
     n_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
-    _src: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def total_nnz(self) -> int:
@@ -293,19 +282,17 @@ class KHopMask:
     def list_sizes(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    @cached_property
     def src_ids(self) -> np.ndarray:
-        """Row id of every stored entry (cached)."""
-        if self._src is None:
-            src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.list_sizes())
-            object.__setattr__(self, "_src", src)
-        return self._src
+        """Row id of every stored entry."""
+        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.list_sizes())
 
     def entry_dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a[i] . b[j]`` over the last axis for every stored entry (i, j),
         in storage order: ``(nnz,)`` from ``(n, d)`` operands, ``(nnz, heads)``
         from ``(n, heads, d_h)`` ones. Each chunk of ``ENTRY_CHUNK`` entries
         is gathered once for all heads."""
-        src, dst = self.src_ids(), self.indices
+        src, dst = self.src_ids, self.indices
         dots = np.empty((self.total_nnz,) + a.shape[1:-1])
         for s in range(0, self.total_nnz, ENTRY_CHUNK):
             e = slice(s, s + ENTRY_CHUNK)
@@ -330,7 +317,7 @@ class KHopMask:
         """
         if max_neighbors < 1:
             raise ConfigError("max_neighbors must be >= 1")
-        src = self.src_ids()
+        src = self.src_ids
         key = np.random.default_rng(seed).integers(1, 2 ** 32, self.total_nnz)
         key[src == self.indices] = 0
         # one sort by (row, key); rows keep their slots, so an entry's rank

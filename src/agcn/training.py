@@ -58,16 +58,15 @@ class TrainingConfig:
     max_neighbors: int | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        for name, low in (("k", 1), ("epochs", 1), ("pair_cap", 1),
+                          ("restarts", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         # chained comparisons reject NaN as well as infinity
         if not 0 <= self.lam < math.inf:
             raise ConfigError("lambda must be finite and >= 0")
         if not 0 < self.gamma < math.inf:
             raise ConfigError("gamma must be finite and > 0")
-        for name in ("epochs", "pair_cap", "restarts"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if self.max_neighbors is not None and self.max_neighbors < 1:
             raise ConfigError("max_neighbors must be >= 1")
         if not 0 < self.lr < math.inf:
@@ -214,7 +213,7 @@ def _pair_batch(u, mask: KHopMask, cap: int, rng) -> _PairBatch:
     # start one slot after indptr; mask lists are sorted ascending, so the
     # stable sort breaks ties in similarity by neighbor index
     order = _sort_within_lists(
-        np.where(mask.src_ids() == mask.indices, -np.inf, -sims), mask.indptr)
+        np.where(mask.src_ids == mask.indices, -np.inf, -sims), mask.indptr)
     sizes = mask.list_sizes() - 1
 
     totals = sizes * (sizes - 1) // 2

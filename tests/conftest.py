@@ -25,6 +25,25 @@ def random_graph(n, p, seed, d=3, labels=None):
     return build_graph(edges, feats, labels)
 
 
+def gen_sbm_oracle(spec):
+    """``gen_sbm`` from every node pair at once: the pair arrays, one
+    probability and one uniform draw per pair."""
+    rng = np.random.default_rng(spec.seed)
+    sizes = np.asarray(spec.block_sizes, dtype=np.int64)
+    n = int(sizes.sum())
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(labels[iu] == labels[ju], spec.p_in, spec.p_out)
+    keep = rng.random(len(iu)) < prob
+    edges = np.column_stack([iu[keep], ju[keep]])
+    dim = spec.feature_dim if spec.feature_dim is not None else len(sizes)
+    means = np.zeros((len(sizes), dim))
+    for b in range(len(sizes)):
+        means[b, b % dim] = spec.mean_scale
+    feats = means[labels] + spec.noise_scale * rng.standard_normal((n, dim))
+    return build_graph(edges, feats, labels)
+
+
 def path_graph(n, d=2, labels=None, seed=0):
     rng = np.random.default_rng(seed)
     edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])

@@ -340,7 +340,7 @@ def test_analyze_r_ratio_negative_prediction_exits_one_with_line(tmp_path,
                "--k-range", "1,2", "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: negative label '-1' [{pred}:4]"]
+    assert err == [f"error: label -1 outside [0, 16) [{pred}:4]"]
     assert not (tmp_path / "o").exists()
 
 
@@ -353,8 +353,61 @@ def test_train_negative_label_exits_one_with_line(tmp_path, capsys):
     rc = main(_train_args(edges, feats, labels, out))
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: negative label '-1' [{labels}:6]"]
+    assert err == [f"error: label -1 outside [0, 16) [{labels}:6]"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["3", "99999999999999999999"])
+@pytest.mark.parametrize("command", ["train", "r-ratio"])
+def test_label_outside_node_count_exits_one_with_line(tmp_path, capsys,
+                                                      command, label):
+    edges, feats = tmp_path / "g.edges", tmp_path / "g.csv"
+    edges.write_text("0 1\n1 2\n")
+    feats.write_text("0\n1\n2\n")
+    labels, bad = tmp_path / "g.lab", tmp_path / "bad.lab"
+    labels.write_text("0\n1\n1\n")
+    bad.write_text(f"0\n\n{label}\n1\n")
+    out = tmp_path / "o"
+    if command == "train":
+        argv = _train_args(edges, feats, bad, out)
+    else:
+        argv = ["analyze", "r-ratio", "--graph", str(edges), "--features",
+                str(feats), "--labels", str(labels), "--pred", str(bad),
+                "--k-range", "1", "--out-dir", str(out)]
+    rc = main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: label {label} outside [0, 3) [{bad}:3]"]
+    assert not out.exists()
+
+
+_DATASET = ["--graph", "data/sbm.edges", "--features", "data/sbm.features.csv",
+            "--labels", "data/sbm.labels"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1", *_DATASET],
+    ["train", "--config", "cfg.json", *_DATASET],
+    ["generate", "sbm", "--blocks", "4,4", "--p-in", "0.5", "--p-out", "0.1",
+     "--seed", "-1"],
+    ["generate", "tree-match", "--depth", "2", "--seed", "-1"],
+    ["analyze", "grouping", "--seed", "-1", *_DATASET],
+    ["analyze", "r-ratio", "--seed", "-1", *_DATASET],
+    ["analyze", "mask-features", "--seed", "-1", *_DATASET],
+], ids=["train", "train_config", "generate_sbm", "generate_tree",
+        "grouping", "r_ratio", "mask_features"])
+def test_negative_seed_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"seed": -1}')
+    if argv[0] == "analyze":
+        # train must fail before it reads any file; the analyses read theirs
+        _gen_dataset(tmp_path)
+        capsys.readouterr()
+    rc = main([*argv, "--out-dir", "o"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("rows, message", [

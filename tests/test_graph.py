@@ -48,7 +48,7 @@ def test_load_reports_out_of_range_with_line(tmp_path):
 
 @pytest.mark.parametrize("edges, feats, bad, line, message", [
     ("0 1\n0 1 2\n", "0\n0\n", "g.edges", 2,
-     "expected two integers, got 3 fields"),
+     "3 values, expected 2"),
     ("0 1\n\n1 x\n", "0\n0\n", "g.edges", 3, "non-integer edge endpoint"),
     ("0 1\n", "0,0\n1,x\n", "g.csv", 2, "bad feature row"),
     ("0 1\n", "# x,y\n0,0\n\n1,2,3\n", "g.csv", 4,
@@ -114,12 +114,51 @@ def test_graph_rejects_zero_nodes(labels):
 @pytest.mark.parametrize("label", ["3", "7"])
 def test_load_rejects_label_outside_node_count(tmp_path, label):
     # K-means cannot fit more clusters than there are nodes, so a label at
-    # or above the node count fails here, not after training
+    # or above the node count fails on its line, not after training
     (tmp_path / "g.edges").write_text("0 1\n1 2\n")
     (tmp_path / "g.csv").write_text("0\n0\n0\n")
     (tmp_path / "g.lab").write_text(f"0\n{label}\n1\n")
-    with pytest.raises(ConfigError, match="labels must lie in \\[0, 3\\)"):
+    with pytest.raises(ParseError, match=f"label {label} outside \\[0, 3\\)") \
+            as err:
         load_graph(tmp_path / "g.edges", tmp_path / "g.csv", tmp_path / "g.lab")
+    assert err.value.path == tmp_path / "g.lab" and err.value.line == 2
+
+
+@pytest.mark.parametrize("labels", [[0, 3, 1], [0, -1, 1]])
+def test_graph_rejects_label_outside_node_count(labels):
+    # files are range-checked by their reader; arrays by Graph
+    with pytest.raises(ConfigError, match="labels must lie in \\[0, 3\\)"):
+        build_graph([[0, 1]], np.zeros((3, 1)), labels)
+
+
+@pytest.mark.parametrize("edges, labels, bad, line, message", [
+    ("0 1\n", "0\n99999999999999999999\n0\n", "g.lab", 2,
+     "label 99999999999999999999 outside \\[0, 3\\)"),
+    ("0 1\n", "0\n1 2\n0\n", "g.lab", 2, "2 values, expected 1"),
+    ("0 1\n1, x\n", "0\n0\n0\n", "g.edges", 2,
+     "non-integer edge endpoint 'x'"),
+    ("0 1\n\n2 -1\n", "0\n0\n0\n", "g.edges", 3,
+     "edge endpoint -1 outside \\[0, 3\\)"),
+    ("1\n", "0\n0\n0\n", "g.edges", 1, "1 values, expected 2"),
+], ids=["label_beyond_int64", "two_labels", "non_integer_after_comma",
+        "negative_endpoint", "one_endpoint"])
+def test_node_row_files_check_each_value_on_its_line(tmp_path, edges, labels,
+                                                     bad, line, message):
+    (tmp_path / "g.edges").write_text(edges)
+    (tmp_path / "g.csv").write_text("0\n0\n0\n")
+    (tmp_path / "g.lab").write_text(labels)
+    with pytest.raises(ParseError, match=message) as err:
+        load_graph(tmp_path / "g.edges", tmp_path / "g.csv", tmp_path / "g.lab")
+    assert err.value.path == tmp_path / bad and err.value.line == line
+
+
+def test_node_row_files_split_on_commas_and_skip_blank_lines(tmp_path):
+    # edge and label files follow one rule
+    (tmp_path / "g.edges").write_text("0,1\n\n 1 , 2 \n")
+    (tmp_path / "g.csv").write_text("0\n0\n0\n")
+    (tmp_path / "g.lab").write_text("0,\n\n1\n  2\n\n")
+    g = load_graph(tmp_path / "g.edges", tmp_path / "g.csv", tmp_path / "g.lab")
+    assert g.n_edges == 2 and g.labels.tolist() == [0, 1, 2]
 
 
 def test_load_with_labels_sets_cluster_count(tmp_path):
@@ -282,7 +321,7 @@ def test_entry_dots_chunked_is_bitwise_single_shot():
     qkv = rng.standard_normal((90, 3 * 16))
     # a subsample is not symmetric: entry (i, j) need not have (j, i)
     for mask in (full, full.subsample(50, seed=1)):
-        rows, cols = mask.src_ids(), mask.indices
+        rows, cols = mask.src_ids, mask.indices
         # whole rows, and strided per-head column views
         for a, b in ((h, h), (qkv[:, 4:8], qkv[:, 20:24])):
             got = mask.entry_dots(a, b)

@@ -140,7 +140,7 @@ def test_loss_pos_gradient_peak_memory():
 
 def _node_pairs(batch, i):
     """(better-ranked, worse-ranked, rank gap) neighbor triples of node i."""
-    src, dst = batch.mask.src_ids(), batch.mask.indices
+    src, dst = batch.mask.src_ids, batch.mask.indices
     of_i = src[batch.plus_e] == i
     assert (src[batch.minus_e[of_i]] == i).all()
     return list(zip(dst[batch.plus_e[of_i]].tolist(),
@@ -175,7 +175,7 @@ def test_rank_neighbors_tie_prefers_lower_index():
     h = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
     g = build_graph([[0, 1], [0, 2]], h)
     batch = _batch(h, khop_mask(g, 1))
-    of_0 = (batch.mask.src_ids() == 0) & (batch.mask.indices != 0)
+    of_0 = (batch.mask.src_ids == 0) & (batch.mask.indices != 0)
     sims = batch.entry_sims[of_0]
     assert sims[0] == sims[1]                       # bitwise-equal similarities
     assert _node_pairs(batch, 0) == [(1, 2, 1)]     # tie broken by ascending index
@@ -264,7 +264,7 @@ def test_pair_batch_invariants_property(n, p, k, ties, pick, offset, seed):
     batch = _pair_batch(u, mask, cap, rng)
 
     assert batch.mask is mask
-    src, dst = mask.src_ids(), mask.indices
+    src, dst = mask.src_ids, mask.indices
     sims = batch.entry_sims
     np.testing.assert_array_equal(sims, pair_sims_oracle(u, u, src, dst))
     rank = np.full(len(sims), -1, dtype=np.int64)
@@ -299,7 +299,7 @@ def test_pair_batch_order_is_the_hinge_summation_order():
     mask = khop_mask(build_graph(edges, h), 1)
     batch = _batch(h, mask, cap=10, seed=2)
 
-    src, dst, sims = mask.src_ids(), mask.indices, batch.entry_sims
+    src, dst, sims = mask.src_ids, mask.indices, batch.entry_sims
     rank = np.full(len(sims), -1, dtype=np.int64)
     for c in firsts[:-1]:
         entries = np.flatnonzero((src == c) & (dst != c))
@@ -378,7 +378,7 @@ def test_pair_batch_draws_once_per_overcap_node():
         batch = _pair_batch(h, mask, 4, rng)
         centers = np.arange(n_stars) * 13
         np.testing.assert_array_equal(
-            np.bincount(mask.src_ids()[batch.plus_e], minlength=len(h))[centers], 4)
+            np.bincount(mask.src_ids[batch.plus_e], minlength=len(h))[centers], 4)
         assert rng.choice_calls == n_stars
 
 
@@ -406,7 +406,7 @@ def test_sampler_near_cap_keeps_cap_distinct_uniform_pairs():
     # 24 neighbors give 276 pairs, of which each center keeps 256
     h, mask = _stars(8, 24)
     batch = _pair_batch(h, mask, 256, np.random.default_rng(5))
-    owner = mask.src_ids()[batch.plus_e]
+    owner = mask.src_ids[batch.plus_e]
     for center in np.arange(8) * 25:
         of_c = owner == center
         pairs = set(zip(batch.plus_e[of_c].tolist(), batch.minus_e[of_c].tolist()))
@@ -414,7 +414,7 @@ def test_sampler_near_cap_keeps_cap_distinct_uniform_pairs():
 
     h, mask = _stars(500, 24)
     batch = _pair_batch(h, mask, 256, np.random.default_rng(6))
-    src, dst = mask.src_ids(), mask.indices
+    src, dst = mask.src_ids, mask.indices
     centers = src[batch.plus_e]
     assert (centers % 25 == 0).all() and (src[batch.minus_e] == centers).all()
     np.testing.assert_array_equal(np.bincount(centers // 25, minlength=500), 256)
