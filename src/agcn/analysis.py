@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,4 +179,4 @@ def mask_features(g: Graph, fraction: float, seed: int) -> Graph:
         rng = np.random.default_rng(seed)
         rows = rng.choice(g.n_nodes, size=n_masked, replace=False)
         feats[rows] = 0.0
-    return Graph(n_nodes=g.n_nodes, adj=g.adj, features=feats, labels=g.labels)
+    return replace(g, features=feats)

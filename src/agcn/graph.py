@@ -37,29 +37,32 @@ __all__ = [
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph of at least one node, with node features and
-    optional cluster labels in ``[0, n_nodes)``; ``n_clusters`` is the
-    largest label plus one."""
+    optional cluster labels in ``[0, n_nodes)``; ``n_nodes`` is the number
+    of feature rows and ``n_clusters`` the largest label plus one."""
 
-    n_nodes: int
     adj: sparse.csr_array          # symmetric, 0/1 float64, zero diagonal
     features: np.ndarray           # (n_nodes, d) float64
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_nodes == 0:
+        n = self.n_nodes
+        if n == 0:
             raise ConfigError("graph has no nodes")
-        if self.features.shape[0] != self.n_nodes:
-            raise DimensionError(
-                f"feature rows ({self.features.shape[0]}) != n_nodes ({self.n_nodes})"
-            )
+        if self.adj.shape != (n, n):
+            raise DimensionError(f"adjacency shape {self.adj.shape} != "
+                                 f"({n}, {n}), the feature rows")
         if self.labels is not None:
-            if len(self.labels) != self.n_nodes:
+            if len(self.labels) != n:
                 raise DimensionError(
-                    f"label count ({len(self.labels)}) != n_nodes ({self.n_nodes})"
+                    f"label count ({len(self.labels)}) != n_nodes ({n})"
                 )
-            if self.labels.min() < 0 or self.labels.max() >= self.n_nodes:
-                raise ConfigError(f"labels must lie in [0, {self.n_nodes}), "
-                                  f"the node count")
+            if self.labels.min() < 0 or self.labels.max() >= n:
+                raise ConfigError(f"labels must lie in [0, {n}), the node "
+                                  f"count")
+
+    @property
+    def n_nodes(self) -> int:
+        return self.features.shape[0]
 
     @property
     def n_clusters(self) -> int | None:
@@ -96,7 +99,11 @@ def build_graph(edges: np.ndarray, features: np.ndarray,
     if features.ndim == 1:
         features = features[:, None]
     n = features.shape[0]
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    try:
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ParseError(f"edge endpoint beyond int64, outside [0, {n})") \
+            from exc
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         bad = int(edges.max()) if edges.max() >= n else int(edges.min())
         raise ParseError(f"edge endpoint {bad} outside [0, {n})")
@@ -110,8 +117,12 @@ def build_graph(edges: np.ndarray, features: np.ndarray,
     adj.sort_indices()
     lab = None
     if labels is not None:
-        lab = np.asarray(labels, dtype=np.int64)
-    return Graph(n_nodes=n, adj=adj, features=features, labels=lab)
+        try:
+            lab = np.asarray(labels, dtype=np.int64)
+        except OverflowError as exc:
+            raise ConfigError(f"labels must lie in [0, {n}), the node "
+                              f"count") from exc
+    return Graph(adj=adj, features=features, labels=lab)
 
 
 def load_graph(edge_path, feature_path, label_path=None) -> Graph:
@@ -271,9 +282,12 @@ class KHopMask:
     are ``indices[indptr[i]:indptr[i+1]]``, sorted ascending.
     """
 
-    n_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.indptr) - 1
 
     @property
     def total_nnz(self) -> int:
@@ -328,8 +342,7 @@ class KHopMask:
         keep = rank < max_neighbors
         indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(src[keep], minlength=self.n_nodes), out=indptr[1:])
-        return KHopMask(n_nodes=self.n_nodes, indptr=indptr,
-                        indices=self.indices[keep])
+        return KHopMask(indptr=indptr, indices=self.indices[keep])
 
 
 def khop_mask(g: Graph, k: int) -> KHopMask:
@@ -345,11 +358,8 @@ def khop_mask(g: Graph, k: int) -> KHopMask:
         reach.data[:] = 1.0
     reach = reach.tocsr()
     reach.sort_indices()
-    return KHopMask(
-        n_nodes=n,
-        indptr=reach.indptr.astype(np.int64),
-        indices=reach.indices.astype(np.int64),
-    )
+    return KHopMask(indptr=reach.indptr.astype(np.int64),
+                    indices=reach.indices.astype(np.int64))
 
 
 def khop_weights(g: Graph, k: int) -> sparse.csr_array:

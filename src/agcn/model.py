@@ -43,14 +43,14 @@ _MAGIC = b"AGCNPAR1"
 class Dims:
     """Model dimension record.
 
-    d: input feature width; d_model: layer output width; d_q/d_v: total
-    query/key and value widths (split across heads); d_out: embedding width.
+    d: input feature width; d_q/d_v: total query/key and value widths (split
+    across heads), d_v also being every layer's output width; d_out:
+    embedding width.
     ``residual`` selects the residual source: "input" feeds the original
     features into every layer, "hidden" feeds the previous layer's output.
     """
 
     d: int
-    d_model: int
     d_q: int
     d_v: int
     heads: int
@@ -59,8 +59,7 @@ class Dims:
     residual: str = "input"
 
     def __post_init__(self):
-        # d_v before d_model, which TrainingConfig sets to d_v
-        for name in ("d", "d_q", "d_v", "d_model", "heads", "layers", "d_out"):
+        for name in ("d", "d_q", "d_v", "heads", "layers", "d_out"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"dims.{name} must be >= 1")
         if self.d_q % self.heads:
@@ -73,21 +72,21 @@ class Dims:
 
 @dataclass(frozen=True)
 class LayerParams:
-    """One attention layer: per-head blocks stored contiguously by columns."""
+    """One attention layer: per-head blocks stored contiguously by columns;
+    the head count is ``Dims.heads``."""
 
     wq: np.ndarray      # (d_in, d_q)
     wk: np.ndarray      # (d_in, d_q)
     wv: np.ndarray      # (d_in, d_v)
-    wo: np.ndarray      # (d_v, d_model)
-    wres: np.ndarray    # (res_in, d_model)
-    heads: int
+    wo: np.ndarray      # (d_v, d_v)
+    wres: np.ndarray    # (res_in, d_v)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     dims: Dims
     layers: tuple[LayerParams, ...]
-    final_proj: np.ndarray   # (d_model, d_out)
+    final_proj: np.ndarray   # (d_v, d_out)
 
     def tensors(self):
         """Yield (name, array) in a fixed serialization order."""
@@ -101,7 +100,7 @@ class ModelParams:
         """The inverse of :meth:`tensors`: parameters from their arrays,
         given in serialization order."""
         it = iter(arrays)
-        layers = tuple(LayerParams(*itertools.islice(it, 5), heads=dims.heads)
+        layers = tuple(LayerParams(*itertools.islice(it, 5))
                        for _ in range(dims.layers))
         return cls(dims=dims, layers=layers, final_proj=next(it))
 
@@ -137,9 +136,9 @@ def init_params(dims: Dims, seed: int) -> ModelParams:
 class _LayerTape:
     h_in: np.ndarray
     res_src: np.ndarray
-    q_full: np.ndarray
-    k_full: np.ndarray
-    v_full: np.ndarray
+    q: np.ndarray           # q, k, v and ctx by head: (n, heads, d_h)
+    k: np.ndarray
+    v: np.ndarray
     ctx: np.ndarray
     alphas: np.ndarray      # heads on the last axis: (nnz, heads) alpha for
                             # masked, (n, heads) row log-sum-exp for dense
@@ -264,29 +263,24 @@ def _dense_layer_backward(q, k, v, lse, ctx, d_ctx, inv_scale):
     return d_q, d_k, d_v
 
 
-def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams,
+def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams, heads: int,
            layer_idx=0, counter: EvalCounter | None = None):
-    """Project keys and values once for all nodes, attend with the masked
-    kernel (or the dense one when ``mask`` is None), and add the residual.
-    Returns the layer output and its tape."""
+    """Project keys and values once for all nodes, attend over ``heads``
+    heads with the masked kernel (or the dense one when ``mask`` is None),
+    and add the residual. Returns the layer output and its tape."""
     n = h_prev.shape[0]
-    q_full = h_prev @ p.wq
-    k_full = h_prev @ p.wk
-    v_full = h_prev @ p.wv
-    q, k, v = _by_head(p.heads, q_full, k_full, v_full)
+    q, k, v = _by_head(heads, h_prev @ p.wq, h_prev @ p.wk, h_prev @ p.wv)
     inv_scale = 1.0 / np.sqrt(q.shape[2])
     if mask is None:
         ctx, alphas = _dense_layer(q, k, v, inv_scale)
     else:
         ctx, alphas = _masked_layer(q, k, v, mask, inv_scale)
     if counter is not None:
-        for h in range(p.heads):
+        for h in range(heads):
             counter.add(layer_idx, h, n * n if mask is None else mask.total_nnz)
-    ctx = ctx.reshape(n, -1)
-    out = ctx @ p.wo + res_src @ p.wres
+    out = ctx.reshape(n, -1) @ p.wo + res_src @ p.wres
     _check_finite(out, layer=layer_idx)
-    tape = _LayerTape(h_in=h_prev, res_src=res_src, q_full=q_full,
-                      k_full=k_full, v_full=v_full, ctx=ctx,
+    tape = _LayerTape(h_in=h_prev, res_src=res_src, q=q, k=k, v=v, ctx=ctx,
                       alphas=alphas, mask=mask)
     return out, tape
 
@@ -296,11 +290,10 @@ def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
     at its input ``tape.h_in``. That gradient takes the residual path too
     when the residual source is the input itself (the "hidden" wiring)."""
     n = d_out.shape[0]
-    d_wo = tape.ctx.T @ d_out
-    d_ctx = d_out @ p.wo.T
+    q, k, v, ctx = tape.q, tape.k, tape.v, tape.ctx
+    d_wo = ctx.reshape(n, -1).T @ d_out
+    d_ctx = (d_out @ p.wo.T).reshape(ctx.shape)
     d_wres = tape.res_src.T @ d_out
-    q, k, v, ctx, d_ctx = _by_head(p.heads, tape.q_full, tape.k_full,
-                                   tape.v_full, tape.ctx, d_ctx)
     inv_scale = 1.0 / np.sqrt(q.shape[2])
     if tape.mask is None:
         d_qkv = _dense_layer_backward(q, k, v, tape.alphas, ctx, d_ctx,
@@ -310,7 +303,7 @@ def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
                                        inv_scale)
     d_q, d_k, d_v = (d.reshape(n, -1) for d in d_qkv)
     grads = LayerParams(tape.h_in.T @ d_q, tape.h_in.T @ d_k, tape.h_in.T @ d_v,
-                        d_wo, d_wres, heads=p.heads)
+                        d_wo, d_wres)
     if not input_grad:
         return grads, None
     d_h_in = d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
@@ -320,9 +313,9 @@ def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
 
 
 def forward(g: Graph, mask: KHopMask, params: ModelParams,
-            mode: str = "structure", counter: EvalCounter | None = None) -> np.ndarray:
+            mode: str = "structure") -> np.ndarray:
     """Chain all layers from the raw features and apply the final projection."""
-    return _forward_tape(g.features, mask, params, mode, counter)[0]
+    return _forward_tape(g.features, mask, params, mode)[0]
 
 
 def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
@@ -340,7 +333,8 @@ def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
     h = x
     for l, p in enumerate(params.layers):
         res_src = x if dims.residual == "input" else h
-        h, tape = _layer(h, res_src, attn_mask, p, layer_idx=l, counter=counter)
+        h, tape = _layer(h, res_src, attn_mask, p, dims.heads, layer_idx=l,
+                         counter=counter)
         tapes.append(tape)
     return h @ params.final_proj, h, tapes
 
@@ -389,10 +383,10 @@ def _tensor_specs(dims: Dims):
         yield from ((f"layers.{l}.wq", (d_in, dims.d_q), dims.heads),
                     (f"layers.{l}.wk", (d_in, dims.d_q), dims.heads),
                     (f"layers.{l}.wv", (d_in, dims.d_v), dims.heads),
-                    (f"layers.{l}.wo", (dims.d_v, dims.d_model), 1),
-                    (f"layers.{l}.wres", (res_in, dims.d_model), 1))
-        d_in = dims.d_model
-    yield "final_proj", (dims.d_model, dims.d_out), 1
+                    (f"layers.{l}.wo", (dims.d_v, dims.d_v), 1),
+                    (f"layers.{l}.wres", (res_in, dims.d_v), 1))
+        d_in = dims.d_v
+    yield "final_proj", (dims.d_v, dims.d_out), 1
 
 
 def load_params(path) -> ModelParams:

@@ -11,6 +11,8 @@ by the gradients.
 from __future__ import annotations
 
 import math
+import numbers
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,13 @@ __all__ = [
 
 DEFAULT_K_GRID = tuple(range(1, 11))
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** e for e in range(-4, 11))
+
+# the values each TrainingConfig field type takes, and their name; a bool
+# is an integer to Python, but only a bool field takes one
+_FIELD_KINDS = {int: (numbers.Integral, "an integer"),
+                float: (numbers.Real, "a real number"),
+                bool: (bool, "a bool"), str: (str, "a string"),
+                type(None): (type(None), "None")}
 
 
 @dataclass
@@ -58,6 +67,13 @@ class TrainingConfig:
     max_neighbors: int | None = None
 
     def __post_init__(self):
+        for name, hint in typing.get_type_hints(TrainingConfig).items():
+            value, kinds = getattr(self, name), typing.get_args(hint) or (hint,)
+            if not any(isinstance(value, _FIELD_KINDS[kind][0])
+                       and (kind is bool or not isinstance(value, bool))
+                       for kind in kinds):
+                wanted = " or ".join(_FIELD_KINDS[kind][1] for kind in kinds)
+                raise ConfigError(f"{name} must be {wanted}, not {value!r}")
         for name, low in (("k", 1), ("epochs", 1), ("pair_cap", 1),
                           ("restarts", 1), ("seed", 0)):
             if getattr(self, name) < low:
@@ -77,11 +93,9 @@ class TrainingConfig:
         self.dims_for(1)
 
     def dims_for(self, feature_dim: int) -> Dims:
-        # layer output width equals the value width; the final projection
-        # then maps to d_out
-        return Dims(d=feature_dim, d_model=self.d_v, d_q=self.d_q,
-                    d_v=self.d_v, heads=self.heads, layers=self.layers,
-                    d_out=self.d_out, residual=self.residual)
+        return Dims(d=feature_dim, d_q=self.d_q, d_v=self.d_v,
+                    heads=self.heads, layers=self.layers, d_out=self.d_out,
+                    residual=self.residual)
 
     def attention_mask(self, loss_mask: KHopMask) -> KHopMask:
         """The mask attention gathers over: ``loss_mask`` itself, or its

@@ -57,7 +57,7 @@ def neighbors(mask, i):
 
 def complete_mask(n):
     """Mask in which every node reaches every node, self included."""
-    return KHopMask(n_nodes=n, indptr=np.arange(0, n * n + 1, n),
+    return KHopMask(indptr=np.arange(0, n * n + 1, n),
                     indices=np.tile(np.arange(n), n))
 
 

@@ -15,7 +15,8 @@ import pytest
 from agcn.clustering import accuracy, evaluate, nmi
 from agcn.datagen import SBMSpec, gen_sbm, write_graph_files
 from agcn.graph import build_graph, khop_mask, load_graph
-from agcn.model import Dims, EvalCounter, forward, init_params, _layer
+from agcn.model import (Dims, EvalCounter, forward, init_params, _forward_tape,
+                        _layer)
 from agcn.training import TrainingConfig, train
 
 from conftest import (bfs_distances, homophily_ratio, neighbors, path_graph,
@@ -89,12 +90,12 @@ def test_kv_cache_oracle():
             seed = int(rng.integers(0, 10 ** 6))
             g = random_graph(n, 0.5, seed=seed, d=3)
             heads = int(rng.choice([1, 2]))
-            dims = Dims(d=3, d_model=4, d_q=4, d_v=4, heads=heads,
+            dims = Dims(d=3, d_q=4, d_v=4, heads=heads,
                         layers=1, d_out=2)
             p = init_params(dims, seed).layers[0]
             mask = khop_mask(g, int(rng.integers(1, 4)))
-            got = _layer(g.features, g.features, mask, p)[0]
-            expect = naive_layer_oracle(g.features, g.features, mask, p)
+            got = _layer(g.features, g.features, mask, p, heads)[0]
+            expect = naive_layer_oracle(g.features, g.features, mask, p, heads)
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
@@ -110,7 +111,7 @@ def test_locality():
             cases.append(("tree", build_graph(edges, feats), n - 1))
         for name, g, probe in cases:
             for k, layers in ((1, 2), (2, 2), (2, 1)):
-                dims = Dims(d=3, d_model=4, d_q=4, d_v=4, heads=2,
+                dims = Dims(d=3, d_q=4, d_v=4, heads=2,
                             layers=layers, d_out=3)
                 mask = khop_mask(g, k)
                 params = init_params(dims, seed=5)
@@ -134,10 +135,10 @@ def _edge_list(g):
 
 def test_equivariance_and_attention_rows():
     with criterion("equivariance-and-attention-rows"):
-        from agcn.model import _by_head, _dense_probs
+        from agcn.model import _dense_probs
         g = random_graph(12, 0.35, seed=3, d=4)
         mask = khop_mask(g, 2)
-        dims = Dims(d=4, d_model=5, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
+        dims = Dims(d=4, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
         params = init_params(dims, seed=3)
         h = forward(g, mask, params)
 
@@ -149,7 +150,8 @@ def test_equivariance_and_attention_rows():
         h_p = forward(g_p, khop_mask(g_p, 2), params)
         np.testing.assert_allclose(h_p, h[inv], atol=1e-9)
 
-        _, tape = _layer(g.features, g.features, mask, params.layers[0])
+        _, tape = _layer(g.features, g.features, mask, params.layers[0],
+                         dims.heads)
         starts = mask.indptr[:-1]
         for alpha in tape.alphas.T:
             sums = np.add.reduceat(alpha, starts)
@@ -157,11 +159,11 @@ def test_equivariance_and_attention_rows():
         # the dense tape keeps each row's log-sum-exp; the attention rows are
         # the blocks its backward pass rebuilds from it
         p = params.layers[0]
-        _, dense = _layer(g.features, g.features, None, p)
-        inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // p.heads)
-        q, k = _by_head(p.heads, dense.q_full, dense.k_full)
+        _, dense = _layer(g.features, g.features, None, p, dims.heads)
+        inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // dims.heads)
         for h, lse in enumerate(dense.alphas.T):
-            for _, attn in _dense_probs(q[:, h] * inv_scale, k[:, h], lse):
+            for _, attn in _dense_probs(dense.q[:, h] * inv_scale,
+                                        dense.k[:, h], lse):
                 np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
                 assert attn.min() >= 0
 
@@ -256,7 +258,7 @@ def test_end_to_end_sbm():
 def test_complexity_instrumentation():
     with criterion("complexity-instrumentation"):
         counts, sizes = [], []
-        dims = Dims(d=4, d_model=4, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
+        dims = Dims(d=4, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
         for n in (200, 400, 800, 1600):
             g = gen_sbm(SBMSpec(block_sizes=(n // 2, n // 2),
                                 p_in=8.0 / n, p_out=2.0 / n,
@@ -264,7 +266,7 @@ def test_complexity_instrumentation():
             mask = khop_mask(g, 2)
             params = init_params(dims, seed=0)
             counter = EvalCounter()
-            forward(g, mask, params, counter=counter)
+            _forward_tape(g.features, mask, params, counter=counter)
             for layer in range(dims.layers):
                 per_layer = sum(n for (l, _), n in counter.counts.items()
                                 if l == layer)

@@ -585,7 +585,7 @@ class _Bomb:
 
 
 def _fail_params(path, monkeypatch):
-    params = init_params(Dims(d=3, d_model=4, d_q=4, d_v=4, heads=1,
+    params = init_params(Dims(d=3, d_q=4, d_v=4, heads=1,
                               layers=1, d_out=2), seed=0)
     tensors = list(params.tensors())
     bad = SimpleNamespace(

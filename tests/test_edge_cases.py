@@ -51,9 +51,9 @@ def test_gradcheck_with_isolated_and_noncontributing_nodes():
 
 
 def test_gradcheck_unequal_head_widths():
-    # d_q/heads != d_v/heads and d_model != d_v exercises every slice path
+    # d_q/heads != d_v/heads exercises every slice path
     g = random_graph(9, 0.5, seed=41, d=3)
-    dims = Dims(d=3, d_model=5, d_q=6, d_v=4, heads=2, layers=2, d_out=3)
+    dims = Dims(d=3, d_q=6, d_v=4, heads=2, layers=2, d_out=3)
     cfg = TrainingConfig(k=2, lam=1e-2, layers=2, heads=2, d_q=6, d_v=4,
                          d_out=3, epochs=1, pair_cap=32, seed=41)
     mask = khop_mask(g, cfg.k)

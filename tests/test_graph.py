@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agcn.errors import ConfigError, ParseError
-from agcn.graph import (ENTRY_CHUNK, build_graph, khop_mask, khop_weights,
-                        load_graph, normalized_adjacency,
+from agcn.errors import ConfigError, DimensionError, ParseError
+from agcn.graph import (ENTRY_CHUNK, Graph, build_graph, khop_mask,
+                        khop_weights, load_graph, normalized_adjacency,
                         shortest_path_histogram)
 
 from conftest import (bfs_distances, complete_mask, dense_normalized,
@@ -71,7 +71,9 @@ def test_load_rejects_malformed_file(tmp_path, edges, feats, bad, line,
         assert f"{bad}:{line}]" in str(err.value)
 
 
-@pytest.mark.parametrize("edges", [[[0, 3]], [[-1, 0]]])
+# an endpoint beyond int64 fails as one out of range, not by overflow
+@pytest.mark.parametrize("edges", [[[0, 3]], [[-1, 0]], [[0, 2 ** 63]],
+                                   [[-2 ** 63 - 1, 0]]])
 def test_build_graph_rejects_endpoint_out_of_range(edges):
     with pytest.raises(ParseError, match="outside \\[0, 3\\)"):
         build_graph(edges, np.ones((3, 1)))
@@ -111,6 +113,13 @@ def test_graph_rejects_zero_nodes(labels):
         build_graph(np.empty((0, 2)), np.empty((0, 3)), labels)
 
 
+def test_graph_rejects_adjacency_of_another_size():
+    # the node count is the number of feature rows; the adjacency must match
+    adj = build_graph([[0, 1]], np.zeros((2, 1))).adj
+    with pytest.raises(DimensionError, match=r"\(2, 2\) != \(3, 3\)"):
+        Graph(adj=adj, features=np.zeros((3, 1)))
+
+
 @pytest.mark.parametrize("label", ["3", "7"])
 def test_load_rejects_label_outside_node_count(tmp_path, label):
     # K-means cannot fit more clusters than there are nodes, so a label at
@@ -124,7 +133,7 @@ def test_load_rejects_label_outside_node_count(tmp_path, label):
     assert err.value.path == tmp_path / "g.lab" and err.value.line == 2
 
 
-@pytest.mark.parametrize("labels", [[0, 3, 1], [0, -1, 1]])
+@pytest.mark.parametrize("labels", [[0, 3, 1], [0, -1, 1], [0, 2 ** 63, 1]])
 def test_graph_rejects_label_outside_node_count(labels):
     # files are range-checked by their reader; arrays by Graph
     with pytest.raises(ConfigError, match="labels must lie in \\[0, 3\\)"):

@@ -16,18 +16,17 @@ from agcn.errors import ConfigError, NumericError
 from agcn.graph import KHopMask, khop_mask
 from agcn.model import (Dims, EvalCounter, init_params,
                         load_params, save_params, forward, _forward_tape,
-                        _by_head, _dense_probs, _layer, _layer_backward,
+                        _dense_probs, _layer, _layer_backward,
                         _model_backward)
 
 from conftest import complete_mask, neighbors, path_graph, random_graph
 
-DIMS = Dims(d=3, d_model=5, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
+DIMS = Dims(d=3, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
 
 
-def naive_layer_oracle(h_prev, x, mask, p):
+def naive_layer_oracle(h_prev, x, mask, p, heads):
     """Per-node gather-then-project attention: the literal per-node form."""
     n = h_prev.shape[0]
-    heads = p.heads
     dqh = p.wq.shape[1] // heads
     dvh = p.wv.shape[1] // heads
     out = np.zeros((n, p.wo.shape[1]))
@@ -71,9 +70,9 @@ def test_init_differs_across_seeds():
 
 def test_init_rejects_indivisible_heads():
     with pytest.raises(ConfigError):
-        Dims(d=3, d_model=5, d_q=6, d_v=4, heads=4, layers=1, d_out=2)
+        Dims(d=3, d_q=6, d_v=4, heads=4, layers=1, d_out=2)
     with pytest.raises(ConfigError, match="d_v=6 not divisible by heads=4"):
-        Dims(d=3, d_model=5, d_q=4, d_v=6, heads=4, layers=1, d_out=2)
+        Dims(d=3, d_q=4, d_v=6, heads=4, layers=1, d_out=2)
 
 
 def test_forward_rejects_unknown_mode_and_feature_width():
@@ -94,13 +93,13 @@ def test_init_bounds_follow_fan_in_out():
 
 
 @pytest.mark.parametrize("residual, digest", [
-    ("input", "b041ac94ff34985d8eeeb6f8b68ad00575bf56ac7fbf56e6ec02c7920085e24d"),
-    ("hidden", "1e2440c0fe9aa61a21029fbaad61db7c9f8296a1779c2d9ece1597b7cdcab816"),
-])
+    ("input", "219b3f8c201d27ec435e82ccceba206d166af3b24becac3fe0b70082ffe256cd"),
+    ("hidden", "deaa71eda405b6dc246de082ae7aa7219873d7c5fd7d18b21569c083aa54ba29"),
+], ids=["input", "hidden"])
 def test_init_params_pinned_bytes(residual, digest):
     """The draw order (per-head blocks of wq, wk, wv, then wo, wres per
     layer, then final_proj) and the Xavier bounds, pinned bit for bit."""
-    dims = Dims(d=7, d_model=5, d_q=6, d_v=4, heads=2, layers=3, d_out=3,
+    dims = Dims(d=7, d_q=6, d_v=4, heads=2, layers=3, d_out=3,
                 residual=residual)
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
                     for _, a in init_params(dims, seed=11).tensors())
@@ -112,24 +111,23 @@ def test_init_params_pinned_bytes(residual, digest):
 # ---------------------------------------------------------------------------
 
 def test_single_node_layer_hand_eval():
-    dims = Dims(d=3, d_model=4, d_q=2, d_v=2, heads=1, layers=1, d_out=2)
+    dims = Dims(d=3, d_q=2, d_v=2, heads=1, layers=1, d_out=2)
     params = init_params(dims, seed=1)
     p = params.layers[0]
     x = np.array([[0.3, -1.2, 2.0]])
     mask = complete_mask(1)   # single node: attention over self only
-    out, tape = _layer(x, x, mask, p)
+    out, tape = _layer(x, x, mask, p, dims.heads)
     expected = (x @ p.wv) @ p.wo + x @ p.wres   # softmax over self is 1
     np.testing.assert_allclose(out, expected, atol=1e-14)
-    np.testing.assert_allclose(tape.k_full, x @ p.wk, atol=0)
-    np.testing.assert_array_equal(_layer(x, x, mask, p)[0], out)
+    np.testing.assert_allclose(tape.k.reshape(1, -1), x @ p.wk, atol=0)
+    np.testing.assert_array_equal(_layer(x, x, mask, p, dims.heads)[0], out)
 
 
 def _dense_rows(p, tape):
     """Per head, the row blocks of attention the dense backward rebuilds."""
-    inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // p.heads)
-    q, k = _by_head(p.heads, tape.q_full, tape.k_full)
+    inv_scale = 1.0 / np.sqrt(p.wq.shape[1] // tape.q.shape[1])
     for h, lse in enumerate(tape.alphas.T):
-        yield list(_dense_probs(q[:, h] * inv_scale, k[:, h], lse))
+        yield list(_dense_probs(tape.q[:, h] * inv_scale, tape.k[:, h], lse))
 
 
 @settings(max_examples=40)
@@ -142,13 +140,13 @@ def test_attention_rows_sum_to_one(n, p_edge, k, block_rows, scale, seed):
     x = g.features * scale
     p = init_params(DIMS, seed=seed).layers[0]
     mask = khop_mask(g, k)
-    _, tape = _layer(x, x, mask, p)
+    _, tape = _layer(x, x, mask, p, DIMS.heads)
     for alpha in tape.alphas.T:
         np.testing.assert_allclose(np.add.reduceat(alpha, mask.indptr[:-1]),
                                    1.0, atol=1e-9)
         assert alpha.min() >= 0
     with mock.patch.object(agcn.model, "DENSE_BLOCK_BYTES", 8 * n * block_rows):
-        _, tape = _layer(x, x, None, p)
+        _, tape = _layer(x, x, None, p, DIMS.heads)
         for blocks in _dense_rows(p, tape):
             assert sum(r.stop - r.start for r, _ in blocks) == n
             for _, attn in blocks:
@@ -162,8 +160,8 @@ def test_cached_projection_matches_naive_oracle(seed):
     mask = khop_mask(g, 2)
     params = init_params(DIMS, seed=seed)
     p = params.layers[0]
-    got = _layer(g.features, g.features, mask, p)[0]
-    expect = naive_layer_oracle(g.features, g.features, mask, p)
+    got = _layer(g.features, g.features, mask, p, DIMS.heads)[0]
+    expect = naive_layer_oracle(g.features, g.features, mask, p, DIMS.heads)
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
@@ -172,10 +170,10 @@ def test_layer_cache_shape_and_content():
     mask = khop_mask(g, 1)
     params = init_params(DIMS, seed=2)
     p = params.layers[0]
-    _, tape = _layer(g.features, g.features, mask, p)
-    assert tape.k_full.shape == (7, DIMS.d_q)
-    assert tape.v_full.shape == (7, DIMS.d_v)
-    np.testing.assert_allclose(tape.v_full, g.features @ p.wv, atol=0)
+    _, tape = _layer(g.features, g.features, mask, p, DIMS.heads)
+    assert tape.k.shape == (7, DIMS.heads, DIMS.d_q // DIMS.heads)
+    assert tape.v.shape == (7, DIMS.heads, DIMS.d_v // DIMS.heads)
+    np.testing.assert_allclose(tape.v.reshape(7, -1), g.features @ p.wv, atol=0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
@@ -186,7 +184,7 @@ def test_layer_numeric_error_names_layer_and_node():
     mask = khop_mask(g, 1)
     params = init_params(DIMS, seed=0)
     with pytest.raises(NumericError, match="layer 0"):
-        _layer(feats, feats, mask, params.layers[0])
+        _layer(feats, feats, mask, params.layers[0], DIMS.heads)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,7 @@ def test_locality_beyond_receptive_field_is_bitwise(maker, n, probe):
         from agcn.graph import build_graph
         g = build_graph(edges, np.random.default_rng(1).standard_normal((n, 3)))
     k, layers = 2, 2
-    dims = Dims(d=3, d_model=4, d_q=4, d_v=4, heads=2, layers=layers, d_out=3)
+    dims = Dims(d=3, d_q=4, d_v=4, heads=2, layers=layers, d_out=3)
     mask = khop_mask(g, k)
     params = init_params(dims, seed=9)
     h = forward(g, mask, params)
@@ -257,7 +255,7 @@ def test_locality_beyond_receptive_field_is_bitwise(maker, n, probe):
     assert len(far) > 0
     feats = g.features.copy()
     feats[far] += 100.0
-    g2 = type(g)(n_nodes=g.n_nodes, adj=g.adj, features=feats)
+    g2 = type(g)(adj=g.adj, features=feats)
     h2 = forward(g2, mask, params)
     assert (h2[probe] == h[probe]).all()   # bitwise equality inside the ball
 
@@ -271,15 +269,15 @@ def test_vanilla_equals_masked_with_complete_mask():
     params = init_params(DIMS, seed=10)
     p = params.layers[0]
     full = complete_mask(8)
-    a = _layer(g.features, g.features, full, p)[0]
-    b = _layer(g.features, g.features, None, p)[0]
+    a = _layer(g.features, g.features, full, p, DIMS.heads)[0]
+    b = _layer(g.features, g.features, None, p, DIMS.heads)[0]
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 @pytest.mark.parametrize("residual", ["input", "hidden"])
 def test_vanilla_backward_equals_masked_with_complete_mask(residual):
     g = random_graph(8, 0.4, seed=10)
-    dims = Dims(d=3, d_model=4, d_q=4, d_v=4, heads=2, layers=2, d_out=3,
+    dims = Dims(d=3, d_q=4, d_v=4, heads=2, layers=2, d_out=3,
                 residual=residual)
     params = init_params(dims, seed=10)
     full = complete_mask(8)
@@ -299,7 +297,7 @@ def test_dense_row_blocks_match_masked_complete(block_rows, monkeypatch):
     # 8 nodes in blocks of 1, of 3 (the last one ragged) and of all rows
     monkeypatch.setattr(agcn.model, "DENSE_BLOCK_BYTES", 8 * 8 * block_rows)
     g = random_graph(8, 0.4, seed=10)
-    dims = Dims(d=3, d_model=4, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
+    dims = Dims(d=3, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
     params = init_params(dims, seed=10)
     full = complete_mask(8)
     d_emb = np.random.default_rng(10).standard_normal((8, dims.d_out))
@@ -312,7 +310,7 @@ def test_dense_row_blocks_match_masked_complete(block_rows, monkeypatch):
     for (name, a), (_, b) in zip(runs["structure"][1].tensors(),
                                  runs["vanilla"][1].tensors()):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
-    _, tape = _layer(g.features, g.features, None, params.layers[0])
+    _, tape = _layer(g.features, g.features, None, params.layers[0], dims.heads)
     for blocks in _dense_rows(params.layers[0], tape):
         assert blocks[0][0] == slice(0, block_rows)
 
@@ -321,14 +319,14 @@ def test_dense_layer_memory_is_bounded_by_row_blocks():
     # taping one n x n attention matrix per head would alone take
     # heads * n^2 * 8 B = 32 MiB here; the row blocks need a few MiB
     n = 1024
-    dims = Dims(d=8, d_model=64, d_q=64, d_v=64, heads=4, layers=1, d_out=4)
+    dims = Dims(d=8, d_q=64, d_v=64, heads=4, layers=1, d_out=4)
     p = init_params(dims, seed=0).layers[0]
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, dims.d))
-    d_out = rng.standard_normal((n, dims.d_model))
+    d_out = rng.standard_normal((n, dims.d_v))
     tracemalloc.start()
     try:
-        _, tape = _layer(x, x, None, p)
+        _, tape = _layer(x, x, None, p, dims.heads)
         _layer_backward(tape, d_out, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -340,11 +338,11 @@ def test_backward_forms_no_gradient_at_the_raw_features():
     # the gradient at a 4096-wide input would take three n x d GEMMs of
     # 8 MiB each; the parameter gradients need about 1 MiB
     n, d = 256, 4096
-    dims = Dims(d=d, d_model=8, d_q=8, d_v=8, heads=2, layers=1, d_out=4)
+    dims = Dims(d=d, d_q=8, d_v=8, heads=2, layers=1, d_out=4)
     params = init_params(dims, seed=0)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, d))
-    self_only = KHopMask(n_nodes=n, indptr=np.arange(n + 1),
+    self_only = KHopMask(indptr=np.arange(n + 1),
                          indices=np.arange(n))
     _, h_last, tapes = _forward_tape(x, self_only, params)
     d_emb = rng.standard_normal((n, dims.d_out))
@@ -361,7 +359,7 @@ def test_vanilla_identical_rows_agree():
     params = init_params(DIMS, seed=1)
     row = np.array([0.5, -0.1, 1.0])
     x = np.vstack([row, row])
-    out = _layer(x, x, None, params.layers[0])[0]
+    out = _layer(x, x, None, params.layers[0], DIMS.heads)[0]
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
@@ -370,7 +368,7 @@ def test_vanilla_matches_dense_softmax_oracle():
     x = rng.standard_normal((5, 3))
     params = init_params(DIMS, seed=14)
     p = params.layers[0]
-    got = _layer(x, x, None, p)[0]
+    got = _layer(x, x, None, p, DIMS.heads)[0]
 
     dqh = DIMS.d_q // DIMS.heads
     dvh = DIMS.d_v // DIMS.heads
@@ -395,7 +393,7 @@ def test_score_evaluations_equal_mask_size():
     mask = khop_mask(g, 2)
     params = init_params(DIMS, seed=21)
     counter = EvalCounter()
-    forward(g, mask, params, counter=counter)
+    _forward_tape(g.features, mask, params, counter=counter)
     expected = int(mask.total_nnz)
     for layer in range(DIMS.layers):
         for head in range(DIMS.heads):
@@ -411,7 +409,7 @@ def test_vanilla_counts_all_pairs():
     mask = khop_mask(g, 1)
     params = init_params(DIMS, seed=22)
     counter = EvalCounter()
-    forward(g, mask, params, mode="vanilla", counter=counter)
+    _forward_tape(g.features, mask, params, mode="vanilla", counter=counter)
     assert counter.counts[(0, 0)] == 49
 
 
@@ -420,14 +418,23 @@ def test_vanilla_counts_all_pairs():
 # ---------------------------------------------------------------------------
 
 def test_params_roundtrip_bitwise(tmp_path):
-    params = init_params(DIMS, seed=33)
-    path = tmp_path / "params.bin"
-    save_params(params, path)
-    loaded = load_params(path)
-    assert loaded.dims == params.dims
-    for (na, ta), (nb, tb) in zip(params.tensors(), loaded.tensors()):
-        assert na == nb
-        np.testing.assert_array_equal(ta, tb)
+    g = random_graph(9, 0.4, seed=33)
+    mask = khop_mask(g, 2)
+    for residual in ("input", "hidden"):
+        params = init_params(dataclasses.replace(DIMS, residual=residual),
+                             seed=33)
+        path = tmp_path / f"{residual}.bin"
+        save_params(params, path)
+        loaded = load_params(path)
+        assert loaded.dims == params.dims
+        for (na, ta), (nb, tb) in zip(params.tensors(), loaded.tensors()):
+            assert na == nb
+            np.testing.assert_array_equal(ta, tb)
+        # the file holds the whole model, head split included: the loaded
+        # parameters embed the graph bit for bit as the saved ones do
+        for mode in ("structure", "vanilla"):
+            np.testing.assert_array_equal(forward(g, mask, loaded, mode=mode),
+                                          forward(g, mask, params, mode=mode))
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -451,7 +458,8 @@ def _with_header(blob: bytes, edit) -> bytes:
 
 @pytest.mark.parametrize("damage", ["short_length_field", "truncated_header",
                                     "header_without_dims", "indivisible_heads",
-                                    "truncated_tensor", "trailing_bytes"])
+                                    "dims_with_d_model", "truncated_tensor",
+                                    "trailing_bytes"])
 def test_load_rejects_damaged_params(tmp_path, damage):
     path = tmp_path / "params.bin"
     save_params(init_params(DIMS, seed=33), path)
@@ -463,6 +471,9 @@ def test_load_rejects_damaged_params(tmp_path, damage):
         # invalid dims: d_q=4 over 3 heads
         "indivisible_heads": _with_header(
             blob, lambda h: h["dims"].update(heads=3)),
+        # the layer width key of files written before d_v fixed it
+        "dims_with_d_model": _with_header(
+            blob, lambda h: h["dims"].update(d_model=DIMS.d_v)),
         "truncated_tensor": blob[:-8],
         "trailing_bytes": blob + b"\x00",
     }[damage]
@@ -499,13 +510,13 @@ _SPECIAL = np.array([0.0, -0.0, 5e-324, -1.5e308, np.pi, -1.0 / 3.0])
 
 
 @settings(max_examples=40)
-@given(d=st.integers(1, 6), d_model=st.integers(1, 6), dqh=st.integers(1, 3),
-       dvh=st.integers(1, 3), heads=st.integers(1, 3), layers=st.integers(1, 3),
+@given(d=st.integers(1, 6), dqh=st.integers(1, 3), dvh=st.integers(1, 3),
+       heads=st.integers(1, 3), layers=st.integers(1, 3),
        d_out=st.integers(1, 5), residual=st.sampled_from(["input", "hidden"]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_params_roundtrip_bitwise_property(d, d_model, dqh, dvh, heads, layers,
-                                           d_out, residual, seed):
-    dims = Dims(d=d, d_model=d_model, d_q=dqh * heads, d_v=dvh * heads,
+def test_params_roundtrip_bitwise_property(d, dqh, dvh, heads, layers, d_out,
+                                           residual, seed):
+    dims = Dims(d=d, d_q=dqh * heads, d_v=dvh * heads,
                 heads=heads, layers=layers, d_out=d_out, residual=residual)
     params = init_params(dims, seed % 1000)
     rng = np.random.default_rng(seed)

@@ -38,6 +38,11 @@ def test_removed_wrappers_are_not_public():
     # K-means keeps its stopping rule to itself
     assert not hasattr(agcn, "DegenerateLossError")
     assert "n_clusters" not in {f.name for f in dataclasses.fields(agcn.Graph)}
+    # each size is stated once: the node count by the arrays, the head count
+    # and the layer width (d_v) by Dims
+    for record, name in ((agcn.Graph, "n_nodes"), (agcn.KHopMask, "n_nodes"),
+                         (agcn.LayerParams, "heads"), (agcn.Dims, "d_model")):
+        assert name not in {f.name for f in dataclasses.fields(record)}, name
     probe = inspect.signature(agcn.grouping_probe).parameters
     assert not {"n_clusters", "tol", "max_iter"} & set(probe)
     kmeans = inspect.signature(agcn.kmeans).parameters

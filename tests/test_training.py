@@ -732,7 +732,7 @@ def _zeros_like(params):
 
 
 def test_adam_first_step_magnitude_close_to_lr():
-    params = init_params(Dims(d=2, d_model=2, d_q=2, d_v=2, heads=1,
+    params = init_params(Dims(d=2, d_q=2, d_v=2, heads=1,
                               layers=1, d_out=2), seed=0)
     grads = _zeros_like(params)
     grads.layers[0].wq[:] = 3.0
@@ -743,7 +743,7 @@ def test_adam_first_step_magnitude_close_to_lr():
 
 
 def test_adam_zero_gradient_keeps_params():
-    params = init_params(Dims(d=2, d_model=2, d_q=2, d_v=2, heads=1,
+    params = init_params(Dims(d=2, d_q=2, d_v=2, heads=1,
                               layers=1, d_out=2), seed=1)
     state = init_adam_state(params)
     new, _ = adam_step(params, _zeros_like(params), state, lr=0.5)
@@ -766,7 +766,7 @@ def test_adam_three_steps_match_scalar_simulation():
         trace.append(x)
 
     # a one-unit model: every tensor 1x1 at 2.0, each following the scalar
-    dims = Dims(d=1, d_model=1, d_q=1, d_v=1, heads=1, layers=1, d_out=1)
+    dims = Dims(d=1, d_q=1, d_v=1, heads=1, layers=1, d_out=1)
     params = ModelParams.from_tensors(dims, [np.full((1, 1), 2.0)] * 6)
     state = init_adam_state(params)
     got = []
@@ -918,6 +918,32 @@ def test_train_with_neighbor_cap_runs_and_is_deterministic():
     assert np.isfinite(h1[:, 1:]).all()
     for (_, a), (_, b) in zip(p1.tensors(), p2.tensors()):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("field, value, wanted", [
+    ("k", 2.5, "an integer"),
+    ("epochs", 2.0, "an integer"),
+    ("heads", 1.0, "an integer"),
+    ("pair_cap", 2.5, "an integer"),
+    ("seed", True, "an integer"),
+    ("use_neg", "no", "a bool"),
+    ("use_neg", 1, "a bool"),
+    ("max_neighbors", 2.5, "an integer or None"),
+    ("lam", True, "a real number"),
+    ("gamma", "1e-4", "a real number"),
+    ("mode", 1, "a string"),
+])
+def test_config_rejects_value_of_wrong_type(field, value, wanted):
+    # the type is checked before any bound, so no comparison raises a
+    # TypeError and no truthy string turns the hinge on
+    with pytest.raises(ConfigError, match=f"^{field} must be {wanted}, not "):
+        TrainingConfig(**{field: value})
+
+
+def test_config_takes_numpy_numbers():
+    cfg = TrainingConfig(k=np.int64(2), epochs=np.int32(3), lam=np.float32(0.5),
+                         gamma=1, max_neighbors=np.uint8(4))
+    assert (cfg.k, cfg.epochs, cfg.max_neighbors) == (2, 3, 4)
 
 
 def test_train_rejects_bad_config():
