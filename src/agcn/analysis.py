@@ -9,6 +9,7 @@ import numpy as np
 from .clustering import kmeans, label_mapping
 from .errors import ConfigError
 from .graph import Graph, normalized_adjacency
+from .model import _row_blocks
 
 __all__ = [
     "GroupingProbeResult",
@@ -100,12 +101,27 @@ class RRatioReport:
         }
 
 
-def _pair_dist_stats(dist, members):
-    """(sum, count) of pairwise distances among ``members`` (i < j). The
-    distances are symmetric with a zero diagonal, so the sum is half the
-    block's total."""
-    m = len(members)
-    return float(dist[np.ix_(members, members)].sum()) / 2, m * (m - 1) // 2
+def _pair_dist_sums(power, groups):
+    """Sums of the row distances |p_i - p_j| of the 0/1 matrix ``power``
+    over all pairs i < j and over the pairs inside each of ``groups``
+    (arrays of node ids). The distances are formed inside the Gram matrix,
+    |p_i - p_j|^2 = |p_i|^2 + |p_j|^2 - 2 p_i . p_j, one row block at a
+    time; they are symmetric with a zero diagonal, so each sum is half the
+    total of its rows, which adds up over the blocks."""
+    sq = (power * power).sum(axis=1)
+    power_t = power.T.tocsr()
+    all_sum, sub_sums = 0.0, np.zeros(len(groups))
+    for r in _row_blocks(power.shape[0]):
+        dist = (power[r] @ power_t).toarray()
+        dist *= -2.0
+        dist += sq[r, None]
+        dist += sq[None, :]
+        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+        all_sum += float(dist.sum())
+        for i, members in enumerate(groups):
+            rows = members[(members >= r.start) & (members < r.stop)]
+            sub_sums[i] += dist[np.ix_(rows - r.start, members)].sum()
+    return all_sum / 2, (sub_sums / 2).tolist()
 
 
 def r_ratio(g: Graph, pred, truth, k_range) -> RRatioReport:
@@ -123,8 +139,10 @@ def r_ratio(g: Graph, pred, truth, k_range) -> RRatioReport:
     wrong = mapping[pred] != truth
     clusters = np.unique(truth)
     misclustered = {int(t): np.flatnonzero(wrong & (truth == t)) for t in clusters}
+    groups = list(misclustered.values())
 
     n = g.n_nodes
+    all_pairs = n * (n - 1) // 2
     entries = []
     power = g.adj
     for k in range(1, max(k_range) + 1):
@@ -133,23 +151,14 @@ def r_ratio(g: Graph, pred, truth, k_range) -> RRatioReport:
             power.data[:] = 1.0
         if k not in k_range:
             continue
-        # row distances of the 0/1 power, formed inside its Gram matrix:
-        # |p_i - p_j|^2 = |p_i|^2 + |p_j|^2 - 2 p_i . p_j
-        dist = (power @ power.T).toarray()
-        sq = dist.diagonal().copy()
-        dist *= -2.0
-        dist += sq[:, None]
-        dist += sq[None, :]
-        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-        all_sum, all_pairs = float(dist.sum()) / 2, n * (n - 1) // 2
-        for t in clusters:
-            members = misclustered[int(t)]
+        all_sum, sub_sums = _pair_dist_sums(power, groups)
+        for t, members, sub_sum in zip(clusters, groups, sub_sums):
             if len(members) < 2:
                 entries.append(RRatioEntry(
                     cluster=int(t), k=k, pair_mean=None, literal=None,
                     notice="fewer than two misclustered nodes"))
                 continue
-            sub_sum, sub_pairs = _pair_dist_stats(dist, members)
+            sub_pairs = len(members) * (len(members) - 1) // 2
             if all_sum == 0.0 or sub_sum == 0.0:
                 entries.append(RRatioEntry(
                     cluster=int(t), k=k, pair_mean=None, literal=None,

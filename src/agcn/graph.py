@@ -99,14 +99,11 @@ def build_graph(edges: np.ndarray, features: np.ndarray,
     if features.ndim == 1:
         features = features[:, None]
     n = features.shape[0]
-    try:
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    except OverflowError as exc:
-        raise ParseError(f"edge endpoint beyond int64, outside [0, {n})") \
-            from exc
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        bad = int(edges.max()) if edges.max() >= n else int(edges.min())
-        raise ParseError(f"edge endpoint {bad} outside [0, {n})")
+    edges, bad, whole = _node_ids(edges, n)
+    if bad is not None:
+        raise ParseError(f"edge endpoint {bad} outside [0, {n})" if whole
+                         else f"non-integer edge endpoint {bad}")
+    edges = edges.reshape(-1, 2)
     keep = edges[:, 0] != edges[:, 1]
     edges = edges[keep]
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -117,12 +114,33 @@ def build_graph(edges: np.ndarray, features: np.ndarray,
     adj.sort_indices()
     lab = None
     if labels is not None:
-        try:
-            lab = np.asarray(labels, dtype=np.int64)
-        except OverflowError as exc:
-            raise ConfigError(f"labels must lie in [0, {n}), the node "
-                              f"count") from exc
+        lab, bad, whole = _node_ids(labels, n)
+        if bad is not None:
+            raise ConfigError(f"labels must lie in [0, {n}), the node count, "
+                              f"not {bad}" if whole
+                              else f"non-integer label {bad}")
     return Graph(adj=adj, features=features, labels=lab)
+
+
+def _node_ids(values, n: int):
+    """``(ids, bad, whole)``: ``values`` as an int64 array and ``None``, or
+    ``None`` and the first value that is not an integer in [0, n), with
+    whether it is a whole number at all (a fraction, NaN and infinity are
+    not). Values are checked before the cast, so none is truncated."""
+    values = np.asarray(values)
+    flat = values.ravel()
+    if values.dtype.kind in "biu":
+        num, is_whole = flat, np.ones(flat.shape, dtype=bool)
+    else:
+        num = flat.astype(np.float64)
+        is_whole = np.isfinite(num) & (num == np.round(num))
+    ok = is_whole & (num >= 0) & (num < n)
+    if ok.all():
+        return values.astype(np.int64), None, True
+    first = int(np.argmin(ok))
+    if is_whole[first]:
+        return None, int(flat[first]), True
+    return None, flat[first], False
 
 
 def load_graph(edge_path, feature_path, label_path=None) -> Graph:

@@ -205,8 +205,10 @@ def _masked_layer_backward(q, k, v, alpha, d_ctx, mask: KHopMask, inv_scale):
 DENSE_BLOCK_BYTES = 1 << 20
 
 
-def _row_blocks(n):
-    step = max(1, DENSE_BLOCK_BYTES // (8 * n))
+def _row_blocks(n, min_rows=1):
+    """Slices of DENSE_BLOCK_BYTES // (8 n) rows, but at least ``min_rows``,
+    covering ``range(n)``."""
+    step = max(min_rows, DENSE_BLOCK_BYTES // (8 * n))
     for r0 in range(0, n, step):
         yield slice(r0, min(r0 + step, n))
 

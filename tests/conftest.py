@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 from hypothesis import settings
+from scipy import sparse
 
 from agcn.errors import ConfigError
 from agcn.graph import KHopMask, build_graph
@@ -123,6 +124,29 @@ def assign_oracle(points, centers):
     broadcast of every point-center difference."""
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1), d2
+
+
+def loss_pos_oracle(u, weights):
+    """The weighted-positive value and its gradient with respect to the unit
+    rows ``u`` from one dense n x n array: exp(u u^T), turned into G, the
+    gradient with respect to the similarities, in place."""
+    n = u.shape[0]
+    expo = u @ u.T
+    np.exp(expo, out=expo)
+    np.fill_diagonal(expo, 0.0)
+    den = expo.sum(axis=1)
+
+    coo = sparse.coo_array(weights)
+    e_at = expo[coo.row, coo.col]
+    num = np.bincount(coo.row, weights=coo.data * e_at, minlength=n)
+    contrib = num > 0
+    n_contrib = int(contrib.sum())
+    value = float(np.mean(np.log(den[contrib]) - np.log(num[contrib])))
+
+    expo /= (n_contrib * den)[:, None]
+    expo[~contrib] = 0.0
+    expo[coo.row, coo.col] -= coo.data * e_at / (n_contrib * num[coo.row])
+    return value, expo @ u + expo.T @ u
 
 
 def reanchor(batch, u):

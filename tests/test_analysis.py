@@ -8,6 +8,7 @@ from agcn.clustering import label_mapping
 from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError
 from agcn.graph import build_graph, normalized_adjacency
+from agcn.model import DENSE_BLOCK_BYTES
 
 from conftest import random_graph
 
@@ -120,14 +121,14 @@ def test_r_ratio_matches_exhaustive_pair_loop():
             assert entry.literal == pytest.approx(want[1], rel=1e-9)
 
 
-def test_r_ratio_distances_are_one_dense_array():
-    # at k=1 the Gram matrix of the adjacency is sparse, so the distances,
-    # formed in place inside its dense copy, are the one n x n array; a
-    # separate squared-distance matrix, or a copy of the distances for the
-    # population's pairs, busts the budget
-    n = 512
-    g = gen_sbm(SBMSpec(block_sizes=(n // 2, n // 2), p_in=0.03, p_out=0.005,
-                        feature_dim=4, seed=0))
+def test_r_ratio_distances_stay_within_row_blocks():
+    # at k=1 the Gram matrix of the adjacency is sparse, so the distances
+    # are one dense row block at a time, beside its sparse product: the
+    # budget is a few blocks, where one n x n array would take 8 n^2 = 32 MiB
+    n = 2048
+    half = n // 2
+    g = gen_sbm(SBMSpec(block_sizes=(half, half), p_in=6.4 / (half - 1),
+                        p_out=1.6 / half, feature_dim=4, seed=0))
     pred = np.random.default_rng(0).integers(0, 2, n)
     tracemalloc.start()
     try:
@@ -135,7 +136,7 @@ def test_r_ratio_distances_are_one_dense_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * n * n, peak
+    assert peak < 3 * DENSE_BLOCK_BYTES, peak
 
 
 def test_r_ratio_equal_distances_give_one_and_degenerate_power_is_omitted():

@@ -79,6 +79,25 @@ def test_build_graph_rejects_endpoint_out_of_range(edges):
         build_graph(edges, np.ones((3, 1)))
 
 
+# a fraction, NaN or infinity is named, not truncated or cast on
+@pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, -0.5])
+def test_build_graph_rejects_non_integer_endpoint(bad):
+    with pytest.raises(ParseError, match=f"non-integer edge endpoint {bad}"):
+        build_graph([[0, 1], [2, bad]], np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("bad", [1.7, math.nan, -math.inf])
+def test_build_graph_rejects_non_integer_label(bad):
+    with pytest.raises(ConfigError, match=f"non-integer label {bad}"):
+        build_graph([[0, 1]], np.zeros((3, 1)), [0, bad, 2])
+
+
+def test_build_graph_takes_whole_floats_as_ids():
+    g = build_graph(np.array([[0.0, 2.0]]), np.zeros((3, 1)), [0.0, 1.0, 1.0])
+    assert g.adj.toarray()[0].tolist() == [0.0, 0.0, 1.0]
+    assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1, 1]
+
+
 @pytest.mark.parametrize("rows,line", [
     ("0,0\n1,nan\n2,2\n", 2),
     ("# x,y\n0,0\n\n1,1\ninf,2\n", 5),

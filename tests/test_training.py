@@ -1,12 +1,15 @@
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+import agcn.model
 import agcn.training
 from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError, NumericError
@@ -17,8 +20,9 @@ from agcn.training import (TrainingConfig, adam_step, init_adam_state,
                            _decode_pairs, _pair_batch, _sort_within_lists,
                            _unit_rows, _unit_rows_backward)
 
-from conftest import (complete_mask, cosine_sim, grads_from_tape, neighbors,
-                      pair_sims_oracle, random_graph, reanchor)
+from conftest import (complete_mask, cosine_sim, grads_from_tape,
+                      loss_pos_oracle, neighbors, pair_sims_oracle,
+                      random_graph, reanchor)
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +120,97 @@ def test_loss_pos_nonnegative_for_power_weights():
             assert _pos(h, w) >= -1e-12
 
 
+def _sbm_of_degree(n, degree=8, seed=0):
+    """Two equal blocks, ~80% of a node's ``degree`` edges inside its own:
+    the k-hop lists keep their length as n grows."""
+    half = n // 2
+    return gen_sbm(SBMSpec(block_sizes=(half, half),
+                           p_in=0.8 * degree / (half - 1),
+                           p_out=0.2 * degree / half, feature_dim=4, seed=seed))
+
+
 def test_loss_pos_gradient_peak_memory():
-    # exp(u u^T), turned into G in place, is the one n x n array it needs;
-    # forming G + G^T, a dense n x n denominator or a similarity copy next
-    # to it busts the budget
-    n = 512
-    g = gen_sbm(SBMSpec(block_sizes=(n // 2, n // 2), p_in=0.03, p_out=0.005,
-                        feature_dim=4, seed=0))
-    w = khop_weights(g, 2)
-    u, _ = _unit_rows(np.random.default_rng(0).standard_normal((n, 16)))
+    # exp(u u^T) is formed one row block at a time: 128 rows of n floats
+    # here (the floor binds), with the gradient and a few other (n, d)
+    # arrays beside it; one n x n array alone would take 8 n^2 = 32 MiB
+    n, d = 2048, 16
+    w = khop_weights(_sbm_of_degree(n), 2)
+    u, _ = _unit_rows(np.random.default_rng(0).standard_normal((n, d)))
     tracemalloc.start()
     try:
         _loss_pos_impl(u, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * n * n, peak
+    assert peak < 8 * n * 128 + 4 * 8 * n * d, peak
+
+
+def test_train_epoch_forms_no_n_by_n_array():
+    # a structure-mode epoch holds the masks, the tapes and one row block of
+    # the positive loss; an n x n array alone would take 8 n^2 bytes
+    n = 2048
+    g = _sbm_of_degree(n)
+    cfg = TrainingConfig(epochs=1, layers=1, heads=1, d_q=4, d_v=4, d_out=4,
+                         pair_cap=8)
+    tracemalloc.start()
+    try:
+        train(g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n, peak
+
+
+@contextlib.contextmanager
+def _pos_blocks(rows):
+    """The positive loss in blocks of ``rows`` rows, the last one ragged:
+    the byte budget is below one row, so the floor sets the block, which is
+    the loss's own floor when ``rows`` is None."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(agcn.model,
+                                              "DENSE_BLOCK_BYTES", 8))
+        if rows is not None:
+            stack.enter_context(mock.patch.object(
+                agcn.training, "_row_blocks",
+                lambda n, min_rows: agcn.model._row_blocks(n, rows)))
+        yield
+
+
+@settings(max_examples=60)
+@given(n=st.one_of(st.integers(2, 20), st.sampled_from([127, 128, 129, 300])),
+       rows=st.one_of(st.none(), st.integers(1, 7)),
+       degree=st.floats(0.5, 6.0), k=st.integers(1, 3),
+       binary=st.booleans(), n_zero=st.integers(0, 3),
+       n_unweighted=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+@example(n=127, rows=None, degree=4.0, k=2, binary=False, n_zero=1,
+         n_unweighted=2, seed=1)
+@example(n=128, rows=None, degree=4.0, k=2, binary=False, n_zero=1,
+         n_unweighted=2, seed=2)
+@example(n=300, rows=None, degree=4.0, k=2, binary=True, n_zero=1,
+         n_unweighted=2, seed=3)
+@example(n=9, rows=1, degree=3.0, k=2, binary=False, n_zero=1,
+         n_unweighted=1, seed=4)
+def test_blocked_loss_pos_matches_dense_oracle(n, rows, degree, k, binary,
+                                               n_zero, n_unweighted, seed):
+    # with the real floor (rows None), n=127 is below one block, 128 is one
+    # block and 129 and 300 are not multiples of it; small n cover blocks of
+    # one to seven rows. Some rows of u are zero, some rows store no weight
+    g = random_graph(n, min(1.0, degree / n), seed=seed, d=3)
+    w = g.adj if binary else khop_weights(g, k)
+    w = sparse.csr_array(w * (np.arange(n) >= n_unweighted)[:, None])
+    w.eliminate_zeros()
+    assume(w.nnz > 0)
+    h = np.random.default_rng(seed).standard_normal((n, 5))
+    h[:n_zero] = 0.0
+    u = _unit_rows(h)[0]
+    want_value, want_grad = loss_pos_oracle(u, w)
+    with _pos_blocks(rows):
+        value, grad = _loss_pos_impl(u, w)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-15)
+    # an entry sums terms of order 1/n, which can cancel to a gradient of
+    # ~1e-17 (a complete graph with equal weights): rounding is relative to
+    # the terms, not to their sum
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 / n)
 
 
 # ---------------------------------------------------------------------------
