@@ -43,49 +43,78 @@ def _kmeans_pp_init(points, n_clusters, rng, sq_norms):
 
 
 def _assign(points, centers, sq_norms):
-    """Nearest-center labels and the (n, C) squared distances
-    ``||x||^2 - 2 x.c + ||c||^2`` from one GEMM, clamped at 0."""
-    # -2 is folded into a contiguous (d, C) right operand: with C small,
-    # OpenBLAS multiplies it ~2.5x faster than the transposed view (one
-    # thread on a Xeon core, n=1400, d=100, C=7)
-    d2 = points @ np.ascontiguousarray(-2.0 * centers.T)
-    d2 += sq_norms[:, None]
-    d2 += _sq_norms(centers)
-    np.maximum(d2, 0.0, out=d2)
-    return d2.argmin(axis=1), d2
+    """Nearest-center labels and squared distances for R sets of C centers.
+
+    ``centers`` is (R, C, d). The distances ``||x||^2 - 2 x.c + ||c||^2``
+    of every point to every center come from one (R*C, d) @ (d, n) GEMM
+    and are read as if clamped at 0: each point takes the first of a set's
+    C centers whose clamped distance is the minimum, as ``argmin`` does.
+    Returns the (R, n) labels and the (R, n) clamped distances to them."""
+    n_sets, n_clusters, dim = centers.shape
+    flat = centers.reshape(-1, dim)
+    d2 = (-2.0 * flat) @ points.T
+    d2 += sq_norms
+    d2 += _sq_norms(flat)[:, None]
+    d2 = d2.reshape(n_sets, n_clusters, -1)
+    mins = np.maximum(d2.min(axis=1), 0.0)
+    # a distance clamps to the clamped minimum iff it is <= it; going down
+    # from the last center leaves the first such one
+    labels = np.zeros(mins.shape, dtype=np.intp)
+    for c in range(n_clusters - 1, -1, -1):
+        np.putmask(labels, d2[:, c] <= mins, c)
+    return labels, mins
 
 
 def _lloyd(points, centers, tol, max_iter, sq_norms):
-    """Lloyd iterations with farthest-point repair for empty clusters.
+    """Lloyd iterations for R restarts in lockstep, with farthest-point
+    repair for empty clusters; ``centers`` (R, C, d) moves in place.
 
-    Returns (labels, inertia, inertia_trace)."""
-    n, n_clusters = points.shape[0], centers.shape[0]
-    rows = np.arange(n)
-    prev_inertia = np.inf
+    Each step assigns every live restart with one ``_assign`` call and
+    moves all their centers with one one-hot product. A restart leaves
+    once its inertia drops by <= ``tol``, or once its labels equal its
+    previous step's: its centers are then already the means of those
+    labels, so one more step would return the same labels and inertia.
+
+    Returns (labels (R, n), inertias (R,), trace), where trace holds every
+    restart's inertia after each step."""
+    n_restarts, n_clusters, dim = centers.shape
+    n = points.shape[0]
+    labels = np.full((n_restarts, n), -1, dtype=np.intp)
+    inertia = np.full(n_restarts, np.inf)
+    live = np.arange(n_restarts)
+    cols = np.arange(n)
     trace = []
-    labels = None
     for _ in range(max_iter):
-        labels, d2 = _assign(points, centers, sq_norms)
-        sizes = np.bincount(labels, minlength=n_clusters)
+        step, mins = _assign(points, centers[live], sq_norms)
+        offsets = n_clusters * np.arange(len(live))[:, None]
+        sizes = np.bincount((step + offsets).ravel(),
+                            minlength=len(live) * n_clusters)
+        sizes = sizes.reshape(len(live), n_clusters)
         # repair empty clusters with the point farthest from its center
-        for c in np.flatnonzero(sizes == 0):
+        for j, c in zip(*np.nonzero(sizes == 0)):
             # n >= n_clusters, so while c is empty some cluster holds two
-            far = int(np.where(sizes[labels] > 1, d2[rows, labels], -np.inf).argmax())
-            sizes[labels[far]] -= 1
-            sizes[c] += 1
-            labels[far] = c
-            centers[c] = points[far]
-            d2[:, c] = ((points - centers[c]) ** 2).sum(axis=1)
-        inertia = float(d2[rows, labels].sum())
-        trace.append(inertia)
-        onehot = np.zeros((n_clusters, n))
-        onehot[labels, rows] = 1.0
+            far = int(np.where(sizes[j, step[j]] > 1, mins[j], -np.inf).argmax())
+            sizes[j, step[j, far]] -= 1
+            sizes[j, c] += 1
+            step[j, far] = c
+            mins[j, far] = 0.0      # the point becomes c's center
+        step_inertia = mins.sum(axis=1)
+        onehot = np.zeros((len(live) * n_clusters, n))
+        onehot[step + offsets, cols] = 1.0
+        sizes = sizes.ravel()
         filled = sizes > 0
-        centers[filled] = (onehot @ points)[filled] / sizes[filled, None]
-        if prev_inertia - inertia <= tol:
+        moved = centers[live].reshape(-1, dim)
+        moved[filled] = (onehot @ points)[filled] / sizes[filled, None]
+        centers[live] = moved.reshape(-1, n_clusters, dim)
+        done = ((inertia[live] - step_inertia <= tol)
+                | (step == labels[live]).all(axis=1))
+        labels[live] = step
+        inertia[live] = step_inertia
+        trace.append(inertia.copy())
+        live = live[~done]
+        if not len(live):
             break
-        prev_inertia = inertia
-    return labels, trace[-1], trace
+    return labels, inertia, trace
 
 
 # Lloyd stops at an inertia drop <= LLOYD_TOL or after LLOYD_MAX_ITER steps
@@ -100,7 +129,10 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int,
 
 
 def _kmeans_with_inertia(points, n_clusters, seed, restarts):
-    """(labels, inertia) of the lowest-inertia restart."""
+    """(labels, inertia) of the lowest-inertia restart, the first on ties.
+
+    All k-means++ inits are drawn before Lloyd runs; Lloyd draws nothing,
+    so each restart sees the random stream it would see alone."""
     if restarts < 1:
         raise ConfigError(f"restarts={restarts} must be >= 1")
     if seed < 0:
@@ -111,14 +143,12 @@ def _kmeans_with_inertia(points, n_clusters, seed, restarts):
                           f"{points.shape[0]}], the number of points")
     sq_norms = _sq_norms(points)
     rng = np.random.default_rng(seed)
-    best = (None, np.inf)
-    for _ in range(restarts):
-        centers = _kmeans_pp_init(points, n_clusters, rng, sq_norms)
-        labels, inertia, _ = _lloyd(points, centers, LLOYD_TOL, LLOYD_MAX_ITER,
-                                    sq_norms)
-        if inertia < best[1]:
-            best = (labels, inertia)
-    return best
+    centers = np.stack([_kmeans_pp_init(points, n_clusters, rng, sq_norms)
+                        for _ in range(restarts)])
+    labels, inertia, _ = _lloyd(points, centers, LLOYD_TOL, LLOYD_MAX_ITER,
+                                sq_norms)
+    best = int(inertia.argmin())
+    return labels[best].copy(), float(inertia[best])
 
 
 def _as_labels(pred, truth):

@@ -403,20 +403,29 @@ def shortest_path_histogram(g: Graph) -> dict:
     """Tally shortest-path distance for every unordered same-label node pair.
 
     Unreachable pairs land in the ``math.inf`` bucket. Keys are ints (plus
-    possibly ``math.inf``), inserted in ascending order.
+    possibly ``math.inf``), inserted in ascending order. Distances are
+    computed for a block of a cluster's members at a time, within the dense
+    kernel's byte budget, and counted as they come.
     """
+    from .model import DENSE_BLOCK_BYTES    # model imports this module
     if g.labels is None:
         raise ConfigError("shortest_path_histogram requires node labels")
-    dists = [np.empty(0)]
+    n = g.n_nodes
+    step = max(1, DENSE_BLOCK_BYTES // (8 * n))
+    counts = np.zeros(n, dtype=np.int64)    # a finite distance is < n
+    unreachable = 0
     for lab in np.unique(g.labels):
         members = np.flatnonzero(g.labels == lab)
-        if len(members) < 2:
-            continue
-        dist = _sp_shortest_path(g.adj, method="D", unweighted=True,
-                                 directed=False, indices=members)
-        iu, ju = np.triu_indices(len(members), k=1)
-        dists.append(dist[:, members][iu, ju])
-    # np.unique sorts ascending, so an infinite distance comes last
-    keys, counts = np.unique(np.concatenate(dists), return_counts=True)
-    return {(math.inf if math.isinf(k) else int(k)): int(c)
-            for k, c in zip(keys, counts)}
+        for r0 in range(0, len(members) - 1, step):
+            rows = np.arange(r0, min(r0 + step, len(members)))
+            dist = _sp_shortest_path(g.adj, method="D", unweighted=True,
+                                     directed=False, indices=members[rows])
+            # each pair once, from its member of lower rank
+            dist = dist[:, members][np.arange(len(members)) > rows[:, None]]
+            finite = np.isfinite(dist)
+            counts += np.bincount(dist[finite].astype(np.int64), minlength=n)
+            unreachable += int(dist.size - finite.sum())
+    hist = {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
+    if unreachable:
+        hist[math.inf] = unreachable
+    return hist

@@ -395,6 +395,8 @@ def train(g: Graph, cfg: TrainingConfig):
             raise NumericError(f"epoch {epoch}: {exc}") from exc
         history[epoch] = (l_pos, l_neg, l_total)
         params, state = adam_step(params, grads, state, cfg.lr)
+        # the next epoch's forward pass and pairs need none of these
+        del emb, h_last, tapes, u, norms, batch, d_emb, grads
     return params, history
 
 

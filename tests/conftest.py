@@ -1,11 +1,14 @@
 """Shared test helpers: tiny graph builders and independent oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 from hypothesis import settings
 from scipy import sparse
+from scipy.sparse.csgraph import shortest_path
 
+from agcn import clustering
 from agcn.errors import ConfigError
 from agcn.graph import KHopMask, build_graph
 from agcn.model import _model_backward
@@ -96,6 +99,23 @@ def bfs_distances(adj_dense, source, cutoff=None):
     return dist
 
 
+def shortest_path_histogram_oracle(g):
+    """``shortest_path_histogram`` from one |members| x n distance block per
+    cluster and one ``np.unique`` over every pair's distance."""
+    dists = [np.empty(0)]
+    for lab in np.unique(g.labels):
+        members = np.flatnonzero(g.labels == lab)
+        if len(members) < 2:
+            continue
+        dist = shortest_path(g.adj, method="D", unweighted=True,
+                             directed=False, indices=members)
+        iu, ju = np.triu_indices(len(members), k=1)
+        dists.append(dist[:, members][iu, ju])
+    keys, counts = np.unique(np.concatenate(dists), return_counts=True)
+    return {(math.inf if math.isinf(k) else int(k)): int(c)
+            for k, c in zip(keys, counts)}
+
+
 def cosine_sim(u, v) -> float:
     """Cosine similarity with a small additive guard; zero vectors give 0."""
     u = np.asarray(u, dtype=np.float64).ravel()
@@ -124,6 +144,71 @@ def assign_oracle(points, centers):
     broadcast of every point-center difference."""
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1), d2
+
+
+def lloyd_oracle(points, centers, tol, max_iter):
+    """One restart's Lloyd iterations with farthest-point repair for empty
+    clusters; ``centers`` moves in place. Stops only at an inertia drop
+    <= ``tol`` or after ``max_iter`` steps.
+
+    Each step assigns with ``_assign`` on this one center set, whose
+    arithmetic ``test_clustering`` checks against ``assign_oracle``, and
+    reads the distances of the whole (n, C) table from it. Returns
+    (labels, inertia, inertia_trace)."""
+    n, n_clusters = points.shape[0], centers.shape[0]
+    sq_norms = clustering._sq_norms(points)
+    rows = np.arange(n)
+    prev_inertia = np.inf
+    trace = []
+    labels = None
+    for _ in range(max_iter):
+        labels = clustering._assign(points, centers[None], sq_norms)[0][0]
+        d2 = clustering._assign(points, centers[:, None], sq_norms)[1].T
+        sizes = np.bincount(labels, minlength=n_clusters)
+        for c in np.flatnonzero(sizes == 0):
+            far = int(np.where(sizes[labels] > 1, d2[rows, labels],
+                               -np.inf).argmax())
+            sizes[labels[far]] -= 1
+            sizes[c] += 1
+            labels[far] = c
+            centers[c] = points[far]
+            d2[:, c] = ((points - centers[c]) ** 2).sum(axis=1)
+        inertia = float(d2[rows, labels].sum())
+        trace.append(inertia)
+        onehot = np.zeros((n_clusters, n))
+        onehot[labels, rows] = 1.0
+        filled = sizes > 0
+        centers[filled] = (onehot @ points)[filled] / sizes[filled, None]
+        if prev_inertia - inertia <= tol:
+            break
+        prev_inertia = inertia
+    return labels, trace[-1], trace
+
+
+def oracle_restarts(points, n_clusters, seed, restarts):
+    """(labels, inertia) of every restart, one at a time: each k-means++
+    init is drawn just before its ``lloyd_oracle`` run."""
+    points = np.asarray(points, dtype=np.float64)
+    sq_norms = clustering._sq_norms(points)
+    rng = np.random.default_rng(seed)
+    runs = []
+    for _ in range(restarts):
+        centers = clustering._kmeans_pp_init(points, n_clusters, rng, sq_norms)
+        labels, inertia, _ = lloyd_oracle(points, centers,
+                                          clustering.LLOYD_TOL,
+                                          clustering.LLOYD_MAX_ITER)
+        runs.append((labels, inertia))
+    return runs
+
+
+def kmeans_oracle(points, n_clusters, seed, restarts):
+    """``_kmeans_with_inertia`` one restart at a time: a restart replaces
+    the best only at a strictly lower inertia."""
+    best = (None, np.inf)
+    for labels, inertia in oracle_restarts(points, n_clusters, seed, restarts):
+        if inertia < best[1]:
+            best = (labels, inertia)
+    return best
 
 
 def loss_pos_oracle(u, weights):

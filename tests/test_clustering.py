@@ -14,7 +14,8 @@ from agcn.graph import khop_mask
 from agcn.model import forward
 from agcn.training import TrainingConfig, train
 
-from conftest import assign_oracle
+from conftest import (assign_oracle, kmeans_oracle, lloyd_oracle,
+                      oracle_restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -70,29 +71,41 @@ def test_kmeans_rejects_too_many_clusters():
         kmeans(np.zeros((3, 2)), 4, seed=0)
 
 
+def _inits(points, n_clusters, restarts, rng):
+    """``restarts`` k-means++ inits stacked as one (R, C, d) array."""
+    sq_norms = _sq_norms(points)
+    return np.stack([_kmeans_pp_init(points, n_clusters, rng, sq_norms)
+                     for _ in range(restarts)])
+
+
 def test_lloyd_inertia_nonincreasing():
     rng = np.random.default_rng(8)
     pts = rng.standard_normal((40, 3))
-    centers = _kmeans_pp_init(pts, 4, rng, _sq_norms(pts))
+    centers = _inits(pts, 4, 3, rng)
     _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50,
                          sq_norms=_sq_norms(pts))
-    diffs = np.diff(np.asarray(trace))
+    diffs = np.diff(np.asarray(trace), axis=0)
     assert (diffs <= 1e-9).all()
 
 
 def test_lloyd_repairs_empty_clusters():
     pts = np.zeros((5, 2))
     pts[4] = [10.0, 0.0]
-    centers = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    centers = np.zeros((2, 3, 2))
+    centers[1, 0] = [10.0, 0.0]
     labels, _, _ = _lloyd(pts, centers, tol=1e-6, max_iter=10,
                           sq_norms=_sq_norms(pts))
-    assert len(np.unique(labels)) == 3
+    for row in labels:
+        assert len(np.unique(row)) == 3
 
 
 def _checked_assign(points, centers):
     """Run ``_assign`` and the broadcast oracle; check the distances agree
     to 1e-9 (||x||^2 + ||c||^2) and are never negative."""
-    labels, d2 = _assign(points, centers, _sq_norms(points))
+    sq_norms = _sq_norms(points)
+    labels = _assign(points, centers[None], sq_norms)[0][0]
+    # each center as a set of its own: its distance to every point
+    d2 = _assign(points, centers[:, None], sq_norms)[1].T
     ref_labels, ref = assign_oracle(points, centers)
     tol = 1e-9 * ((points ** 2).sum(axis=1)[:, None]
                   + (centers ** 2).sum(axis=1)[None, :])
@@ -115,29 +128,28 @@ def test_assign_matches_broadcast_oracle(seed, offset):
 @given(n=st.integers(1, 60), n_clusters=st.integers(1, 8),
        d=st.integers(1, 12), offset=st.sampled_from([0.0, -3.0, 50.0, 1e3]),
        spread=st.sampled_from([1e-3, 1.0, 30.0]),
-       seed=st.integers(0, 2 ** 32 - 1))
+       n_sets=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_assign_agrees_with_oracle_property(n, n_clusters, d, offset, spread,
-                                            seed):
+                                            n_sets, seed):
     rng = np.random.default_rng(seed)
     points = spread * rng.standard_normal((n, d)) + offset
-    centers = spread * rng.standard_normal((n_clusters, d)) + offset
-    labels, ref_labels, ref, tol = _checked_assign(points, centers)
+    sets = spread * rng.standard_normal((n_sets, n_clusters, d)) + offset
     rows = np.arange(n)
-    # the chosen center is the oracle's nearest up to the distance tolerance
-    assert (ref[rows, labels] <= ref[rows, ref_labels] + tol[rows, labels]
-            + tol[rows, ref_labels]).all()
+    labels, mins = _assign(points, sets, _sq_norms(points))
+    for centers, set_labels, set_mins in zip(sets, labels, mins):
+        one_set, ref_labels, ref, tol = _checked_assign(points, centers)
+        # a set's labels and distances do not depend on the sets beside it
+        np.testing.assert_array_equal(set_labels, one_set)
+        assert (np.abs(set_mins - ref[rows, set_labels])
+                <= tol[rows, set_labels]).all()
+        # the chosen center is the oracle's nearest up to the distance
+        # tolerance
+        assert (ref[rows, set_labels] <= ref[rows, ref_labels]
+                + tol[rows, set_labels] + tol[rows, ref_labels]).all()
 
 
 @pytest.mark.parametrize("case", ["random", "empty_cluster_repair"])
 def test_lloyd_calls_assign_once_per_iteration(monkeypatch, case):
-    rng = np.random.default_rng(6)
-    if case == "random":
-        pts = rng.standard_normal((40, 3))
-        centers = _kmeans_pp_init(pts, 4, rng, _sq_norms(pts))
-    else:
-        pts = np.zeros((5, 2))
-        pts[4] = [10.0, 0.0]
-        centers = np.zeros((3, 2))
     calls = []
     original = clustering._assign
 
@@ -146,23 +158,135 @@ def test_lloyd_calls_assign_once_per_iteration(monkeypatch, case):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(clustering, "_assign", counting)
-    _kmeans_pp_init(pts, 3, rng, _sq_norms(pts))
-    assert calls == []
-    _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50,
-                         sq_norms=_sq_norms(pts))
-    assert len(calls) == len(trace)
+    for restarts in (1, 3):
+        rng = np.random.default_rng(6)
+        if case == "random":
+            pts = rng.standard_normal((40, 3))
+            centers = _inits(pts, 4, restarts, rng)
+        else:
+            pts = np.zeros((5, 2))
+            pts[4] = [10.0, 0.0]
+            centers = np.zeros((restarts, 3, 2))
+        calls.clear()
+        _kmeans_pp_init(pts, 3, rng, _sq_norms(pts))
+        assert calls == []
+        # one call per lockstep step, whatever the number of live restarts
+        _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50,
+                             sq_norms=_sq_norms(pts))
+        assert len(calls) == len(trace)
 
 
 def test_lloyd_center_update_is_member_mean():
     rng = np.random.default_rng(10)
     pts = rng.standard_normal((50, 4)) + 100.0
-    centers = _kmeans_pp_init(pts, 5, rng, _sq_norms(pts))
+    centers = _inits(pts, 5, 2, rng)
     # tol=inf stops after one step: assign, then move every center
     labels, _, trace = _lloyd(pts, centers, tol=np.inf, max_iter=10,
                               sq_norms=_sq_norms(pts))
     assert len(trace) == 1
-    means = np.array([pts[labels == c].mean(axis=0) for c in range(5)])
-    np.testing.assert_allclose(centers, means, rtol=1e-13, atol=0)
+    for set_centers, set_labels in zip(centers, labels):
+        means = np.array([pts[set_labels == c].mean(axis=0)
+                          for c in range(5)])
+        np.testing.assert_allclose(set_centers, means, rtol=1e-13, atol=0)
+
+
+def _inertia_close(got, ref, points):
+    """1e-12 relative, with a floor of 1e-12 of the points' squared norms:
+    distances ||x||^2 - 2 x.c + ||c||^2 round at that scale, and with
+    C = n the inertia itself is rounding."""
+    return got == pytest.approx(ref, rel=1e-12,
+                                abs=1e-12 * float((points ** 2).sum()))
+
+
+def _assert_matches_oracle(points, n_clusters, seed, restarts):
+    labels, inertia = clustering._kmeans_with_inertia(points, n_clusters,
+                                                      seed, restarts)
+    ref_labels, ref_inertia = kmeans_oracle(points, n_clusters, seed,
+                                            restarts)
+    np.testing.assert_array_equal(labels, ref_labels)
+    assert _inertia_close(inertia, ref_inertia, points)
+    return labels
+
+
+@given(n=st.integers(1, 40), n_clusters=st.integers(1, 6),
+       d=st.integers(1, 6), restarts=st.integers(1, 4),
+       offset=st.sampled_from([0.0, -3.0, 50.0]),
+       spread=st.sampled_from([0.3, 1.0, 30.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_kmeans_matches_oracle_driver_property(n, n_clusters, d, restarts,
+                                               offset, spread, seed):
+    n_clusters = min(n_clusters, n)
+    rng = np.random.default_rng(seed)
+    points = spread * rng.standard_normal((n, d)) + offset
+    runs = oracle_restarts(points, n_clusters, seed, restarts)
+    # lockstep gives every restart the labels and inertia it gets alone
+    sq_norms = _sq_norms(points)
+    centers = _inits(points, n_clusters, restarts,
+                     np.random.default_rng(seed))
+    labels, inertias, _ = _lloyd(points, centers, clustering.LLOYD_TOL,
+                                 clustering.LLOYD_MAX_ITER, sq_norms)
+    for (ref_labels, ref_inertia), got_labels, got in zip(runs, labels,
+                                                          inertias):
+        np.testing.assert_array_equal(got_labels, ref_labels)
+        assert _inertia_close(got, ref_inertia, points)
+    # the pick is a restart of least inertia; restarts that reach one
+    # partition tie up to rounding, which then decides which is first
+    chosen, inertia = clustering._kmeans_with_inertia(points, n_clusters,
+                                                      seed, restarts)
+    best = min(i for _, i in runs)
+    assert any(np.array_equal(chosen, ref_labels)
+               and _inertia_close(inertia, ref_inertia, points)
+               and _inertia_close(ref_inertia, best, points)
+               for ref_labels, ref_inertia in runs)
+
+
+def test_kmeans_matches_oracle_with_empty_cluster_repair():
+    # three distinct points, four copies each, and five clusters: only a
+    # repair gives every cluster a member
+    pts = np.repeat(np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 5.0]]), 4,
+                    axis=0)
+    labels = _assert_matches_oracle(pts, 5, seed=1, restarts=4)
+    assert len(np.unique(labels)) == 5
+
+
+def test_kmeans_matches_oracle_with_one_cluster_per_point():
+    pts = np.random.default_rng(3).standard_normal((6, 2))
+    labels = _assert_matches_oracle(pts, 6, seed=0, restarts=5)
+    assert len(np.unique(labels)) == 6
+
+
+def test_kmeans_matches_oracle_with_one_restart():
+    pts = np.random.default_rng(5).standard_normal((80, 3))
+    _assert_matches_oracle(pts, 4, seed=2, restarts=1)
+
+
+def test_kmeans_matches_oracle_when_lloyd_hits_max_iter(monkeypatch):
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((120, 4))
+    monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", 2)
+    # the run is cut: two steps, the last one still dropping by > tol
+    init = _kmeans_pp_init(pts, 5, np.random.default_rng(4), _sq_norms(pts))
+    _, _, trace = lloyd_oracle(pts, init, clustering.LLOYD_TOL, 2)
+    assert len(trace) == 2 and trace[0] - trace[1] > clustering.LLOYD_TOL
+    _assert_matches_oracle(pts, 5, seed=4, restarts=3)
+
+
+def test_lloyd_stable_label_stop_is_exact():
+    # with tol < 0 only equal labels or max_iter end a restart: lockstep
+    # stops long before the oracle's 300 steps, at its labels and inertia
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((60, 3))
+    centers = _inits(pts, 4, 3, rng)
+    ref = [lloyd_oracle(pts, c.copy(), tol=-1.0, max_iter=300)
+           for c in centers]
+    labels, inertia, trace = _lloyd(pts, centers, tol=-1.0, max_iter=300,
+                                    sq_norms=_sq_norms(pts))
+    assert len(trace) < 50
+    for (ref_labels, ref_inertia, ref_trace), got_labels, got in zip(
+            ref, labels, inertia):
+        assert len(ref_trace) == 300
+        np.testing.assert_array_equal(got_labels, ref_labels)
+        assert _inertia_close(got, ref_inertia, pts)
 
 
 def test_evaluate_matches_lloyd_driven_by_oracle(monkeypatch):
@@ -174,9 +298,7 @@ def test_evaluate_matches_lloyd_driven_by_oracle(monkeypatch):
     emb = forward(g, khop_mask(g, cfg.k), params)
     seeds = range(5)
     fast = evaluate(emb, g.n_clusters, g.labels, seeds, restarts=cfg.restarts)
-    monkeypatch.setattr(clustering, "_assign",
-                        lambda points, centers, sq_norms:
-                        assign_oracle(points, centers))
+    monkeypatch.setattr(clustering, "_kmeans_with_inertia", kmeans_oracle)
     ref = evaluate(emb, g.n_clusters, g.labels, seeds, restarts=cfg.restarts)
     np.testing.assert_array_equal(fast.labels, ref.labels)
     assert (fast.acc, fast.nmi, fast.chosen_seed) == (ref.acc, ref.nmi,

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agcn.model
+from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError, DimensionError, ParseError
 from agcn.graph import (ENTRY_CHUNK, Graph, build_graph, khop_mask,
                         khop_weights, load_graph, normalized_adjacency,
@@ -12,7 +15,7 @@ from agcn.graph import (ENTRY_CHUNK, Graph, build_graph, khop_mask,
 
 from conftest import (bfs_distances, complete_mask, dense_normalized,
                       homophily_ratio, neighbors, pair_sims_oracle, path_graph,
-                      random_graph)
+                      random_graph, shortest_path_histogram_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -483,3 +486,36 @@ def test_histogram_matches_bfs_oracle():
             key = math.inf if dist[j] < 0 else int(dist[j])
             expect[key] = expect.get(key, 0) + 1
     assert got == expect
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_histogram_row_blocks_match_one_block_per_cluster(monkeypatch, rows,
+                                                          seed):
+    # three clusters, one of a single node, and isolated nodes that leave
+    # pairs unreachable; ``rows`` member rows per block, the last ragged
+    rng = np.random.default_rng(seed)
+    n = 31
+    labels = np.concatenate([[2], rng.integers(0, 2, n - 1)])
+    g = random_graph(n, 0.08, seed, labels=labels)
+    if rows is not None:
+        monkeypatch.setattr(agcn.model, "DENSE_BLOCK_BYTES", 8 * n * rows)
+    got = shortest_path_histogram(g)
+    assert got == shortest_path_histogram_oracle(g)
+    assert list(got) == sorted(got)
+
+
+def test_histogram_distances_stay_within_row_blocks():
+    # one cluster's 512 x 1024 distance block alone takes 4 MiB
+    n = 1024
+    half = n // 2
+    g = gen_sbm(SBMSpec(block_sizes=(half, half), p_in=6.4 / (half - 1),
+                        p_out=1.6 / half, feature_dim=1, seed=0))
+    tracemalloc.start()
+    try:
+        got = shortest_path_histogram(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * agcn.model.DENSE_BLOCK_BYTES, peak
+    assert got == shortest_path_histogram_oracle(g)

@@ -161,6 +161,23 @@ def test_train_epoch_forms_no_n_by_n_array():
     assert peak < 8 * n * n, peak
 
 
+def test_train_peak_does_not_grow_with_epochs():
+    # an epoch's tapes, pairs and gradients are released before the next
+    # epoch forms its own, so three epochs peak as high as one
+    g = _sbm_of_degree(512)
+    peaks = []
+    for epochs in (1, 3):
+        cfg = TrainingConfig(epochs=epochs, layers=1, heads=2, d_q=8, d_v=8,
+                             d_out=8)
+        tracemalloc.start()
+        try:
+            train(g, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0], peaks
+
+
 @contextlib.contextmanager
 def _pos_blocks(rows):
     """The positive loss in blocks of ``rows`` rows, the last one ragged:
