@@ -185,30 +185,69 @@ def lloyd_oracle(points, centers, tol, max_iter):
     return labels, trace[-1], trace
 
 
-def oracle_restarts(points, n_clusters, seed, restarts):
-    """(labels, inertia) of every restart, one at a time: each k-means++
-    init is drawn just before its ``lloyd_oracle`` run."""
+def kmeans_pp_oracle(points, n_clusters, rng, sq_norms):
+    """One k-means++ init, one center at a time: each distance a GEMV, each
+    draw a ``Generator.choice`` over the squared distances. A step at which
+    every point lies on a chosen center (total 0) takes point floor(u n) of
+    a uniform u."""
+    n = points.shape[0]
+
+    def sq_dist_to(center):
+        d2 = sq_norms - 2.0 * (points @ center) + center @ center
+        return np.maximum(d2, 0.0, out=d2)
+
+    centers = np.empty((n_clusters, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = sq_dist_to(centers[0])
+    for c in range(1, n_clusters):
+        total = d2.sum()
+        if total <= 0:
+            centers[c] = points[min(int(rng.random() * n), n - 1)]
+            continue
+        centers[c] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, sq_dist_to(centers[c]))
+    return centers
+
+
+def canonical_oracle(labels):
+    """``labels`` renumbered in order of first appearance."""
+    first = {}
+    return np.array([first.setdefault(lab, len(first)) for lab in labels])
+
+
+def oracle_restarts(points, n_clusters, seeds, restarts):
+    """Per seed, the (labels, inertia) of every restart, one at a time: each
+    ``kmeans_pp_oracle`` init is drawn just before its ``lloyd_oracle``
+    run."""
     points = np.asarray(points, dtype=np.float64)
     sq_norms = clustering._sq_norms(points)
-    rng = np.random.default_rng(seed)
-    runs = []
-    for _ in range(restarts):
-        centers = clustering._kmeans_pp_init(points, n_clusters, rng, sq_norms)
-        labels, inertia, _ = lloyd_oracle(points, centers,
-                                          clustering.LLOYD_TOL,
-                                          clustering.LLOYD_MAX_ITER)
-        runs.append((labels, inertia))
-    return runs
+    per_seed = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        runs = []
+        for _ in range(restarts):
+            centers = kmeans_pp_oracle(points, n_clusters, rng, sq_norms)
+            labels, inertia, _ = lloyd_oracle(points, centers,
+                                              clustering.LLOYD_TOL,
+                                              clustering.LLOYD_MAX_ITER)
+            runs.append((labels, inertia))
+        per_seed.append(runs)
+    return per_seed
 
 
-def kmeans_oracle(points, n_clusters, seed, restarts):
-    """``_kmeans_with_inertia`` one restart at a time: a restart replaces
-    the best only at a strictly lower inertia."""
-    best = (None, np.inf)
-    for labels, inertia in oracle_restarts(points, n_clusters, seed, restarts):
-        if inertia < best[1]:
-            best = (labels, inertia)
-    return best
+def kmeans_oracle(points, n_clusters, seeds, restarts):
+    """``_kmeans_with_inertia`` one seed and one restart at a time: a
+    restart replaces its seed's best only at a strictly lower inertia, and
+    the best labels are renumbered by first appearance."""
+    labels, inertias = [], []
+    for runs in oracle_restarts(points, n_clusters, seeds, restarts):
+        best = (None, np.inf)
+        for run_labels, inertia in runs:
+            if inertia < best[1]:
+                best = (run_labels, inertia)
+        labels.append(canonical_oracle(best[0]))
+        inertias.append(best[1])
+    return np.array(labels), np.array(inertias)
 
 
 def loss_pos_oracle(u, weights):

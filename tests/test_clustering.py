@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from agcn.graph import khop_mask
 from agcn.model import forward
 from agcn.training import TrainingConfig, train
 
-from conftest import (assign_oracle, kmeans_oracle, lloyd_oracle,
-                      oracle_restarts)
+from conftest import (assign_oracle, canonical_oracle, kmeans_oracle,
+                      kmeans_pp_oracle, lloyd_oracle, oracle_restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,7 @@ def test_kmeans_rejects_too_many_clusters():
 def _inits(points, n_clusters, restarts, rng):
     """``restarts`` k-means++ inits stacked as one (R, C, d) array."""
     sq_norms = _sq_norms(points)
-    return np.stack([_kmeans_pp_init(points, n_clusters, rng, sq_norms)
+    return np.stack([kmeans_pp_oracle(points, n_clusters, rng, sq_norms)
                      for _ in range(restarts)])
 
 
@@ -168,7 +169,7 @@ def test_lloyd_calls_assign_once_per_iteration(monkeypatch, case):
             pts[4] = [10.0, 0.0]
             centers = np.zeros((restarts, 3, 2))
         calls.clear()
-        _kmeans_pp_init(pts, 3, rng, _sq_norms(pts))
+        _kmeans_pp_init(pts, 3, [6, 7], restarts, _sq_norms(pts))
         assert calls == []
         # one call per lockstep step, whatever the number of live restarts
         _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50,
@@ -200,12 +201,12 @@ def _inertia_close(got, ref, points):
 
 def _assert_matches_oracle(points, n_clusters, seed, restarts):
     labels, inertia = clustering._kmeans_with_inertia(points, n_clusters,
-                                                      seed, restarts)
-    ref_labels, ref_inertia = kmeans_oracle(points, n_clusters, seed,
+                                                      [seed], restarts)
+    ref_labels, ref_inertia = kmeans_oracle(points, n_clusters, [seed],
                                             restarts)
     np.testing.assert_array_equal(labels, ref_labels)
-    assert _inertia_close(inertia, ref_inertia, points)
-    return labels
+    assert _inertia_close(inertia[0], ref_inertia[0], points)
+    return labels[0]
 
 
 @given(n=st.integers(1, 40), n_clusters=st.integers(1, 6),
@@ -218,7 +219,7 @@ def test_kmeans_matches_oracle_driver_property(n, n_clusters, d, restarts,
     n_clusters = min(n_clusters, n)
     rng = np.random.default_rng(seed)
     points = spread * rng.standard_normal((n, d)) + offset
-    runs = oracle_restarts(points, n_clusters, seed, restarts)
+    runs = oracle_restarts(points, n_clusters, [seed], restarts)[0]
     # lockstep gives every restart the labels and inertia it gets alone
     sq_norms = _sq_norms(points)
     centers = _inits(points, n_clusters, restarts,
@@ -232,9 +233,10 @@ def test_kmeans_matches_oracle_driver_property(n, n_clusters, d, restarts,
     # the pick is a restart of least inertia; restarts that reach one
     # partition tie up to rounding, which then decides which is first
     chosen, inertia = clustering._kmeans_with_inertia(points, n_clusters,
-                                                      seed, restarts)
+                                                      [seed], restarts)
+    chosen, inertia = chosen[0], inertia[0]
     best = min(i for _, i in runs)
-    assert any(np.array_equal(chosen, ref_labels)
+    assert any(np.array_equal(chosen, canonical_oracle(ref_labels))
                and _inertia_close(inertia, ref_inertia, points)
                and _inertia_close(ref_inertia, best, points)
                for ref_labels, ref_inertia in runs)
@@ -265,7 +267,7 @@ def test_kmeans_matches_oracle_when_lloyd_hits_max_iter(monkeypatch):
     pts = rng.standard_normal((120, 4))
     monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", 2)
     # the run is cut: two steps, the last one still dropping by > tol
-    init = _kmeans_pp_init(pts, 5, np.random.default_rng(4), _sq_norms(pts))
+    init = kmeans_pp_oracle(pts, 5, np.random.default_rng(4), _sq_norms(pts))
     _, _, trace = lloyd_oracle(pts, init, clustering.LLOYD_TOL, 2)
     assert len(trace) == 2 and trace[0] - trace[1] > clustering.LLOYD_TOL
     _assert_matches_oracle(pts, 5, seed=4, restarts=3)
@@ -307,6 +309,147 @@ def test_evaluate_matches_lloyd_driven_by_oracle(monkeypatch):
                                                           ref.seed_records):
         assert (s, a, m) == (rs, ra, rm)
         assert inertia == pytest.approx(r_inertia, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lockstep seeding, seed groups and canonical labels
+# ---------------------------------------------------------------------------
+
+@given(n=st.integers(1, 30), distinct=st.integers(1, 30), d=st.integers(1, 5),
+       n_clusters=st.integers(1, 30), all_points=st.booleans(),
+       integer=st.booleans(), restarts=st.integers(1, 4),
+       seeds=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=4),
+       data_seed=st.integers(0, 2 ** 32 - 1))
+def test_kmeans_pp_init_matches_sequential_oracle_property(
+        n, distinct, d, n_clusters, all_points, integer, restarts, seeds,
+        data_seed):
+    # Integer-valued points repeat rows: every squared distance is then
+    # exact, so the lockstep GEMM and the oracle's GEMVs agree to the bit
+    # even on a point that sits on a chosen center. Gaussian rows are
+    # distinct, where rounding of the two has not moved a pick; it does on
+    # repeated real-valued rows, whose distance to a copy rounds to a
+    # residue of either sign.
+    rng = np.random.default_rng(data_seed)
+    if integer:
+        rows = rng.integers(-6, 7, size=(min(distinct, n), d)).astype(float)
+        points = rows[rng.integers(len(rows), size=n)]
+    else:
+        points = 3.0 * rng.standard_normal((n, d)) + 10.0
+    n_clusters = n if all_points else min(n_clusters, n)
+    got = _kmeans_pp_init(points, n_clusters, seeds, restarts,
+                          _sq_norms(points))
+    ref = np.concatenate([_inits(points, n_clusters, restarts,
+                                 np.random.default_rng(seed))
+                          for seed in seeds])
+    np.testing.assert_array_equal(got, ref)
+
+
+def _blobs(n_per, n_blobs, d, seed):
+    rng = np.random.default_rng(seed)
+    means = 4.0 * rng.standard_normal((n_blobs, d))
+    return np.repeat(means, n_per, axis=0) + rng.standard_normal(
+        (n_per * n_blobs, d))
+
+
+def test_multi_seed_kmeans_matches_per_seed_oracle():
+    pts = _blobs(30, 4, 3, seed=13)
+    seeds = [5, 0, 5, 9]
+    labels, inertias = clustering._kmeans_with_inertia(pts, 4, seeds, 3)
+    ref_labels, ref_inertias = kmeans_oracle(pts, 4, seeds, 3)
+    assert labels.shape == (4, len(pts)) and inertias.shape == (4,)
+    np.testing.assert_array_equal(labels, ref_labels)
+    for got, ref in zip(inertias, ref_inertias):
+        assert _inertia_close(got, ref, pts)
+    # a repeated seed repeats its result
+    np.testing.assert_array_equal(labels[0], labels[2])
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(clustering, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, name, counting)
+    return calls
+
+
+def test_seed_groups_give_the_results_of_one_group(monkeypatch):
+    pts = _blobs(25, 3, 4, seed=21)
+    seeds = list(range(5))
+    calls = _count_calls(monkeypatch, "_lloyd")
+    per_seed_bytes = 8 * 4 * 3 * len(pts)       # restarts * C * n float64
+    results = {}
+    for budget, groups in ((1, 5), (2 * per_seed_bytes, 3), (1 << 40, 1)):
+        monkeypatch.setattr(clustering, "KMEANS_GROUP_BYTES", budget)
+        calls.clear()
+        results[budget] = clustering._kmeans_with_inertia(pts, 3, seeds, 4)
+        assert len(calls) == groups
+    one_group = results[1 << 40]
+    for labels, inertias in results.values():
+        np.testing.assert_array_equal(labels, one_group[0])
+        for got, ref in zip(inertias, one_group[1]):
+            assert _inertia_close(got, ref, pts)
+
+
+def test_evaluate_makes_one_kmeans_call(monkeypatch):
+    pts = _blobs(20, 3, 2, seed=4)
+    truth = np.repeat(np.arange(3), 20)
+    calls = _count_calls(monkeypatch, "_kmeans_with_inertia")
+    res = evaluate(pts, 3, truth, seeds=range(6), restarts=4)
+    assert len(calls) == 1
+    assert len(res.seed_records) == 6
+
+
+def test_evaluate_peak_memory_is_bounded_by_the_group_budget():
+    pts = _blobs(286, 7, 100, seed=2)[:2000]
+    truth = np.repeat(np.arange(7), 286)[:2000]
+    # 10 restarts * 7 clusters * 2000 points of float64 is 1.12 MB a seed:
+    # the ten seeds run as more than one group
+    assert 10 * 8 * 10 * 7 * len(pts) > clustering.KMEANS_GROUP_BYTES
+    tracemalloc.start()
+    try:
+        evaluate(pts, 7, truth, seeds=range(10), restarts=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * clustering.KMEANS_GROUP_BYTES
+
+
+def _first_appearance_order(labels):
+    _, first = np.unique(labels, return_index=True)
+    return (np.diff(first) > 0).all() and labels[0] == 0
+
+
+def test_kmeans_labels_are_numbered_by_first_appearance():
+    pts = _blobs(15, 5, 2, seed=8)[::-1]
+    for seed in range(4):
+        labels = kmeans(pts, 5, seed=seed, restarts=3)
+        assert _first_appearance_order(labels)
+        np.testing.assert_array_equal(labels, canonical_oracle(labels))
+    res = evaluate(pts, 5, np.repeat(np.arange(5), 15), seeds=range(4),
+                   restarts=3)
+    assert _first_appearance_order(res.labels)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["kmeans", "evaluate"])
+def test_non_finite_points_fail_before_any_draw(monkeypatch, value, entry):
+    pts = np.random.default_rng(1).standard_normal((20, 3))
+    pts[7, 1] = value
+    pts[12, 0] = value
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ConfigError, match="row 7 "):
+        if entry == "kmeans":
+            kmeans(pts, 3, seed=0)
+        else:
+            evaluate(pts, 3, np.zeros(20, dtype=int), seeds=[0, 1])
 
 
 # ---------------------------------------------------------------------------
