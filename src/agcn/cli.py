@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import grouping_probe, mask_features, r_ratio
 from .clustering import evaluate, kmeans
-from .datagen import SBMSpec, TreeMatchSpec, gen_sbm, gen_tree_match, write_graph_files
+from .datagen import SBMSpec, gen_sbm, write_graph_files
 from .errors import AgcnError, ConfigError, ParseError
 from .graph import (Graph, _atomic_open, _read_labels, khop_mask,
                     load_graph, shortest_path_histogram)
@@ -149,13 +149,6 @@ def _build_parser():
     p_sbm.add_argument("--prefix", type=str, default="sbm")
     p_sbm.add_argument("--out-dir", type=Path, default=Path("out"))
     p_sbm.set_defaults(func=cmd_generate_sbm)
-
-    p_tree = gen_sub.add_parser("tree-match", help="complete binary matching tree")
-    p_tree.add_argument("--depth", type=int, required=True)
-    p_tree.add_argument("--seed", type=int, default=0)
-    p_tree.add_argument("--prefix", type=str, default="tree")
-    p_tree.add_argument("--out-dir", type=Path, default=Path("out"))
-    p_tree.set_defaults(func=cmd_generate_tree)
 
     return parser
 
@@ -417,14 +410,6 @@ def cmd_generate_sbm(args) -> int:
                    feature_dim=args.feature_dim, mean_scale=args.mean_scale,
                    noise_scale=args.noise_scale, seed=args.seed)
     paths = write_graph_files(gen_sbm(spec), args.out_dir, prefix=args.prefix)
-    _say(" ".join(str(p) for p in paths.values()))
-    return 0
-
-
-def cmd_generate_tree(args) -> int:
-    spec = TreeMatchSpec(depth=args.depth, seed=args.seed)
-    paths = write_graph_files(gen_tree_match(spec), args.out_dir,
-                              prefix=args.prefix)
     _say(" ".join(str(p) for p in paths.values()))
     return 0
 

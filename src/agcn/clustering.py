@@ -118,12 +118,10 @@ def _lloyd(points, centers, tol, max_iter, sq_norms):
         step_inertia = mins.sum(axis=1)
         onehot = np.zeros((len(live) * n_clusters, n))
         onehot[step + offsets, cols] = 1.0
-        sizes = sizes.ravel()
-        filled = sizes > 0
-        moved = centers[live].reshape(-1, dim)
-        moved[filled] = (onehot @ points)[filled] / sizes[filled, None]
+        # the repair above leaves no cluster empty
+        means = (onehot @ points) / sizes.reshape(-1, 1)
         del onehot      # freed before the next step's distances, not after
-        centers[live] = moved.reshape(-1, n_clusters, dim)
+        centers[live] = means.reshape(-1, n_clusters, dim)
         done = ((inertia[live] - step_inertia <= tol)
                 | (step == labels[live]).all(axis=1))
         labels[live] = step
@@ -205,6 +203,15 @@ def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
     return np.array(labels), np.array(inertias)
 
 
+def _inertia(points, labels):
+    """Summed squared distance from each point to its cluster's mean, with
+    the means from one (C, n) one-hot product whatever the partition."""
+    onehot = np.zeros((labels.max() + 1, len(labels)))
+    onehot[labels, np.arange(len(labels))] = 1.0
+    diff = points - ((onehot @ points) / onehot.sum(axis=1)[:, None])[labels]
+    return float((diff * diff).sum())
+
+
 def _as_labels(pred, truth):
     """Both label vectors as int64 arrays, checked to be the same length."""
     pred = np.asarray(pred, dtype=np.int64)
@@ -247,14 +254,16 @@ def nmi(pred, truth) -> float:
     row = table.sum(axis=1)
     col = table.sum(axis=0)
 
+    # every sum runs over sorted terms, so that the result depends on the
+    # two partitions alone, not on how either side numbers its clusters
     def _entropy(counts):
-        c = counts[counts > 0].astype(np.float64)
+        c = np.sort(counts[counts > 0]).astype(np.float64)
         return float(((c / n) * np.log(n / c)).sum())
 
     nz = table > 0
     cells = table[nz].astype(np.float64)
     outer = (row[:, None] * col[None, :])[nz].astype(np.float64)
-    mi = float(((cells / n) * np.log(n * cells / outer)).sum())
+    mi = float(np.sort((cells / n) * np.log(n * cells / outer)).sum())
     mean_h = 0.5 * (_entropy(row) + _entropy(col))
     if mean_h == 0.0:
         return 0.0
@@ -290,17 +299,24 @@ def evaluate(h: np.ndarray, n_clusters: int, truth, seeds,
     One ``_kmeans_with_inertia`` call clusters every seed: all restarts of
     a group of seeds are seeded and refined in lockstep. Selection is by
     inertia, the first seed on ties, not by accuracy, so ground truth never
-    leaks into model selection.
+    leaks into model selection. Lloyd's inertias move in the last bits with
+    how many restarts share a GEMM, so each distinct partition is scored
+    once from its labels alone, and seeds that reach it tie exactly.
     """
     truth = np.asarray(truth, dtype=np.int64)
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("evaluate needs at least one k-means seed")
-    labels, inertias = _kmeans_with_inertia(h, n_clusters, seeds, restarts)
-    records = tuple((int(seed), float(inertia), accuracy(lab, truth),
-                     nmi(lab, truth))
-                    for seed, lab, inertia in zip(seeds, labels, inertias))
-    best = int(inertias.argmin())
+    labels, _ = _kmeans_with_inertia(h, n_clusters, seeds, restarts)
+    points = np.asarray(h, dtype=np.float64)
+    scores = {}
+    for lab in labels:
+        if lab.tobytes() not in scores:
+            scores[lab.tobytes()] = (_inertia(points, lab),
+                                     accuracy(lab, truth), nmi(lab, truth))
+    records = tuple((int(seed), *scores[lab.tobytes()])
+                    for seed, lab in zip(seeds, labels))
+    best = int(np.argmin([inertia for _, inertia, _, _ in records]))
     chosen, _, a, m = records[best]
     return ClusterResult(labels=labels[best].copy(), acc=a, nmi=m,
                          chosen_seed=chosen, seed_records=records)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 from .errors import ConfigError
 from .graph import Graph, _atomic_open, build_graph
 
-__all__ = ["SBMSpec", "TreeMatchSpec", "gen_sbm", "gen_tree_match", "write_graph_files"]
+__all__ = ["SBMSpec", "gen_sbm", "write_graph_files"]
 
 # node pairs gen_sbm draws at once: it takes the upper triangle in blocks of
 # whole rows at ~33 bytes a pair, so a draw peaks near 40 MB at any node count
@@ -35,6 +36,23 @@ class SBMSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.block_sizes, (tuple, list)):
+            raise ConfigError("block_sizes takes a tuple of integers, not "
+                              f"{self.block_sizes!r}")
+        # integers and reals exclude bool, as TrainingConfig's fields do
+        whole = (numbers.Integral, "integers")
+        real = (numbers.Real, "real numbers")
+        dim = [] if self.feature_dim is None else [self.feature_dim]
+        for name, values, (kind, wanted) in (
+                ("block_sizes", self.block_sizes, whole),
+                ("p_in", [self.p_in], real), ("p_out", [self.p_out], real),
+                ("feature_dim", dim, whole),
+                ("mean_scale", [self.mean_scale], real),
+                ("noise_scale", [self.noise_scale], real),
+                ("seed", [self.seed], whole)):
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(f"{name} takes {wanted}, not {value!r}")
         if not self.block_sizes or any(s <= 0 for s in self.block_sizes):
             raise ConfigError("block sizes must be positive")
         for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
@@ -46,20 +64,6 @@ class SBMSpec:
                         ("noise_scale", self.noise_scale)):
             if not np.isfinite(s):
                 raise ConfigError(f"{name} must be finite, got {s}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class TreeMatchSpec:
-    """Complete binary tree of depth r used for long-range reachability checks."""
-
-    depth: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigError("tree depth must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -88,35 +92,6 @@ def gen_sbm(spec: SBMSpec) -> Graph:
     feats = means[labels] + spec.noise_scale * rng.standard_normal((n, dim))
 
     return build_graph(np.concatenate(edges), feats, labels)
-
-
-def gen_tree_match(spec: TreeMatchSpec) -> Graph:
-    """Complete binary tree whose leaves carry one-hot "neighbor count" codes.
-
-    Encoding (fixed by this generator, seeded): the 2^r leaves receive a
-    random permutation of the counts 1..2^r; the root receives the count of
-    the leaf it must match; internal nodes receive count 0. Features are the
-    one-hot of the count (dimension 2^r + 1) and labels equal the count, so
-    solving the task requires information to travel depth-r paths.
-    """
-    r = spec.depth
-    rng = np.random.default_rng(spec.seed)
-    n = 2 ** (r + 1) - 1
-    n_leaves = 2 ** r
-    first_leaf = n_leaves - 1  # heap order: children of v are 2v+1, 2v+2
-
-    parents = np.arange(1, n, dtype=np.int64)
-    edges = np.column_stack([(parents - 1) // 2, parents])
-
-    counts = np.zeros(n, dtype=np.int64)
-    counts[first_leaf:] = rng.permutation(n_leaves) + 1
-    target_leaf = int(rng.integers(first_leaf, n))
-    counts[0] = counts[target_leaf]
-
-    feats = np.zeros((n, n_leaves + 1))
-    feats[np.arange(n), counts] = 1.0
-
-    return build_graph(edges, feats, counts)
 
 
 def write_graph_files(g: Graph, out_dir, prefix: str = "graph") -> dict:

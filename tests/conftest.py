@@ -54,6 +54,15 @@ def path_graph(n, d=2, labels=None, seed=0):
     return build_graph(edges, rng.standard_normal((n, d)), labels)
 
 
+def binary_tree(depth, d=2, seed=0):
+    """Complete binary tree of ``depth`` in heap order: node v's children
+    are 2v+1 and 2v+2, and the 2^depth leaves are the last nodes."""
+    n = 2 ** (depth + 1) - 1
+    edges = [[(v - 1) // 2, v] for v in range(1, n)]
+    feats = np.random.default_rng(seed).standard_normal((n, d))
+    return build_graph(edges, feats)
+
+
 def neighbors(mask, i):
     """The sorted list of node ``i`` in ``mask``, itself included."""
     return mask.indices[mask.indptr[i]:mask.indptr[i + 1]]

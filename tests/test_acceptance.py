@@ -19,8 +19,8 @@ from agcn.model import (Dims, EvalCounter, forward, init_params, _forward_tape,
                         _layer)
 from agcn.training import TrainingConfig, train
 
-from conftest import (bfs_distances, homophily_ratio, neighbors, path_graph,
-                      random_graph)
+from conftest import (bfs_distances, binary_tree, homophily_ratio, neighbors,
+                      path_graph, random_graph)
 from test_analysis import brute_force_r
 from test_clustering import brute_force_accuracy
 from test_model import naive_layer_oracle
@@ -105,10 +105,8 @@ def test_locality():
         for n in (17, 33, 63):
             cases.append(("path", path_graph(n, d=3, seed=n), 0))
         for depth in (4, 5):
-            n = 2 ** (depth + 1) - 1
-            edges = [[(v - 1) // 2, v] for v in range(1, n)]
-            feats = np.random.default_rng(depth).standard_normal((n, 3))
-            cases.append(("tree", build_graph(edges, feats), n - 1))
+            g = binary_tree(depth, d=3, seed=depth)
+            cases.append(("tree", g, g.n_nodes - 1))
         for name, g, probe in cases:
             for k, layers in ((1, 2), (2, 2), (2, 1)):
                 dims = Dims(d=3, d_q=4, d_v=4, heads=2,
@@ -283,19 +281,18 @@ def test_complexity_instrumentation():
 
 
 def test_tree_long_range_reachability():
-    # stands in for supervised deep-tree matching runs: the generator is
-    # structurally sound and a depth-r mask puts every leaf in the root's
-    # attention set, which is the property the masked model relies on
+    # a depth-r mask puts every leaf of a depth-r tree in the root's
+    # attention set, and a depth-(r-1) mask none: the masked model reaches
+    # exactly r hops in one layer
     with criterion("tree-long-range-reachability"):
-        from agcn.datagen import TreeMatchSpec, gen_tree_match
         for depth in (2, 3, 4, 5):
-            g = gen_tree_match(TreeMatchSpec(depth=depth, seed=depth))
+            g = binary_tree(depth, seed=depth)
             assert g.n_nodes == 2 ** (depth + 1) - 1
             assert g.n_edges == g.n_nodes - 1
             mask = khop_mask(g, depth)
             leaves = set(range(2 ** depth - 1, g.n_nodes))
             assert leaves <= set(neighbors(mask, 0).tolist())
-            short = set(neighbors(khop_mask(g, depth - 1), 0).tolist()) if depth > 1 else {0}
+            short = set(neighbors(khop_mask(g, depth - 1), 0).tolist())
             assert not (leaves & short)
 
 

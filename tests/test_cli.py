@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -33,14 +34,25 @@ def _train_args(edges, feats, labels, out, extra=()):
             *extra]
 
 
-def test_generate_tree_match_files(tmp_path):
-    rc = main(["generate", "tree-match", "--depth", "3",
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
-    edges = (tmp_path / "tree.edges").read_text().strip().splitlines()
-    labels = (tmp_path / "tree.labels").read_text().strip().splitlines()
-    assert len(labels) == 15
-    assert len(edges) == 14
+def _subcommands(parser):
+    """``parser``'s subcommand parsers by name, in the order it adds them."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_readme_command_lists_name_the_parser_subcommands():
+    # a `agcn <group> a|b|c` line of the README names exactly the group's
+    # subcommands, so a subcommand that goes or comes shows up here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {group: names.split("|") for group, names in
+              re.findall(r"^`agcn ([\w-]+) ([\w|-]+)`", readme, re.M)}
+    groups = {name: list(_subcommands(p))
+              for name, p in _subcommands(cli._build_parser()).items()
+              if _subcommands(p)}
+    assert listed == groups
+    assert set(groups) == {"analyze", "generate"}
 
 
 @pytest.mark.parametrize("flag, value", [("--feature-dim", "0"),
@@ -390,12 +402,11 @@ _DATASET = ["--graph", "data/sbm.edges", "--features", "data/sbm.features.csv",
     ["train", "--config", "cfg.json", *_DATASET],
     ["generate", "sbm", "--blocks", "4,4", "--p-in", "0.5", "--p-out", "0.1",
      "--seed", "-1"],
-    ["generate", "tree-match", "--depth", "2", "--seed", "-1"],
     ["analyze", "grouping", "--seed", "-1", *_DATASET],
     ["analyze", "r-ratio", "--seed", "-1", *_DATASET],
     ["analyze", "mask-features", "--seed", "-1", *_DATASET],
-], ids=["train", "train_config", "generate_sbm", "generate_tree",
-        "grouping", "r_ratio", "mask_features"])
+], ids=["train", "train_config", "generate_sbm", "grouping", "r_ratio",
+        "mask_features"])
 def test_negative_seed_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text('{"seed": -1}')

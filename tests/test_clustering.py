@@ -543,6 +543,23 @@ def test_metrics_invariant_under_relabeling():
     assert nmi(pred, perm[truth]) == pytest.approx(nmi(pred, truth), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, c_pred, c_truth", [(1400, 7, 7), (443, 2, 11),
+                                                (2892, 11, 3), (60, 5, 4)])
+def test_nmi_depends_on_the_partitions_alone(n, c_pred, c_truth):
+    # bitwise equal under independent renumberings of either side, with
+    # gaps in the label values, and with the arguments swapped
+    rng = np.random.default_rng(n)
+    truth = rng.integers(0, c_truth, size=n)
+    pred = np.where(rng.random(n) < 0.7, truth % c_pred,
+                    rng.integers(0, c_pred, size=n))
+    value = nmi(pred, truth)
+    for _ in range(30):
+        p_names = rng.choice(50, size=c_pred, replace=False)
+        t_names = rng.choice(50, size=c_truth, replace=False)
+        assert nmi(p_names[pred], t_names[truth]) == value
+        assert nmi(t_names[truth], p_names[pred]) == value
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -554,6 +571,26 @@ def test_evaluate_one_hot_truth_is_perfect():
     assert res.acc == 1.0
     assert res.nmi == 1.0
     assert len(res.seed_records) == 2
+
+
+@pytest.mark.parametrize("per, n_clusters, d, spread, seed",
+                         [(100, 5, 8, 1.0, 27), (200, 7, 16, 1.5, 24)])
+def test_evaluate_result_does_not_depend_on_the_group_budget(
+        monkeypatch, per, n_clusters, d, spread, seed):
+    # overlapping blobs on which several K-means seeds reach one partition;
+    # one seed per group and all seeds in one group round Lloyd's GEMMs
+    # differently, yet must report the same inertias and chosen seed
+    rng = np.random.default_rng(seed)
+    means = spread * rng.standard_normal((n_clusters, d))
+    pts = np.repeat(means, per, axis=0)
+    pts += rng.standard_normal(pts.shape)
+    truth = np.repeat(np.arange(n_clusters), per)
+    results = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(clustering, "KMEANS_GROUP_BYTES", budget)
+        results.append(evaluate(pts, n_clusters, truth, seeds=range(10),
+                                restarts=10).to_dict())
+    assert results[0] == results[1]
 
 
 def test_evaluate_constant_embeddings_accuracy_range():

@@ -7,12 +7,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from agcn import datagen
-from agcn.datagen import (SBMSpec, TreeMatchSpec, gen_sbm, gen_tree_match,
-                          write_graph_files)
+from agcn.datagen import SBMSpec, gen_sbm, write_graph_files
 from agcn.errors import ConfigError
-from agcn.graph import build_graph, khop_mask, load_graph
+from agcn.graph import build_graph, load_graph
 
-from conftest import bfs_distances, gen_sbm_oracle, homophily_ratio, neighbors
+from conftest import gen_sbm_oracle, homophily_ratio
 
 
 def test_sbm_two_cliques():
@@ -90,56 +89,24 @@ def test_sbm_validates_features(field, value):
         SBMSpec(block_sizes=(4, 4), p_in=0.5, p_out=0.1, **{field: value})
 
 
-def test_tree_rejects_depth_zero():
-    with pytest.raises(ConfigError, match="tree depth must be >= 1"):
-        TreeMatchSpec(depth=0)
+@pytest.mark.parametrize("field, value", [
+    ("block_sizes", 5), ("block_sizes", (2.7, 3.9)), ("block_sizes", (True, 4)),
+    ("block_sizes", ("4", "4")), ("p_in", "0.5"), ("p_out", None),
+    ("feature_dim", 2.0), ("feature_dim", True), ("mean_scale", "1"),
+    ("noise_scale", False), ("seed", 1.5), ("seed", True), ("seed", "3"),
+])
+def test_sbm_rejects_wrong_field_types(field, value):
+    spec = {"block_sizes": (4, 4), "p_in": 0.5, "p_out": 0.1, field: value}
+    with pytest.raises(ConfigError, match=f"^{field} takes "):
+        SBMSpec(**spec)
 
 
-@pytest.mark.parametrize("depth,n_expected", [(1, 3), (3, 15), (5, 63)])
-def test_tree_node_count(depth, n_expected):
-    g = gen_tree_match(TreeMatchSpec(depth=depth, seed=0))
-    assert g.n_nodes == n_expected
-    assert g.n_edges == n_expected - 1          # connected and acyclic
-
-
-def test_tree_root_to_leaf_distance():
-    r = 3
-    g = gen_tree_match(TreeMatchSpec(depth=r, seed=0))
-    dist = bfs_distances(g.adj.toarray(), 0)
-    leaves = np.arange(2 ** r - 1, g.n_nodes)
-    assert (dist[leaves] == r).all()
-    # leaves under different root children sit a full diameter apart
-    first_leaf = 2 ** r - 1
-    leaf_dist = bfs_distances(g.adj.toarray(), first_leaf)
-    assert leaf_dist.max() == 2 * r
-
-
-def test_tree_mask_at_depth_reaches_all_leaves():
-    r = 4
-    g = gen_tree_match(TreeMatchSpec(depth=r, seed=2))
-    mask = khop_mask(g, r)
-    root_reach = set(neighbors(mask, 0).tolist())
-    leaves = set(range(2 ** r - 1, g.n_nodes))
-    assert leaves <= root_reach
-    # one hop fewer misses every leaf
-    short = set(neighbors(khop_mask(g, r - 1), 0).tolist())
-    assert not (leaves & short)
-
-
-def test_tree_root_code_matches_some_leaf():
-    g = gen_tree_match(TreeMatchSpec(depth=3, seed=5))
-    leaves = g.labels[2 ** 3 - 1:]
-    assert g.labels[0] in leaves
-    assert sorted(leaves.tolist()) == list(range(1, 9))
-    # features are the one-hot of the label
-    assert (np.argmax(g.features, axis=1) == g.labels).all()
-
-
-def test_tree_deterministic():
-    a = gen_tree_match(TreeMatchSpec(depth=4, seed=7))
-    b = gen_tree_match(TreeMatchSpec(depth=4, seed=7))
-    np.testing.assert_array_equal(a.features, b.features)
-    np.testing.assert_array_equal(a.labels, b.labels)
+def test_sbm_accepts_numpy_scalars():
+    spec = SBMSpec(block_sizes=(np.int64(6), 6), p_in=np.float64(0.5),
+                   p_out=0.1, feature_dim=np.int32(3), seed=np.uint8(3))
+    same = SBMSpec(block_sizes=(6, 6), p_in=0.5, p_out=0.1, feature_dim=3,
+                   seed=3)
+    assert gen_sbm(spec).fingerprint() == gen_sbm(same).fingerprint()
 
 
 def test_write_then_load_roundtrip(tmp_path):

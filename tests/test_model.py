@@ -19,7 +19,8 @@ from agcn.model import (Dims, EvalCounter, init_params,
                         _dense_probs, _layer, _layer_backward,
                         _model_backward)
 
-from conftest import complete_mask, neighbors, path_graph, random_graph
+from conftest import (binary_tree, complete_mask, neighbors, path_graph,
+                      random_graph)
 
 DIMS = Dims(d=3, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
 
@@ -240,9 +241,8 @@ def test_locality_beyond_receptive_field_is_bitwise(maker, n, probe):
     if maker == "path":
         g = path_graph(n, d=3, seed=1)
     else:
-        edges = [[(v - 1) // 2, v] for v in range(1, n)]
-        from agcn.graph import build_graph
-        g = build_graph(edges, np.random.default_rng(1).standard_normal((n, 3)))
+        g = binary_tree(4, d=3, seed=1)
+    assert g.n_nodes == n
     k, layers = 2, 2
     dims = Dims(d=3, d_q=4, d_v=4, heads=2, layers=layers, d_out=3)
     mask = khop_mask(g, k)

@@ -5,7 +5,10 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import agcn
+from agcn import cli
 
 MODULES = ("analysis", "clustering", "datagen", "errors", "graph", "model",
            "training")
@@ -30,7 +33,8 @@ def test_package_exports_exactly_the_module_public_names():
 
 def test_removed_wrappers_are_not_public():
     for name in ("loss_pos", "loss_neg", "total_loss", "backward",
-                 "NormalizedAdjacency", "layer_forward", "homophily_ratio"):
+                 "NormalizedAdjacency", "layer_forward", "homophily_ratio",
+                 "TreeMatchSpec", "gen_tree_match"):
         assert not hasattr(agcn, name), name
     assert not hasattr(agcn.KHopMask, "complete")
     # each input is checked where it is read: the graph derives its cluster
@@ -47,3 +51,9 @@ def test_removed_wrappers_are_not_public():
     assert not {"n_clusters", "tol", "max_iter"} & set(probe)
     kmeans = inspect.signature(agcn.kmeans).parameters
     assert not {"tol", "max_iter"} & set(kmeans)
+    # nothing trains on a tree-matching task, so nothing generates one
+    for name in ("TreeMatchSpec", "gen_tree_match"):
+        assert not hasattr(agcn.datagen, name), name
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["generate", "tree-match", "--depth", "2"])
+    assert exit_.value.code == 2
