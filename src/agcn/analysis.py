@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import kmeans, label_mapping
+from .clustering import _check_integer, kmeans, label_mapping
 from .errors import ConfigError
 from .graph import Graph, normalized_adjacency
 from .model import _row_blocks
@@ -35,6 +35,7 @@ def grouping_probe(g: Graph, k: int, seed: int = 0,
                    restarts: int = 10) -> GroupingProbeResult:
     """Smooth features with k self-loop-normalized adjacency multiplications,
     cluster them, and flag the nodes the clustering gets wrong."""
+    _check_integer("k", k)
     if k < 1:
         raise ConfigError(f"filter order k must be >= 1, got {k}")
     if g.labels is None:
@@ -180,6 +181,7 @@ def mask_features(g: Graph, fraction: float, seed: int) -> Graph:
     """
     if not 0.0 <= fraction < 1.0:
         raise ConfigError(f"fraction must lie in [0, 1), got {fraction}")
+    _check_integer("seed", seed)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     n_masked = int(round(fraction * g.n_nodes))

@@ -90,7 +90,6 @@ def _build_parser():
     p_train.add_argument("--mode", choices=("structure", "vanilla"))
     p_train.add_argument("--no-lneg", action="store_true",
                          help="drop the rank-margin loss term")
-    p_train.add_argument("--max-neighbors", type=int, dest="max_neighbors")
     p_train.add_argument("--sweep", action="store_true",
                          help="iterate the k x lambda grid and rank by accuracy "
                               "(defaults to the full search grids; pass comma "
@@ -183,7 +182,7 @@ def _parse_grid(text, caster, name):
 
 # the JSON name of each type a TrainingConfig field holds
 _JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string", type(None): "null"}
+               str: "a string"}
 
 
 def _read_config(path) -> dict:
@@ -200,18 +199,19 @@ def _read_config(path) -> dict:
     if not isinstance(overrides, dict):
         raise ConfigError(f"{path}: the top-level value must be a JSON object")
     if "lambda" in overrides:
+        if "lam" in overrides:
+            raise ConfigError(f"{path}: config keys 'lam' and 'lambda' both set lambda")
         overrides["lam"] = overrides.pop("lambda")
     hints = typing.get_type_hints(TrainingConfig)
     unknown = set(overrides) - set(hints)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
     for key, value in overrides.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        fits = type(value) in kinds or (type(value) is int and float in kinds)
+        kind = hints[key]
+        fits = type(value) is kind or (type(value) is int and kind is float)
         if not fits or (type(value) is float and not math.isfinite(value)):
-            wanted = " or ".join(_JSON_KINDS[k] for k in kinds)
-            raise ConfigError(f"{path}: config key {key!r} takes {wanted}, "
-                              f"not {json.dumps(value)}")
+            raise ConfigError(f"{path}: config key {key!r} takes "
+                              f"{_JSON_KINDS[kind]}, not {json.dumps(value)}")
     return overrides
 
 
@@ -234,8 +234,7 @@ def _train_config(args) -> dict[str, TrainingConfig]:
     if not args.sweep and (len(k_grid) > 1 or len(lam_grid) > 1):
         raise ConfigError("value lists for --k/--lambda require --sweep")
     for name in ("gamma", "layers", "heads", "d_q", "d_v", "d_out", "epochs",
-                 "lr", "pair_cap", "seed", "restarts", "residual", "mode",
-                 "max_neighbors"):
+                 "lr", "pair_cap", "seed", "restarts", "residual", "mode"):
         value = getattr(args, name, None)
         if value is not None:
             base[name] = value
@@ -256,9 +255,8 @@ def _run_single(g: Graph, cfg: TrainingConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     params, history = train(g, cfg)
-    # train keeps its masks to itself, so the attention mask is built again
-    emb = forward(g, cfg.attention_mask(khop_mask(g, cfg.k)), params,
-                  mode=cfg.mode)
+    # train keeps its mask to itself, so it is built again
+    emb = forward(g, khop_mask(g, cfg.k), params, mode=cfg.mode)
     result = None
     if g.labels is not None:
         seeds = [cfg.seed + i for i in range(N_EVAL_SEEDS)]

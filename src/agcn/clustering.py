@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,13 @@ from .errors import ConfigError, DimensionError
 
 __all__ = ["ClusterResult", "kmeans", "label_mapping", "accuracy", "nmi",
            "evaluate"]
+
+
+def _check_integer(name, value):
+    """A ConfigError unless ``value`` is an integer, a NumPy one included,
+    but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
 
 
 def _sq_norms(points):
@@ -173,6 +181,9 @@ def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
     restart sees the stream it would see alone. Groups of consecutive seeds
     are seeded and refined together, one ``_lloyd`` per group."""
     seeds = list(seeds)
+    for name, value in (("restarts", restarts), ("n_clusters", n_clusters),
+                        *(("seed", seed) for seed in seeds)):
+        _check_integer(name, value)
     if restarts < 1:
         raise ConfigError(f"restarts={restarts} must be >= 1")
     if min(seeds) < 0:
@@ -213,9 +224,14 @@ def _inertia(points, labels):
 
 
 def _as_labels(pred, truth):
-    """Both label vectors as int64 arrays, checked to be the same length."""
+    """Both label vectors as int64 arrays, checked to be the same length
+    and free of negative labels."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
+    for side, labels in (("pred", pred), ("truth", truth)):
+        if labels.size and labels.min() < 0:
+            raise ConfigError(f"{side} label {labels.min()} is negative; "
+                              "labels must be >= 0")
     if pred.shape != truth.shape:
         raise DimensionError(f"label lengths differ: {pred.shape} vs {truth.shape}")
     return pred, truth

@@ -338,30 +338,6 @@ class KHopMask:
             (data, self.indices, self.indptr), shape=(self.n_nodes, self.n_nodes)
         )
 
-    def subsample(self, max_neighbors: int, seed: int) -> "KHopMask":
-        """Cap every list at ``max_neighbors`` by seeded uniform subsampling.
-
-        Every entry draws one random 32-bit key (equal keys rank by index),
-        the node itself ranking first, and each list keeps its
-        ``max_neighbors`` lowest-ranked entries, still in index order. The
-        result is generally not
-        symmetric, which only affects attention gathering, never losses.
-        """
-        if max_neighbors < 1:
-            raise ConfigError("max_neighbors must be >= 1")
-        src = self.src_ids
-        key = np.random.default_rng(seed).integers(1, 2 ** 32, self.total_nnz)
-        key[src == self.indices] = 0
-        # one sort by (row, key); rows keep their slots, so an entry's rank
-        # is its sorted slot minus its row's start
-        order = np.argsort((src << 32) | key, kind="stable")
-        rank = np.empty(self.total_nnz, dtype=np.int64)
-        rank[order] = np.arange(self.total_nnz) - self.indptr[src]
-        keep = rank < max_neighbors
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src[keep], minlength=self.n_nodes), out=indptr[1:])
-        return KHopMask(indptr=indptr, indices=self.indices[keep])
-
 
 def khop_mask(g: Graph, k: int) -> KHopMask:
     """Boolean reachability within k hops, self included: (A + I)^k > 0."""

@@ -40,11 +40,10 @@ DEFAULT_LAMBDA_GRID = tuple(10.0 ** e for e in range(-4, 11))
 # is an integer to Python, but only a bool field takes one
 _FIELD_KINDS = {int: (numbers.Integral, "an integer"),
                 float: (numbers.Real, "a real number"),
-                bool: (bool, "a bool"), str: (str, "a string"),
-                type(None): (type(None), "None")}
+                bool: (bool, "a bool"), str: (str, "a string")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     """Hyperparameters and seeds; defaults follow the standard setting."""
 
@@ -64,15 +63,12 @@ class TrainingConfig:
     residual: str = "input"
     mode: str = "structure"
     use_neg: bool = True
-    max_neighbors: int | None = None
 
     def __post_init__(self):
-        for name, hint in typing.get_type_hints(TrainingConfig).items():
-            value, kinds = getattr(self, name), typing.get_args(hint) or (hint,)
-            if not any(isinstance(value, _FIELD_KINDS[kind][0])
-                       and (kind is bool or not isinstance(value, bool))
-                       for kind in kinds):
-                wanted = " or ".join(_FIELD_KINDS[kind][1] for kind in kinds)
+        for name, kind in typing.get_type_hints(TrainingConfig).items():
+            value, (types, wanted) = getattr(self, name), _FIELD_KINDS[kind]
+            if not isinstance(value, types) or (
+                    kind is not bool and isinstance(value, bool)):
                 raise ConfigError(f"{name} must be {wanted}, not {value!r}")
         for name, low in (("k", 1), ("epochs", 1), ("pair_cap", 1),
                           ("restarts", 1), ("seed", 0)):
@@ -83,8 +79,6 @@ class TrainingConfig:
             raise ConfigError("lambda must be finite and >= 0")
         if not 0 < self.gamma < math.inf:
             raise ConfigError("gamma must be finite and > 0")
-        if self.max_neighbors is not None and self.max_neighbors < 1:
-            raise ConfigError("max_neighbors must be >= 1")
         if not 0 < self.lr < math.inf:
             raise ConfigError("lr must be finite and > 0")
         if self.mode not in ("structure", "vanilla"):
@@ -96,14 +90,6 @@ class TrainingConfig:
         return Dims(d=feature_dim, d_q=self.d_q, d_v=self.d_v,
                     heads=self.heads, layers=self.layers, d_out=self.d_out,
                     residual=self.residual)
-
-    def attention_mask(self, loss_mask: KHopMask) -> KHopMask:
-        """The mask attention gathers over: ``loss_mask`` itself, or its
-        seeded subsample when ``max_neighbors`` caps the lists. The losses
-        always use the full ``loss_mask``."""
-        if self.max_neighbors is None:
-            return loss_mask
-        return loss_mask.subsample(self.max_neighbors, self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +352,7 @@ def train(g: Graph, cfg: TrainingConfig):
     with no k-hop positive weight is a :class:`ConfigError` before epoch 0;
     a :class:`NumericError` names its epoch.
     """
-    loss_mask = khop_mask(g, cfg.k)
-    attn_mask = cfg.attention_mask(loss_mask)
+    mask = khop_mask(g, cfg.k)
     weights = khop_weights(g, cfg.k) if cfg.lam != 0 else None
     if weights is not None and weights.nnz == 0:
         raise ConfigError(f"lambda > 0 needs positive weights, but no walk of "
@@ -377,13 +362,13 @@ def train(g: Graph, cfg: TrainingConfig):
     history = np.empty((cfg.epochs, 3))
     for epoch in range(cfg.epochs):
         try:
-            emb, h_last, tapes = _forward_tape(g.features, attn_mask, params,
+            emb, h_last, tapes = _forward_tape(g.features, mask, params,
                                                mode=cfg.mode)
             u, norms = _unit_rows(emb)
             # each epoch's pairs have a generator of their own, so skipping
             # them when the hinge is off changes no other draw
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
-            batch = (_pair_batch(u, loss_mask, cfg.pair_cap, rng)
+            batch = (_pair_batch(u, mask, cfg.pair_cap, rng)
                      if cfg.use_neg else None)
             l_pos, l_neg, l_total, d_emb = _objective(u, norms, batch,
                                                       weights, cfg)

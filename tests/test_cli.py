@@ -55,6 +55,16 @@ def test_readme_command_lists_name_the_parser_subcommands():
     assert set(groups) == {"analyze", "generate"}
 
 
+def test_readme_train_flags_are_the_parser_options():
+    # the `agcn train` paragraph of the README names every train option and
+    # no other, so a flag that goes or comes shows up here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [paragraph] = re.findall(r"^`agcn train` —.*?(?=\n\n)", readme, re.M | re.S)
+    options = {opt for action in _subcommands(cli._build_parser())["train"]._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert set(re.findall(r"--[a-z][\w-]*", paragraph)) == options - {"--help"}
+
+
 @pytest.mark.parametrize("flag, value", [("--feature-dim", "0"),
                                          ("--noise-scale", "nan"),
                                          ("--mean-scale", "inf")])
@@ -197,7 +207,9 @@ def test_train_config_file_merging(tmp_path):
     (b'{"lr": null}', r"cfg\.json: config key 'lr' takes a number, not null$"),
     (b'{"epochs": 2.5}', r"cfg\.json: config key 'epochs' takes an integer, not 2\.5$"),
     (b'{"use_neg": 1}', r"cfg\.json: config key 'use_neg' takes true or false"),
-    (b'{"max_neighbors": "4"}', r"config key 'max_neighbors' takes an integer or null"),
+    (b'{"max_neighbors": 4}', r"cfg\.json: unknown config keys: \['max_neighbors'\]$"),
+    (b'{"lam": 1.0, "lambda": 5.0}',
+     r"cfg\.json: config keys 'lam' and 'lambda' both set lambda$"),
     (b'{"lr": NaN}', r"cfg\.json: config key 'lr' takes a number, not NaN$"),
     (b'\xff{}', r"not UTF-8 text: .* \[.*cfg\.json\]$"),
     (b'{"k": 2, "bogus": 1}', r"cfg\.json: unknown config keys: \['bogus'\]$"),
@@ -230,14 +242,13 @@ def test_train_non_finite_flag_is_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (("--max-neighbors", "0"), "max_neighbors must be >= 1"),
     (("--dq", "6", "--heads", "4"), "d_q=6 not divisible by heads=4"),
     # every sweep point is checked, not only the first
     (("--sweep", "--k", "1,0"), "k must be >= 1"),
     (("--sweep", "--k", "1", "--lambda", "1,-1"), "lambda must be finite and >= 0"),
     (("--k", "1,x"), "bad --k value '1,x'"),
     (("--sweep",), "--sweep ranks by accuracy and needs --labels"),
-], ids=["max_neighbors", "indivisible_heads", "sweep_k_zero",
+], ids=["indivisible_heads", "sweep_k_zero",
         "sweep_negative_lambda", "unparsable_k", "sweep_without_labels"])
 def test_train_bad_setting_fails_before_reading_inputs(tmp_path, capsys,
                                                        flags, message):

@@ -7,11 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import agcn.clustering as clustering
+from agcn.analysis import grouping_probe, mask_features
 from agcn.clustering import (accuracy, evaluate, kmeans, label_mapping, nmi,
                              _assign, _kmeans_pp_init, _lloyd, _sq_norms)
 from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError, DimensionError
-from agcn.graph import khop_mask
+from agcn.graph import build_graph, khop_mask
 from agcn.model import forward
 from agcn.training import TrainingConfig, train
 
@@ -492,6 +493,16 @@ def test_accuracy_matches_permutation_brute_force(seed):
         brute_force_accuracy(pred, truth, c))
 
 
+@pytest.mark.parametrize("metric", [accuracy, nmi, label_mapping])
+@pytest.mark.parametrize("side", ["pred", "truth"])
+def test_metrics_reject_negative_labels(metric, side):
+    # a -1 once indexed the confusion matrix from its end and merged two
+    # clusters: accuracy([-1, 1], [0, 1]) read 0.5 where nmi read 1.0
+    labels = {"pred": [0, 1, 1], "truth": [0, 1, 1], side: [-1, 1, 1]}
+    with pytest.raises(ConfigError, match=f"^{side} label -1 is negative"):
+        metric(labels["pred"], labels["truth"])
+
+
 def test_accuracy_identity():
     truth = np.array([0, 1, 2, 1, 0, 2])
     assert accuracy(truth, truth) == 1.0
@@ -627,3 +638,27 @@ def test_evaluate_rejects_empty_seed_list():
 def test_evaluate_rejects_fewer_than_one_restart(restarts):
     with pytest.raises(ConfigError, match="restarts"):
         evaluate(np.eye(3), 2, [0, 1, 1], seeds=[0], restarts=restarts)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda pts, g: kmeans(pts, 2, seed=1.5), "seed"),
+    (lambda pts, g: kmeans(pts, 2, seed=True), "seed"),
+    (lambda pts, g: kmeans(pts, 2, seed=0, restarts=2.5), "restarts"),
+    (lambda pts, g: kmeans(pts, 2.0, seed=0), "n_clusters"),
+    (lambda pts, g: evaluate(pts, 2, [0, 1, 1, 0], seeds=[0.5]), "seed"),
+    (lambda pts, g: evaluate(pts, 2, [0, 1, 1, 0], seeds=[0, np.True_]),
+     "seed"),
+    (lambda pts, g: grouping_probe(g, 2.5), "k"),
+    (lambda pts, g: mask_features(g, 0.5, 1.5), "seed"),
+], ids=["kmeans_float_seed", "kmeans_bool_seed", "kmeans_float_restarts",
+        "kmeans_float_clusters", "evaluate_float_seed", "evaluate_numpy_bool_seed",
+        "grouping_float_k", "mask_features_float_seed"])
+def test_integer_arguments_reject_other_types(call, name):
+    # NumPy integers pass, as in TrainingConfig; a float or a bool names
+    # its argument instead of failing inside NumPy or being taken as 0/1
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
+    g = build_graph([[0, 1], [2, 3]], pts, [0, 0, 1, 1])
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, not "):
+        call(pts, g)
+    assert (kmeans(pts, np.int64(2), seed=np.int32(1), restarts=np.uint8(2))
+            == kmeans(pts, 2, seed=1, restarts=2)).all()

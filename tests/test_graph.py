@@ -322,36 +322,28 @@ def test_khop_counts():
 
 @settings(max_examples=40)
 @given(n=st.integers(1, 14), p_edge=st.floats(0.0, 1.0), k=st.integers(1, 3),
-       cap=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
-def test_mask_rows_strictly_increase_and_hold_self(n, p_edge, k, cap, seed):
+       seed=st.integers(0, 2 ** 16))
+def test_mask_rows_strictly_increase_and_hold_self(n, p_edge, k, seed):
     mask = khop_mask(random_graph(n, p_edge, seed=seed), k)
-    for m in (mask, complete_mask(n), mask.subsample(cap, seed)):
+    for m in (mask, complete_mask(n)):
         for i in range(n):
             nb = neighbors(m, i)
             assert (np.diff(nb) > 0).all()
             assert i in nb
 
 
-def test_subsample_caps_lists_and_keeps_self():
-    g = random_graph(12, 0.6, seed=2)
-    mask = khop_mask(g, 2)
-    capped = mask.subsample(4, seed=0)
-    for i in range(12):
-        nb = neighbors(capped, i)
-        assert len(nb) == min(len(neighbors(mask, i)), 4)
-        assert i in nb
-        assert set(nb.tolist()) <= set(neighbors(mask, i).tolist())
-
-
 def test_entry_dots_chunked_is_bitwise_single_shot():
     rng = np.random.default_rng(11)
     full = complete_mask(90)          # 8100 entries: several chunks and a remainder
-    assert full.total_nnz > 3 * ENTRY_CHUNK and full.total_nnz % ENTRY_CHUNK
+    # lists of unequal length, so chunk edges fall inside rows at odd offsets
+    sparse = khop_mask(random_graph(90, 0.1, seed=4), 2)
+    for mask in (full, sparse):
+        assert mask.total_nnz > 3 * ENTRY_CHUNK and mask.total_nnz % ENTRY_CHUNK
+    assert len(set(sparse.list_sizes().tolist())) > 1
     h = rng.standard_normal((90, 37))
     h[3] = 0.0
     qkv = rng.standard_normal((90, 3 * 16))
-    # a subsample is not symmetric: entry (i, j) need not have (j, i)
-    for mask in (full, full.subsample(50, seed=1)):
+    for mask in (full, sparse):
         rows, cols = mask.src_ids, mask.indices
         # whole rows, and strided per-head column views
         for a, b in ((h, h), (qkv[:, 4:8], qkv[:, 20:24])):

@@ -31,7 +31,7 @@ def test_package_exports_exactly_the_module_public_names():
     assert set(star) - {"__builtins__"} == set(union)
 
 
-def test_removed_wrappers_are_not_public():
+def test_removed_wrappers_are_not_public(capsys):
     for name in ("loss_pos", "loss_neg", "total_loss", "backward",
                  "NormalizedAdjacency", "layer_forward", "homophily_ratio",
                  "TreeMatchSpec", "gen_tree_match"):
@@ -57,3 +57,13 @@ def test_removed_wrappers_are_not_public():
     with pytest.raises(SystemExit) as exit_:
         cli.main(["generate", "tree-match", "--depth", "2"])
     assert exit_.value.code == 2
+    # attention and the losses share the k-hop mask: no option caps its lists
+    assert "max_neighbors" not in {f.name for f in
+                                   dataclasses.fields(agcn.TrainingConfig)}
+    assert not hasattr(agcn.TrainingConfig, "attention_mask")
+    assert not hasattr(agcn.KHopMask, "subsample")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["train", "--graph", "g.edges", "--features", "g.csv",
+                  "--max-neighbors", "4"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --max-neighbors 4" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -1004,18 +1005,6 @@ def test_heterophilic_structure_recovered_at_two_hops():
     assert accs[1] <= 0.75
 
 
-def test_train_with_neighbor_cap_runs_and_is_deterministic():
-    g = random_graph(14, 0.6, seed=30, d=3)
-    cfg = TrainingConfig(k=2, lam=1e-2, epochs=3, layers=1, heads=2,
-                         d_q=4, d_v=4, d_out=3, seed=2, max_neighbors=4)
-    p1, h1 = train(g, cfg)
-    p2, h2 = train(g, cfg)
-    np.testing.assert_array_equal(h1, h2)
-    assert np.isfinite(h1[:, 1:]).all()
-    for (_, a), (_, b) in zip(p1.tensors(), p2.tensors()):
-        np.testing.assert_array_equal(a, b)
-
-
 @pytest.mark.parametrize("field, value, wanted", [
     ("k", 2.5, "an integer"),
     ("epochs", 2.0, "an integer"),
@@ -1024,7 +1013,6 @@ def test_train_with_neighbor_cap_runs_and_is_deterministic():
     ("seed", True, "an integer"),
     ("use_neg", "no", "a bool"),
     ("use_neg", 1, "a bool"),
-    ("max_neighbors", 2.5, "an integer or None"),
     ("lam", True, "a real number"),
     ("gamma", "1e-4", "a real number"),
     ("mode", 1, "a string"),
@@ -1038,8 +1026,18 @@ def test_config_rejects_value_of_wrong_type(field, value, wanted):
 
 def test_config_takes_numpy_numbers():
     cfg = TrainingConfig(k=np.int64(2), epochs=np.int32(3), lam=np.float32(0.5),
-                         gamma=1, max_neighbors=np.uint8(4))
-    assert (cfg.k, cfg.epochs, cfg.max_neighbors) == (2, 3, 4)
+                         gamma=1, pair_cap=np.uint8(4))
+    assert (cfg.k, cfg.epochs, cfg.pair_cap) == (2, 3, 4)
+
+
+def test_config_is_frozen_after_its_checks():
+    # a field checked once when built cannot be changed past the check
+    cfg = TrainingConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.k = 0
+    assert dataclasses.replace(cfg, k=3).k == 3
+    with pytest.raises(ConfigError, match="k must be >= 1"):
+        dataclasses.replace(cfg, k=0)
 
 
 def test_train_rejects_bad_config():
@@ -1054,7 +1052,6 @@ def test_train_rejects_bad_config():
     for bad, message in (({"epochs": 0}, "epochs must be >= 1"),
                          ({"pair_cap": 0}, "pair_cap must be >= 1"),
                          ({"restarts": 0}, "restarts must be >= 1"),
-                         ({"max_neighbors": 0}, "max_neighbors must be >= 1"),
                          ({"d_q": 6, "heads": 4}, "not divisible by heads"),
                          ({"d_v": 0}, "d_v must be >= 1"),
                          ({"residual": "other"}, "residual must be")):
