@@ -6,8 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import _check_integer, kmeans, label_mapping
-from .errors import ConfigError
+from .clustering import _as_labels, kmeans, label_mapping
+from .errors import ConfigError, _check_type
 from .graph import Graph, normalized_adjacency
 from .model import _row_blocks
 
@@ -35,7 +35,7 @@ def grouping_probe(g: Graph, k: int, seed: int = 0,
                    restarts: int = 10) -> GroupingProbeResult:
     """Smooth features with k self-loop-normalized adjacency multiplications,
     cluster them, and flag the nodes the clustering gets wrong."""
-    _check_integer("k", k)
+    _check_type("k", k)
     if k < 1:
         raise ConfigError(f"filter order k must be >= 1, got {k}")
     if g.labels is None:
@@ -128,11 +128,12 @@ def _pair_dist_sums(power, groups):
 def r_ratio(g: Graph, pred, truth, k_range) -> RRatioReport:
     """Compare higher-order structural distances of misclustered nodes to the
     population, per true cluster and per adjacency power k."""
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
     if len(pred) != g.n_nodes or len(truth) != g.n_nodes:
         raise ConfigError("pred/truth lengths must match the node count")
+    pred, truth = _as_labels(pred, truth)
     k_range = tuple(k_range)
+    for k in k_range:
+        _check_type("k_range entry", k)
     if not k_range or min(k_range) < 1:
         raise ConfigError("k_range must contain orders >= 1")
 
@@ -181,7 +182,7 @@ def mask_features(g: Graph, fraction: float, seed: int) -> Graph:
     """
     if not 0.0 <= fraction < 1.0:
         raise ConfigError(f"fraction must lie in [0, 1), got {fraction}")
-    _check_integer("seed", seed)
+    _check_type("seed", seed)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     n_masked = int(round(fraction * g.n_nodes))

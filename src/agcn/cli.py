@@ -86,7 +86,6 @@ def _build_parser():
     p_train.add_argument("--pair-cap", type=int, dest="pair_cap")
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--restarts", type=int)
-    p_train.add_argument("--residual", choices=("input", "hidden"))
     p_train.add_argument("--mode", choices=("structure", "vanilla"))
     p_train.add_argument("--no-lneg", action="store_true",
                          help="drop the rank-margin loss term")
@@ -234,7 +233,7 @@ def _train_config(args) -> dict[str, TrainingConfig]:
     if not args.sweep and (len(k_grid) > 1 or len(lam_grid) > 1):
         raise ConfigError("value lists for --k/--lambda require --sweep")
     for name in ("gamma", "layers", "heads", "d_q", "d_v", "d_out", "epochs",
-                 "lr", "pair_cap", "seed", "restarts", "residual", "mode"):
+                 "lr", "pair_cap", "seed", "restarts", "mode"):
         value = getattr(args, name, None)
         if value is not None:
             base[name] = value

@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _check_type
+from .graph import _node_ids
 
 __all__ = ["ClusterResult", "kmeans", "label_mapping", "accuracy", "nmi",
            "evaluate"]
-
-
-def _check_integer(name, value):
-    """A ConfigError unless ``value`` is an integer, a NumPy one included,
-    but not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
 
 
 def _sq_norms(points):
@@ -183,7 +177,7 @@ def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
     seeds = list(seeds)
     for name, value in (("restarts", restarts), ("n_clusters", n_clusters),
                         *(("seed", seed) for seed in seeds)):
-        _check_integer(name, value)
+        _check_type(name, value)
     if restarts < 1:
         raise ConfigError(f"restarts={restarts} must be >= 1")
     if min(seeds) < 0:
@@ -223,15 +217,20 @@ def _inertia(points, labels):
     return float((diff * diff).sum())
 
 
+def _label_vector(side, labels):
+    """``labels`` as an int64 array, checked to hold whole numbers >= 0
+    before the cast, so none is truncated; ``side`` names it in errors."""
+    labels, bad, whole = _node_ids(labels, math.inf)
+    if bad is None:
+        return labels
+    raise ConfigError(f"{side} label {bad} is negative; labels must be >= 0"
+                      if whole else f"{side} label {bad} is not a whole number")
+
+
 def _as_labels(pred, truth):
-    """Both label vectors as int64 arrays, checked to be the same length
-    and free of negative labels."""
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    for side, labels in (("pred", pred), ("truth", truth)):
-        if labels.size and labels.min() < 0:
-            raise ConfigError(f"{side} label {labels.min()} is negative; "
-                              "labels must be >= 0")
+    """Both label vectors as :func:`_label_vector` arrays, checked to be
+    the same length."""
+    pred, truth = _label_vector("pred", pred), _label_vector("truth", truth)
     if pred.shape != truth.shape:
         raise DimensionError(f"label lengths differ: {pred.shape} vs {truth.shape}")
     return pred, truth
@@ -319,7 +318,7 @@ def evaluate(h: np.ndarray, n_clusters: int, truth, seeds,
     how many restarts share a GEMM, so each distinct partition is scored
     once from its labels alone, and seeds that reach it tie exactly.
     """
-    truth = np.asarray(truth, dtype=np.int64)
+    truth = _label_vector("truth", truth)
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("evaluate needs at least one k-means seed")

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_type
 from .graph import Graph, _atomic_open, build_graph
 
 __all__ = ["SBMSpec", "gen_sbm", "write_graph_files"]
@@ -37,22 +36,18 @@ class SBMSpec:
 
     def __post_init__(self):
         if not isinstance(self.block_sizes, (tuple, list)):
-            raise ConfigError("block_sizes takes a tuple of integers, not "
+            raise ConfigError("block_sizes must be a tuple of integers, not "
                               f"{self.block_sizes!r}")
-        # integers and reals exclude bool, as TrainingConfig's fields do
-        whole = (numbers.Integral, "integers")
-        real = (numbers.Real, "real numbers")
         dim = [] if self.feature_dim is None else [self.feature_dim]
-        for name, values, (kind, wanted) in (
-                ("block_sizes", self.block_sizes, whole),
-                ("p_in", [self.p_in], real), ("p_out", [self.p_out], real),
-                ("feature_dim", dim, whole),
-                ("mean_scale", [self.mean_scale], real),
-                ("noise_scale", [self.noise_scale], real),
-                ("seed", [self.seed], whole)):
+        for name, values, kind in (
+                ("block_sizes", self.block_sizes, int),
+                ("p_in", [self.p_in], float), ("p_out", [self.p_out], float),
+                ("feature_dim", dim, int),
+                ("mean_scale", [self.mean_scale], float),
+                ("noise_scale", [self.noise_scale], float),
+                ("seed", [self.seed], int)):
             for value in values:
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ConfigError(f"{name} takes {wanted}, not {value!r}")
+                _check_type(name, value, kind)
         if not self.block_sizes or any(s <= 0 for s in self.block_sizes):
             raise ConfigError("block sizes must be positive")
         for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):

@@ -1,6 +1,9 @@
 """Shared exception types. Every input is checked where it is read, before
 training starts, so a NumericError never reports bad input late."""
 
+import numbers
+import typing
+
 __all__ = ["AgcnError", "ParseError", "DimensionError", "ConfigError",
            "NumericError"]
 
@@ -34,3 +37,26 @@ class ConfigError(AgcnError):
 
 class NumericError(AgcnError):
     """Non-finite value produced during a numeric computation."""
+
+
+# the values each type of a checked field or argument takes, and their
+# name; a bool is an integer to Python, but only a bool field takes one
+_KINDS = {int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a real number"),
+          bool: (bool, "a bool"), str: (str, "a string")}
+
+
+def _check_type(name, value, kind=int):
+    """A ConfigError unless ``value`` is of type ``kind`` (int, float, bool
+    or str); NumPy numbers count, and a bool counts only as a bool."""
+    types, wanted = _KINDS[kind]
+    if not isinstance(value, types) or (
+            kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{name} must be {wanted}, not {value!r}")
+
+
+def _check_fields(record):
+    """:func:`_check_type` on every field of the dataclass ``record``, each
+    against its type hint."""
+    for name, kind in typing.get_type_hints(type(record)).items():
+        _check_type(name, getattr(record, name), kind)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, DimensionError, ParseError, _check_type
 
 __all__ = [
     "Graph",
@@ -341,6 +341,7 @@ class KHopMask:
 
 def khop_mask(g: Graph, k: int) -> KHopMask:
     """Boolean reachability within k hops, self included: (A + I)^k > 0."""
+    _check_type("k", k)
     if k < 1:
         raise ConfigError(f"hop order k must be >= 1, got {k}")
     n = g.n_nodes
@@ -362,6 +363,7 @@ def khop_weights(g: Graph, k: int) -> sparse.csr_array:
     These are the real-valued positive-pair weights; entries are nonnegative
     and, by the spectral bound, never exceed one.
     """
+    _check_type("k", k)
     if k < 1:
         raise ConfigError(f"hop order k must be >= 1, got {k}")
     base = normalized_adjacency(g, with_self_loops=False)

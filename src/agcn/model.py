@@ -8,9 +8,8 @@ and of their gradient (``KHopMask.entry_dots``), gathering a cache-sized
 chunk of entries at a time once for all heads. Vanilla mode swaps that masked kernel for a
 dense softmax over all node pairs, computed in row blocks whose backward
 pass recomputes the scores, so no n x n matrix is ever kept. The residual
-path maps the original node features (default) or the previous hidden
-state into the layer output. A final linear projection produces the
-embedding matrix.
+path maps the original node features into every layer's output. A final
+linear projection produces the embedding matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _check_fields
 from .graph import Graph, KHopMask, _atomic_open
 
 __all__ = [
@@ -46,8 +45,6 @@ class Dims:
     d: input feature width; d_q/d_v: total query/key and value widths (split
     across heads), d_v also being every layer's output width; d_out:
     embedding width.
-    ``residual`` selects the residual source: "input" feeds the original
-    features into every layer, "hidden" feeds the previous layer's output.
     """
 
     d: int
@@ -56,9 +53,9 @@ class Dims:
     heads: int
     layers: int
     d_out: int
-    residual: str = "input"
 
     def __post_init__(self):
+        _check_fields(self)
         for name in ("d", "d_q", "d_v", "heads", "layers", "d_out"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"dims.{name} must be >= 1")
@@ -66,8 +63,6 @@ class Dims:
             raise ConfigError(f"d_q={self.d_q} not divisible by heads={self.heads}")
         if self.d_v % self.heads:
             raise ConfigError(f"d_v={self.d_v} not divisible by heads={self.heads}")
-        if self.residual not in ("input", "hidden"):
-            raise ConfigError("residual must be 'input' or 'hidden'")
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,7 @@ class LayerParams:
     wk: np.ndarray      # (d_in, d_q)
     wv: np.ndarray      # (d_in, d_v)
     wo: np.ndarray      # (d_v, d_v)
-    wres: np.ndarray    # (res_in, d_v)
+    wres: np.ndarray    # (d, d_v)
 
 
 @dataclass(frozen=True)
@@ -289,8 +284,8 @@ def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams, heads: int,
 
 def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
     """Parameter gradients of one layer and, if ``input_grad``, the gradient
-    at its input ``tape.h_in``. That gradient takes the residual path too
-    when the residual source is the input itself (the "hidden" wiring)."""
+    at its input ``tape.h_in``, which reaches the output through attention
+    alone: the residual maps the raw features."""
     n = d_out.shape[0]
     q, k, v, ctx = tape.q, tape.k, tape.v, tape.ctx
     d_wo = ctx.reshape(n, -1).T @ d_out
@@ -308,10 +303,7 @@ def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
                         d_wo, d_wres)
     if not input_grad:
         return grads, None
-    d_h_in = d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
-    if tape.res_src is tape.h_in:
-        d_h_in += d_out @ p.wres.T
-    return grads, d_h_in
+    return grads, d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
 
 
 def forward(g: Graph, mask: KHopMask, params: ModelParams,
@@ -322,9 +314,9 @@ def forward(g: Graph, mask: KHopMask, params: ModelParams,
 
 def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
     """Chain the layers over ``mask`` ("structure") or over all node pairs
-    ("vanilla"), the residual source being ``x`` or each layer's own input,
-    and apply the final projection. Returns (embeddings, last hidden state,
-    per-layer tapes): every intermediate the backward pass needs."""
+    ("vanilla"), every layer's residual source being ``x``, and apply the
+    final projection. Returns (embeddings, last hidden state, per-layer
+    tapes): every intermediate the backward pass needs."""
     if mode not in ("structure", "vanilla"):
         raise ConfigError(f"unknown mode {mode!r}")
     attn_mask = mask if mode == "structure" else None
@@ -334,8 +326,7 @@ def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
     tapes = []
     h = x
     for l, p in enumerate(params.layers):
-        res_src = x if dims.residual == "input" else h
-        h, tape = _layer(h, res_src, attn_mask, p, dims.heads, layer_idx=l,
+        h, tape = _layer(h, x, attn_mask, p, dims.heads, layer_idx=l,
                          counter=counter)
         tapes.append(tape)
     return h @ params.final_proj, h, tapes
@@ -381,12 +372,11 @@ def _tensor_specs(dims: Dims):
     serialization order; ``split`` is the number of per-head column blocks."""
     d_in = dims.d
     for l in range(dims.layers):
-        res_in = dims.d if dims.residual == "input" else d_in
         yield from ((f"layers.{l}.wq", (d_in, dims.d_q), dims.heads),
                     (f"layers.{l}.wk", (d_in, dims.d_q), dims.heads),
                     (f"layers.{l}.wv", (d_in, dims.d_v), dims.heads),
                     (f"layers.{l}.wo", (dims.d_v, dims.d_v), 1),
-                    (f"layers.{l}.wres", (res_in, dims.d_v), 1))
+                    (f"layers.{l}.wres", (dims.d, dims.d_v), 1))
         d_in = dims.d_v
     yield "final_proj", (dims.d_v, dims.d_out), 1
 

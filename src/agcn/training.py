@@ -11,13 +11,11 @@ by the gradients.
 from __future__ import annotations
 
 import math
-import numbers
-import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _check_fields
 from .graph import Graph, KHopMask, _atomic_open, khop_mask, khop_weights
 from .model import (Dims, ModelParams, _forward_tape, _model_backward,
                     _row_blocks, init_params)
@@ -35,12 +33,6 @@ __all__ = [
 
 DEFAULT_K_GRID = tuple(range(1, 11))
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** e for e in range(-4, 11))
-
-# the values each TrainingConfig field type takes, and their name; a bool
-# is an integer to Python, but only a bool field takes one
-_FIELD_KINDS = {int: (numbers.Integral, "an integer"),
-                float: (numbers.Real, "a real number"),
-                bool: (bool, "a bool"), str: (str, "a string")}
 
 
 @dataclass(frozen=True)
@@ -60,16 +52,11 @@ class TrainingConfig:
     pair_cap: int = 256
     seed: int = 0
     restarts: int = 10
-    residual: str = "input"
     mode: str = "structure"
     use_neg: bool = True
 
     def __post_init__(self):
-        for name, kind in typing.get_type_hints(TrainingConfig).items():
-            value, (types, wanted) = getattr(self, name), _FIELD_KINDS[kind]
-            if not isinstance(value, types) or (
-                    kind is not bool and isinstance(value, bool)):
-                raise ConfigError(f"{name} must be {wanted}, not {value!r}")
+        _check_fields(self)
         for name, low in (("k", 1), ("epochs", 1), ("pair_cap", 1),
                           ("restarts", 1), ("seed", 0)):
             if getattr(self, name) < low:
@@ -83,13 +70,12 @@ class TrainingConfig:
             raise ConfigError("lr must be finite and > 0")
         if self.mode not in ("structure", "vanilla"):
             raise ConfigError("mode must be 'structure' or 'vanilla'")
-        # the layer widths, heads and residual follow the rules of Dims
+        # the layer widths and heads follow the rules of Dims
         self.dims_for(1)
 
     def dims_for(self, feature_dim: int) -> Dims:
         return Dims(d=feature_dim, d_q=self.d_q, d_v=self.d_v,
-                    heads=self.heads, layers=self.layers, d_out=self.d_out,
-                    residual=self.residual)
+                    heads=self.heads, layers=self.layers, d_out=self.d_out)
 
 
 # ---------------------------------------------------------------------------

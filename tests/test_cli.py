@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -63,6 +64,15 @@ def test_readme_train_flags_are_the_parser_options():
     options = {opt for action in _subcommands(cli._build_parser())["train"]._actions
                for opt in action.option_strings if opt.startswith("--")}
     assert set(re.findall(r"--[a-z][\w-]*", paragraph)) == options - {"--help"}
+
+
+def test_readme_dimension_record_is_the_dims_fields():
+    # the `params.bin` paragraph of the README names the dimension record's
+    # keys in field order, so a key that goes or comes shows up here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [record] = re.findall(r"The dimension record holds (.*?);", readme, re.S)
+    assert re.findall(r"`(\w+)`", record) == [f.name for f in
+                                               dataclasses.fields(Dims)]
 
 
 @pytest.mark.parametrize("flag, value", [("--feature-dim", "0"),

@@ -7,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import agcn.clustering as clustering
-from agcn.analysis import grouping_probe, mask_features
+from agcn.analysis import grouping_probe, mask_features, r_ratio
 from agcn.clustering import (accuracy, evaluate, kmeans, label_mapping, nmi,
                              _assign, _kmeans_pp_init, _lloyd, _sq_norms)
 from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError, DimensionError
-from agcn.graph import build_graph, khop_mask
+from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import forward
 from agcn.training import TrainingConfig, train
 
@@ -503,6 +503,26 @@ def test_metrics_reject_negative_labels(metric, side):
         metric(labels["pred"], labels["truth"])
 
 
+@pytest.mark.parametrize("call, side, value", [
+    (lambda pts, g: accuracy([0.7, 1.2], [0, 1]), "pred", "0.7"),
+    (lambda pts, g: nmi([0.7, 1.2], [0, 1]), "pred", "0.7"),
+    (lambda pts, g: label_mapping([0, 1], [0.0, 1.5]), "truth", "1.5"),
+    (lambda pts, g: evaluate(pts, 2, g.labels + 0.5, [0]), "truth", "0.5"),
+    (lambda pts, g: r_ratio(g, [0, 0, 1, np.nan], g.labels, k_range=(1,)),
+     "pred", "nan"),
+], ids=["accuracy", "nmi", "label_mapping", "evaluate", "r_ratio"])
+def test_labels_reject_fractions(call, side, value):
+    # a fractional label was truncated: accuracy([0.7, 1.2], [0, 1]) read 1.0
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
+    g = build_graph([[0, 1], [2, 3]], pts, [0, 0, 1, 1])
+    with pytest.raises(ConfigError,
+                       match=f"^{side} label {value} is not a whole number"):
+        call(pts, g)
+    # whole-valued floats are labels
+    assert accuracy([0.0, 1.0, 1.0], [1, 0, 0]) == 1.0
+    assert evaluate(pts, 2, g.labels.astype(float), [0]).acc == 1.0
+
+
 def test_accuracy_identity():
     truth = np.array([0, 1, 2, 1, 0, 2])
     assert accuracy(truth, truth) == 1.0
@@ -650,9 +670,15 @@ def test_evaluate_rejects_fewer_than_one_restart(restarts):
      "seed"),
     (lambda pts, g: grouping_probe(g, 2.5), "k"),
     (lambda pts, g: mask_features(g, 0.5, 1.5), "seed"),
+    (lambda pts, g: khop_mask(g, 1.5), "k"),
+    (lambda pts, g: khop_mask(g, True), "k"),
+    (lambda pts, g: khop_weights(g, 2.5), "k"),
+    (lambda pts, g: r_ratio(g, [0, 0, 1, 1], [0, 0, 1, 1], k_range=(1.5,)),
+     "k_range entry"),
 ], ids=["kmeans_float_seed", "kmeans_bool_seed", "kmeans_float_restarts",
         "kmeans_float_clusters", "evaluate_float_seed", "evaluate_numpy_bool_seed",
-        "grouping_float_k", "mask_features_float_seed"])
+        "grouping_float_k", "mask_features_float_seed", "khop_mask_float_k",
+        "khop_mask_bool_k", "khop_weights_float_k", "r_ratio_float_k"])
 def test_integer_arguments_reject_other_types(call, name):
     # NumPy integers pass, as in TrainingConfig; a float or a bool names
     # its argument instead of failing inside NumPy or being taken as 0/1

@@ -97,7 +97,7 @@ def test_sbm_validates_features(field, value):
 ])
 def test_sbm_rejects_wrong_field_types(field, value):
     spec = {"block_sizes": (4, 4), "p_in": 0.5, "p_out": 0.1, field: value}
-    with pytest.raises(ConfigError, match=f"^{field} takes "):
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
         SBMSpec(**spec)
 
 

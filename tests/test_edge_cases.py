@@ -1,5 +1,5 @@
 """Stress cases that cross module seams: degenerate nodes, unequal head
-widths, hidden-residual chains, label-free training."""
+widths, label-free training."""
 
 import json
 
@@ -8,8 +8,7 @@ import pytest
 
 from agcn.cli import main
 from agcn.graph import build_graph, khop_mask, khop_weights
-from agcn.model import (Dims, forward, init_params, load_params, save_params,
-                        _forward_tape)
+from agcn.model import Dims, forward, init_params, _forward_tape
 from agcn.training import (TrainingConfig, train, _objective, _pair_batch,
                            _unit_rows)
 
@@ -73,23 +72,6 @@ def test_gradcheck_unequal_head_widths():
     for (name, a), (_, f) in zip(analytic.tensors(), _fd_grads(frozen_loss, params)):
         np.testing.assert_allclose(a, f, rtol=1e-4, atol=1e-8,
                                    err_msg=f"gradient mismatch in {name}")
-
-
-def test_hidden_residual_train_and_roundtrip(tmp_path):
-    g = random_graph(10, 0.4, seed=8, d=3)
-    cfg = TrainingConfig(k=2, lam=1e-2, epochs=3, layers=2, heads=2,
-                         d_q=4, d_v=4, d_out=3, seed=8, residual="hidden")
-    params, history = train(g, cfg)
-    assert np.isfinite(history[:, 1:]).all()
-    # layer 1 residual maps the previous hidden state, not the features
-    assert params.layers[1].wres.shape == (4, 4)
-
-    path = tmp_path / "p.bin"
-    save_params(params, path)
-    loaded = load_params(path)
-    mask = khop_mask(g, cfg.k)
-    np.testing.assert_array_equal(forward(g, mask, params),
-                                  forward(g, mask, loaded))
 
 
 def test_isolated_node_trains_and_keeps_self_embedding_finite():

@@ -93,18 +93,14 @@ def test_init_bounds_follow_fan_in_out():
     assert np.abs(params.layers[0].wq).max() <= bound
 
 
-@pytest.mark.parametrize("residual, digest", [
-    ("input", "219b3f8c201d27ec435e82ccceba206d166af3b24becac3fe0b70082ffe256cd"),
-    ("hidden", "deaa71eda405b6dc246de082ae7aa7219873d7c5fd7d18b21569c083aa54ba29"),
-], ids=["input", "hidden"])
-def test_init_params_pinned_bytes(residual, digest):
+def test_init_params_pinned_bytes():
     """The draw order (per-head blocks of wq, wk, wv, then wo, wres per
     layer, then final_proj) and the Xavier bounds, pinned bit for bit."""
-    dims = Dims(d=7, d_q=6, d_v=4, heads=2, layers=3, d_out=3,
-                residual=residual)
+    dims = Dims(d=7, d_q=6, d_v=4, heads=2, layers=3, d_out=3)
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
                     for _, a in init_params(dims, seed=11).tensors())
-    assert hashlib.sha256(blob).hexdigest() == digest
+    assert hashlib.sha256(blob).hexdigest() == (
+        "219b3f8c201d27ec435e82ccceba206d166af3b24becac3fe0b70082ffe256cd")
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +201,14 @@ def test_zero_final_projection_gives_zero_embeddings():
 @settings(max_examples=30)
 @given(n=st.integers(2, 10), p_edge=st.floats(0.0, 1.0),
        mode=st.sampled_from(["structure", "vanilla"]),
-       residual=st.sampled_from(["input", "hidden"]),
        seed=st.integers(0, 2 ** 16))
-@example(n=10, p_edge=0.35, mode="structure", residual="input", seed=6)
-def test_forward_permutation_equivariance(n, p_edge, mode, residual, seed):
+@example(n=10, p_edge=0.35, mode="structure", seed=6)
+def test_forward_permutation_equivariance(n, p_edge, mode, seed):
     # permuting the nodes permutes the embeddings and leaves every
     # parameter gradient unchanged
     from agcn.graph import build_graph
     g = random_graph(n, p_edge, seed=seed)
-    dims = dataclasses.replace(DIMS, residual=residual)
-    params = init_params(dims, seed=seed)
+    params = init_params(DIMS, seed=seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)            # node i is renamed perm[i]
     inv = np.argsort(perm)
@@ -222,7 +216,7 @@ def test_forward_permutation_equivariance(n, p_edge, mode, residual, seed):
     keep = rows < cols
     g_p = build_graph(np.column_stack([perm[rows[keep]], perm[cols[keep]]]),
                       g.features[inv])
-    d_emb = rng.standard_normal((n, dims.d_out))
+    d_emb = rng.standard_normal((n, DIMS.d_out))
     runs = []
     for graph, d in ((g, d_emb), (g_p, d_emb[inv])):
         mask = khop_mask(graph, 2)
@@ -274,11 +268,9 @@ def test_vanilla_equals_masked_with_complete_mask():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-@pytest.mark.parametrize("residual", ["input", "hidden"])
-def test_vanilla_backward_equals_masked_with_complete_mask(residual):
+def test_vanilla_backward_equals_masked_with_complete_mask():
     g = random_graph(8, 0.4, seed=10)
-    dims = Dims(d=3, d_q=4, d_v=4, heads=2, layers=2, d_out=3,
-                residual=residual)
+    dims = Dims(d=3, d_q=4, d_v=4, heads=2, layers=2, d_out=3)
     params = init_params(dims, seed=10)
     full = complete_mask(8)
     d_emb = np.random.default_rng(10).standard_normal((8, dims.d_out))
@@ -420,21 +412,19 @@ def test_vanilla_counts_all_pairs():
 def test_params_roundtrip_bitwise(tmp_path):
     g = random_graph(9, 0.4, seed=33)
     mask = khop_mask(g, 2)
-    for residual in ("input", "hidden"):
-        params = init_params(dataclasses.replace(DIMS, residual=residual),
-                             seed=33)
-        path = tmp_path / f"{residual}.bin"
-        save_params(params, path)
-        loaded = load_params(path)
-        assert loaded.dims == params.dims
-        for (na, ta), (nb, tb) in zip(params.tensors(), loaded.tensors()):
-            assert na == nb
-            np.testing.assert_array_equal(ta, tb)
-        # the file holds the whole model, head split included: the loaded
-        # parameters embed the graph bit for bit as the saved ones do
-        for mode in ("structure", "vanilla"):
-            np.testing.assert_array_equal(forward(g, mask, loaded, mode=mode),
-                                          forward(g, mask, params, mode=mode))
+    params = init_params(DIMS, seed=33)
+    path = tmp_path / "params.bin"
+    save_params(params, path)
+    loaded = load_params(path)
+    assert loaded.dims == params.dims
+    for (na, ta), (nb, tb) in zip(params.tensors(), loaded.tensors()):
+        assert na == nb
+        np.testing.assert_array_equal(ta, tb)
+    # the file holds the whole model, head split included: the loaded
+    # parameters embed the graph bit for bit as the saved ones do
+    for mode in ("structure", "vanilla"):
+        np.testing.assert_array_equal(forward(g, mask, loaded, mode=mode),
+                                      forward(g, mask, params, mode=mode))
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -458,8 +448,9 @@ def _with_header(blob: bytes, edit) -> bytes:
 
 @pytest.mark.parametrize("damage", ["short_length_field", "truncated_header",
                                     "header_without_dims", "indivisible_heads",
-                                    "dims_with_d_model", "truncated_tensor",
-                                    "trailing_bytes"])
+                                    "dims_with_d_model", "dims_with_residual",
+                                    "fractional_layers", "bool_heads",
+                                    "truncated_tensor", "trailing_bytes"])
 def test_load_rejects_damaged_params(tmp_path, damage):
     path = tmp_path / "params.bin"
     save_params(init_params(DIMS, seed=33), path)
@@ -474,6 +465,14 @@ def test_load_rejects_damaged_params(tmp_path, damage):
         # the layer width key of files written before d_v fixed it
         "dims_with_d_model": _with_header(
             blob, lambda h: h["dims"].update(d_model=DIMS.d_v)),
+        # the residual source key of files written before the raw features
+        # became the only one
+        "dims_with_residual": _with_header(
+            blob, lambda h: h["dims"].update(residual="input")),
+        # dims of the wrong type, even where their value would do
+        "fractional_layers": _with_header(
+            blob, lambda h: h["dims"].update(layers=2.0)),
+        "bool_heads": _with_header(blob, lambda h: h["dims"].update(heads=True)),
         "truncated_tensor": blob[:-8],
         "trailing_bytes": blob + b"\x00",
     }[damage]
@@ -512,12 +511,11 @@ _SPECIAL = np.array([0.0, -0.0, 5e-324, -1.5e308, np.pi, -1.0 / 3.0])
 @settings(max_examples=40)
 @given(d=st.integers(1, 6), dqh=st.integers(1, 3), dvh=st.integers(1, 3),
        heads=st.integers(1, 3), layers=st.integers(1, 3),
-       d_out=st.integers(1, 5), residual=st.sampled_from(["input", "hidden"]),
-       seed=st.integers(0, 2 ** 32 - 1))
+       d_out=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_params_roundtrip_bitwise_property(d, dqh, dvh, heads, layers, d_out,
-                                           residual, seed):
+                                           seed):
     dims = Dims(d=d, d_q=dqh * heads, d_v=dvh * heads,
-                heads=heads, layers=layers, d_out=d_out, residual=residual)
+                heads=heads, layers=layers, d_out=d_out)
     params = init_params(dims, seed % 1000)
     rng = np.random.default_rng(seed)
     pool = np.concatenate([_SPECIAL, rng.standard_normal(8)])

@@ -67,3 +67,11 @@ def test_removed_wrappers_are_not_public(capsys):
                   "--max-neighbors", "4"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --max-neighbors 4" in capsys.readouterr().err
+    # the raw features are every layer's residual source: no option picks it
+    for record in (agcn.TrainingConfig, agcn.Dims):
+        assert "residual" not in {f.name for f in dataclasses.fields(record)}
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["train", "--graph", "g.edges", "--features", "g.csv",
+                  "--residual", "input"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --residual input" in capsys.readouterr().err

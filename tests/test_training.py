@@ -745,8 +745,6 @@ def _cfg_grid():
                                 d_v=4, d_out=3, epochs=1, use_neg=False))
     cases.append(TrainingConfig(k=2, lam=1e-2, layers=2, heads=2, d_q=4,
                                 d_v=4, d_out=3, epochs=1, mode="vanilla"))
-    cases.append(TrainingConfig(k=2, lam=1e-2, layers=2, heads=2, d_q=4,
-                                d_v=4, d_out=3, epochs=1, residual="hidden"))
     # at the default gamma every hinge that clears the kink margin is
     # inactive; a wide margin puts active hinges into the check
     cases.append(TrainingConfig(k=2, lam=1e-2, layers=2, heads=2, d_q=4,
@@ -1053,8 +1051,7 @@ def test_train_rejects_bad_config():
                          ({"pair_cap": 0}, "pair_cap must be >= 1"),
                          ({"restarts": 0}, "restarts must be >= 1"),
                          ({"d_q": 6, "heads": 4}, "not divisible by heads"),
-                         ({"d_v": 0}, "d_v must be >= 1"),
-                         ({"residual": "other"}, "residual must be")):
+                         ({"d_v": 0}, "d_v must be >= 1")):
         with pytest.raises(ConfigError, match=message):
             TrainingConfig(**bad)
     # NaN passes no ordering test, and infinity passes a lower bound
