@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import _as_labels, kmeans, label_mapping
+from .clustering import _label_vector, kmeans, label_mapping
 from .errors import ConfigError, _check_type
 from .graph import Graph, normalized_adjacency
 from .model import _row_blocks
@@ -128,9 +128,9 @@ def _pair_dist_sums(power, groups):
 def r_ratio(g: Graph, pred, truth, k_range) -> RRatioReport:
     """Compare higher-order structural distances of misclustered nodes to the
     population, per true cluster and per adjacency power k."""
-    if len(pred) != g.n_nodes or len(truth) != g.n_nodes:
+    pred, truth = _label_vector("pred", pred), _label_vector("truth", truth)
+    if pred.shape != (g.n_nodes,) or truth.shape != (g.n_nodes,):
         raise ConfigError("pred/truth lengths must match the node count")
-    pred, truth = _as_labels(pred, truth)
     k_range = tuple(k_range)
     for k in k_range:
         _check_type("k_range entry", k)
@@ -180,6 +180,7 @@ def mask_features(g: Graph, fraction: float, seed: int) -> Graph:
 
     The adjacency and labels are carried over untouched.
     """
+    _check_type("fraction", fraction, float)
     if not 0.0 <= fraction < 1.0:
         raise ConfigError(f"fraction must lie in [0, 1), got {fraction}")
     _check_type("seed", seed)

@@ -14,14 +14,13 @@ import math
 import os
 import sys
 import time
-import typing
 from pathlib import Path
 
 from . import __version__
 from .analysis import grouping_probe, mask_features, r_ratio
 from .clustering import evaluate, kmeans
 from .datagen import SBMSpec, gen_sbm, write_graph_files
-from .errors import AgcnError, ConfigError, ParseError
+from .errors import AgcnError, ConfigError
 from .graph import (Graph, _atomic_open, _read_labels, khop_mask,
                     load_graph, shortest_path_histogram)
 from .model import forward, save_params
@@ -70,8 +69,6 @@ def _build_parser():
 
     p_train = sub.add_parser("train", help="train embeddings and cluster them")
     _add_dataset_flags(p_train)
-    p_train.add_argument("--config", type=Path,
-                         help="JSON file with defaults, overridden by flags")
     p_train.add_argument("--k", type=str, help="hop order (list allowed with --sweep)")
     p_train.add_argument("--lambda", dest="lam", type=str,
                          help="positive-loss weight (list allowed with --sweep)")
@@ -179,49 +176,11 @@ def _parse_grid(text, caster, name):
         raise ConfigError(f"bad {name} value {text!r}") from exc
 
 
-# the JSON name of each type a TrainingConfig field holds
-_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string"}
-
-
-def _read_config(path) -> dict:
-    """The ``--config`` object, each value of its :class:`TrainingConfig`
-    field's type (a float field also takes an integer, but no NaN or
-    infinity)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc.msg}", path, exc.lineno) from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc.reason}", path) from exc
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{path}: the top-level value must be a JSON object")
-    if "lambda" in overrides:
-        if "lam" in overrides:
-            raise ConfigError(f"{path}: config keys 'lam' and 'lambda' both set lambda")
-        overrides["lam"] = overrides.pop("lambda")
-    hints = typing.get_type_hints(TrainingConfig)
-    unknown = set(overrides) - set(hints)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        kind = hints[key]
-        fits = type(value) is kind or (type(value) is int and kind is float)
-        if not fits or (type(value) is float and not math.isfinite(value)):
-            raise ConfigError(f"{path}: config key {key!r} takes "
-                              f"{_JSON_KINDS[kind]}, not {json.dumps(value)}")
-    return overrides
-
-
 def _train_config(args) -> dict[str, TrainingConfig]:
     """One checked :class:`TrainingConfig` per run point, keyed by the
     directory a sweep writes it to, in sweep order."""
-    base = {f.name: f.default for f in dataclasses.fields(TrainingConfig)}
-    if args.config is not None:
-        base.update(_read_config(args.config))
-    k_grid = [int(base["k"])]
-    lam_grid = [float(base["lam"])]
+    k_grid = [TrainingConfig.k]
+    lam_grid = [TrainingConfig.lam]
     if args.k is not None:
         k_grid = _parse_grid(args.k, int, "--k")
     elif args.sweep:
@@ -232,6 +191,7 @@ def _train_config(args) -> dict[str, TrainingConfig]:
         lam_grid = list(DEFAULT_LAMBDA_GRID)
     if not args.sweep and (len(k_grid) > 1 or len(lam_grid) > 1):
         raise ConfigError("value lists for --k/--lambda require --sweep")
+    base = {}
     for name in ("gamma", "layers", "heads", "d_q", "d_v", "d_out", "epochs",
                  "lr", "pair_cap", "seed", "restarts", "mode"):
         value = getattr(args, name, None)

@@ -236,16 +236,26 @@ def _as_labels(pred, truth):
     return pred, truth
 
 
+def _contingency(pred, truth):
+    """The sorted distinct labels of each side and the (C_pred, C_truth)
+    count of nodes holding each pair of them: a table bounded by the
+    cluster counts, whatever the label values."""
+    pred_values, pi = np.unique(pred, return_inverse=True)
+    true_values, ti = np.unique(truth, return_inverse=True)
+    table = np.zeros((len(pred_values), len(true_values)), dtype=np.int64)
+    np.add.at(table, (pi, ti), 1)
+    return pred_values, true_values, table
+
+
 def label_mapping(pred, truth) -> np.ndarray:
     """Best bijection from predicted to true labels (Hungarian on the
-    confusion matrix); returns an array over the predicted label space."""
+    contingency table), as an array indexed by predicted label value; a
+    predicted label left unmatched maps to -1, which is no true label."""
     pred, truth = _as_labels(pred, truth)
-    size = int(max(pred.max(), truth.max())) + 1
-    confusion = np.zeros((size, size), dtype=np.int64)
-    np.add.at(confusion, (pred, truth), 1)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    mapping = np.arange(size)
-    mapping[rows] = cols
+    pred_values, true_values, table = _contingency(pred, truth)
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    mapping = np.full(int(pred.max()) + 1, -1, dtype=np.int64)
+    mapping[pred_values[rows]] = true_values[cols]
     return mapping
 
 
@@ -262,10 +272,7 @@ def nmi(pred, truth) -> float:
     """
     pred, truth = _as_labels(pred, truth)
     n = len(pred)
-    _, pi = np.unique(pred, return_inverse=True)
-    _, ti = np.unique(truth, return_inverse=True)
-    table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
-    np.add.at(table, (pi, ti), 1)
+    _, _, table = _contingency(pred, truth)
     row = table.sum(axis=1)
     col = table.sum(axis=0)
 
@@ -319,11 +326,14 @@ def evaluate(h: np.ndarray, n_clusters: int, truth, seeds,
     once from its labels alone, and seeds that reach it tie exactly.
     """
     truth = _label_vector("truth", truth)
+    points = np.asarray(h, dtype=np.float64)
+    if truth.shape != points.shape[:1]:
+        raise DimensionError(f"label lengths differ: {points.shape[:1]} "
+                             f"vs {truth.shape}")
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("evaluate needs at least one k-means seed")
-    labels, _ = _kmeans_with_inertia(h, n_clusters, seeds, restarts)
-    points = np.asarray(h, dtype=np.float64)
+    labels, _ = _kmeans_with_inertia(points, n_clusters, seeds, restarts)
     scores = {}
     for lab in labels:
         if lab.tobytes() not in scores:

@@ -167,6 +167,12 @@ def test_r_ratio_requires_matching_lengths():
         r_ratio(g, np.zeros(3, dtype=int), g.labels, k_range=(1,))
 
 
+def test_r_ratio_rejects_a_scalar_prediction():
+    g = two_cliques()
+    with pytest.raises(ConfigError, match="lengths must match"):
+        r_ratio(g, 5, g.labels, k_range=(1,))
+
+
 def test_r_ratio_report_serializes():
     g = two_cliques()
     pred = np.array([0, 1, 0, 0, 0, 1, 1, 0, 1, 1])
@@ -208,3 +214,6 @@ def test_mask_features_rejects_bad_fraction():
         mask_features(g, 1.0, seed=0)
     with pytest.raises(ConfigError):
         mask_features(g, -0.1, seed=0)
+    for fraction in (False, "0.5"):
+        with pytest.raises(ConfigError, match="^fraction must be a real number, not "):
+            mask_features(g, fraction, seed=0)

@@ -185,59 +185,34 @@ def test_train_vanilla_mode_without_margin_loss(tmp_path):
         assert l_neg == "0.0"
 
 
+def test_every_config_field_has_a_train_flag():
+    # flags are the only way a setting reaches TrainingConfig, so each field
+    # set away from its default by its flag must come out of _train_config
+    train_parser = _subcommands(cli._build_parser())["train"]
+    flags = {a.dest: a for a in train_parser._actions}
+    for field in dataclasses.fields(TrainingConfig):
+        if field.name == "use_neg":
+            extra, value = ["--no-lneg"], False
+        else:
+            assert field.name in flags, f"no train flag sets {field.name}"
+            action = flags[field.name]
+            if action.choices:
+                [value] = set(action.choices) - {field.default}
+            else:
+                value = field.default * 2 or 1
+            extra = [action.option_strings[0], str(value)]
+        args = train_parser.parse_args(["--graph", "g", "--features", "f",
+                                        *extra])
+        [cfg] = cli._train_config(args).values()
+        assert getattr(cfg, field.name) == value, field.name
+        assert value != field.default, field.name
+
+
 def test_train_grid_without_sweep_rejected(tmp_path):
     edges, feats, labels = _gen_dataset(tmp_path)
     rc = main(_train_args(edges, feats, labels, tmp_path / "x",
                           ("--k", "1,2")))
     assert rc == 1
-
-
-def test_train_config_file_merging(tmp_path):
-    edges, feats, labels = _gen_dataset(tmp_path)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"lambda": 0.0, "epochs": 3,
-                                    "layers": 1, "heads": 1,
-                                    "d_q": 2, "d_v": 2, "d_out": 2}))
-    out = tmp_path / "run"
-    rc = main(["train", "--graph", str(edges), "--features", str(feats),
-               "--labels", str(labels), "--config", str(cfg_path),
-               "--epochs", "4", "--out-dir", str(out)])
-    assert rc == 0
-    record = json.loads((out / "result.json").read_text())
-    assert record["config"]["epochs"] == 4      # flag wins over config
-    assert record["config"]["lam"] == 0.0       # config wins over default
-
-
-@pytest.mark.parametrize("text,message", [
-    (b"{bad", r"bad JSON: .* \[.*cfg\.json:1\]$"),
-    (b'{"k": 2,\n bad}', r"bad JSON: .* \[.*cfg\.json:2\]$"),
-    (b'"k"', r"cfg\.json: the top-level value must be a JSON object$"),
-    (b"[1, 2]", r"cfg\.json: the top-level value must be a JSON object$"),
-    (b'{"gamma": "x"}', r"cfg\.json: config key 'gamma' takes a number, not \"x\"$"),
-    (b'{"lr": null}', r"cfg\.json: config key 'lr' takes a number, not null$"),
-    (b'{"epochs": 2.5}', r"cfg\.json: config key 'epochs' takes an integer, not 2\.5$"),
-    (b'{"use_neg": 1}', r"cfg\.json: config key 'use_neg' takes true or false"),
-    (b'{"max_neighbors": 4}', r"cfg\.json: unknown config keys: \['max_neighbors'\]$"),
-    (b'{"lam": 1.0, "lambda": 5.0}',
-     r"cfg\.json: config keys 'lam' and 'lambda' both set lambda$"),
-    (b'{"lr": NaN}', r"cfg\.json: config key 'lr' takes a number, not NaN$"),
-    (b'\xff{}', r"not UTF-8 text: .* \[.*cfg\.json\]$"),
-    (b'{"k": 2, "bogus": 1}', r"cfg\.json: unknown config keys: \['bogus'\]$"),
-])
-def test_train_malformed_config_is_one_error_line(tmp_path, capsys, text, message):
-    edges, feats, labels = _gen_dataset(tmp_path)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_bytes(text)
-    capsys.readouterr()
-    rc = main(_train_args(edges, feats, labels, tmp_path / "run",
-                          ("--config", str(cfg_path))))
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "Traceback" not in err
-    [line] = err.splitlines()
-    assert line.startswith("error: ")
-    assert re.search(message, line), line
-    assert not (tmp_path / "run").exists()
 
 
 def test_train_non_finite_flag_is_one_error_line(tmp_path, capsys):
@@ -420,17 +395,15 @@ _DATASET = ["--graph", "data/sbm.edges", "--features", "data/sbm.features.csv",
 
 @pytest.mark.parametrize("argv", [
     ["train", "--seed", "-1", *_DATASET],
-    ["train", "--config", "cfg.json", *_DATASET],
     ["generate", "sbm", "--blocks", "4,4", "--p-in", "0.5", "--p-out", "0.1",
      "--seed", "-1"],
     ["analyze", "grouping", "--seed", "-1", *_DATASET],
     ["analyze", "r-ratio", "--seed", "-1", *_DATASET],
     ["analyze", "mask-features", "--seed", "-1", *_DATASET],
-], ids=["train", "train_config", "generate_sbm", "grouping", "r_ratio",
+], ids=["train", "generate_sbm", "grouping", "r_ratio",
         "mask_features"])
 def test_negative_seed_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text('{"seed": -1}')
     if argv[0] == "analyze":
         # train must fail before it reads any file; the analyses read theirs
         _gen_dataset(tmp_path)

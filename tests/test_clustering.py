@@ -404,6 +404,14 @@ def test_evaluate_makes_one_kmeans_call(monkeypatch):
     assert len(res.seed_records) == 6
 
 
+def test_evaluate_checks_truth_length_before_kmeans(monkeypatch):
+    pts = _blobs(25, 2, 2, seed=4)
+    calls = _count_calls(monkeypatch, "_kmeans_with_inertia")
+    with pytest.raises(DimensionError, match=r"\(50,\) vs \(48,\)"):
+        evaluate(pts, 2, np.zeros(48, dtype=int), seeds=range(10))
+    assert calls == []
+
+
 def test_evaluate_peak_memory_is_bounded_by_the_group_budget():
     pts = _blobs(286, 7, 100, seed=2)[:2000]
     truth = np.repeat(np.arange(7), 286)[:2000]
@@ -473,6 +481,21 @@ def test_accuracy_length_mismatch():
 def test_label_mapping_length_mismatch():
     with pytest.raises(DimensionError):
         label_mapping([0, 1], [0, 1, 2])
+
+
+def test_label_matching_memory_is_bounded_by_the_cluster_counts():
+    # the table is over the distinct labels, not up to the largest value
+    tracemalloc.start()
+    try:
+        assert accuracy([0, 3000], [0, 1]) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    mapping = label_mapping([5, 5, 2, 9], [1, 1, 0, 0])
+    assert mapping[5] == 1 and mapping[2] == 0
+    # the unmatched predicted label maps to no true label
+    assert mapping[9] == -1
 
 
 def brute_force_accuracy(pred, truth, n_labels):

@@ -75,3 +75,9 @@ def test_removed_wrappers_are_not_public(capsys):
                   "--residual", "input"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --residual input" in capsys.readouterr().err
+    # flags are the only way a setting reaches TrainingConfig: no config file
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["train", "--graph", "g.edges", "--features", "g.csv",
+                  "--config", "c.json"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --config c.json" in capsys.readouterr().err
