@@ -175,6 +175,11 @@ def r_ratio(g: Graph, pred, truth, k_range) -> RRatioReport:
                         misclustered={t: v.tolist() for t, v in misclustered.items()})
 
 
+def _n_masked(fraction: float, n_nodes: int) -> int:
+    """How many of ``n_nodes`` rows :func:`mask_features` zeroes."""
+    return int(round(fraction * n_nodes))
+
+
 def mask_features(g: Graph, fraction: float, seed: int) -> Graph:
     """Zero the feature rows of round(fraction * N) seeded random nodes.
 
@@ -186,7 +191,7 @@ def mask_features(g: Graph, fraction: float, seed: int) -> Graph:
     _check_type("seed", seed)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    n_masked = int(round(fraction * g.n_nodes))
+    n_masked = _n_masked(fraction, g.n_nodes)
     feats = g.features.copy()
     if n_masked:
         rng = np.random.default_rng(seed)

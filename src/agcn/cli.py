@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import grouping_probe, mask_features, r_ratio
+from .analysis import _n_masked, grouping_probe, mask_features, r_ratio
 from .clustering import evaluate, kmeans
 from .datagen import SBMSpec, gen_sbm, write_graph_files
 from .errors import AgcnError, ConfigError
@@ -350,7 +350,7 @@ def cmd_analyze_mask_features(args) -> int:
     paths = write_graph_files(masked, args.out_dir, prefix="masked")
     _write_json(args.out_dir / "report.json", {
         "fraction": args.fraction,
-        "n_masked": int(round(args.fraction * g.n_nodes)),
+        "n_masked": _n_masked(args.fraction, g.n_nodes),
         "files": {k: str(v.name) for k, v in paths.items()},
     })
     _say(f"masked dataset written to {args.out_dir}")

@@ -79,25 +79,30 @@ class LayerParams:
 
 @dataclass(frozen=True)
 class ModelParams:
+    """Every tensor of a model as a view into one float64 buffer ``flat``,
+    laid out by :func:`_tensor_specs`; ``layers`` (a :class:`LayerParams`
+    of views per layer) and ``final_proj`` are built with the views, once."""
+
     dims: Dims
-    layers: tuple[LayerParams, ...]
-    final_proj: np.ndarray   # (d_v, d_out)
+    flat: np.ndarray
+
+    def __post_init__(self):
+        names, shapes, _ = zip(*_tensor_specs(self.dims))
+        parts = np.split(self.flat, np.cumsum([math.prod(s) for s in shapes])[:-1])
+        views = {name: part.reshape(shape)
+                 for name, shape, part in zip(names, shapes, parts)}
+        layers = [{} for _ in range(self.dims.layers)]
+        for name, view in views.items():
+            if name.startswith("layers."):
+                _, l, field = name.split(".")
+                layers[int(l)][field] = view
+        object.__setattr__(self, "_views", views)
+        object.__setattr__(self, "layers", tuple(LayerParams(**f) for f in layers))
+        object.__setattr__(self, "final_proj", views["final_proj"])
 
     def tensors(self):
-        """Yield (name, array) in a fixed serialization order."""
-        for i, lp in enumerate(self.layers):
-            for name in ("wq", "wk", "wv", "wo", "wres"):
-                yield f"layers.{i}.{name}", getattr(lp, name)
-        yield "final_proj", self.final_proj
-
-    @classmethod
-    def from_tensors(cls, dims: Dims, arrays) -> ModelParams:
-        """The inverse of :meth:`tensors`: parameters from their arrays,
-        given in serialization order."""
-        it = iter(arrays)
-        layers = tuple(LayerParams(*itertools.islice(it, 5))
-                       for _ in range(dims.layers))
-        return cls(dims=dims, layers=layers, final_proj=next(it))
+        """(name, view) of every tensor, in serialization order."""
+        return self._views.items()
 
 
 class EvalCounter:
@@ -122,9 +127,9 @@ def _xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
 def init_params(dims: Dims, seed: int) -> ModelParams:
     """Uniform Xavier initialization, drawn per head; deterministic under seed."""
     rng = np.random.default_rng(seed)
-    return ModelParams.from_tensors(dims, (
-        np.hstack([_xavier(rng, rows, cols // split) for _ in range(split)])
-        for _, (rows, cols), split in _tensor_specs(dims)))
+    return ModelParams(dims, np.concatenate([
+        np.hstack([_xavier(rng, rows, cols // split) for _ in range(split)]).ravel()
+        for _, (rows, cols), split in _tensor_specs(dims)]))
 
 
 @dataclass
@@ -282,15 +287,16 @@ def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams, heads: int,
     return out, tape
 
 
-def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
-    """Parameter gradients of one layer and, if ``input_grad``, the gradient
-    at its input ``tape.h_in``, which reaches the output through attention
-    alone: the residual maps the raw features."""
+def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, grads: LayerParams,
+                    input_grad=True):
+    """Write one layer's parameter gradients into ``grads``; if ``input_grad``,
+    return the gradient at its input ``tape.h_in``, which reaches the output
+    through attention alone: the residual maps the raw features."""
     n = d_out.shape[0]
     q, k, v, ctx = tape.q, tape.k, tape.v, tape.ctx
-    d_wo = ctx.reshape(n, -1).T @ d_out
+    np.matmul(ctx.reshape(n, -1).T, d_out, out=grads.wo)
     d_ctx = (d_out @ p.wo.T).reshape(ctx.shape)
-    d_wres = tape.res_src.T @ d_out
+    np.matmul(tape.res_src.T, d_out, out=grads.wres)
     inv_scale = 1.0 / np.sqrt(q.shape[2])
     if tape.mask is None:
         d_qkv = _dense_layer_backward(q, k, v, tape.alphas, ctx, d_ctx,
@@ -299,11 +305,11 @@ def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, input_grad=True):
         d_qkv = _masked_layer_backward(q, k, v, tape.alphas, d_ctx, tape.mask,
                                        inv_scale)
     d_q, d_k, d_v = (d.reshape(n, -1) for d in d_qkv)
-    grads = LayerParams(tape.h_in.T @ d_q, tape.h_in.T @ d_k, tape.h_in.T @ d_v,
-                        d_wo, d_wres)
-    if not input_grad:
-        return grads, None
-    return grads, d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
+    for grad, d in ((grads.wq, d_q), (grads.wk, d_k), (grads.wv, d_v)):
+        np.matmul(tape.h_in.T, d, out=grad)
+    if input_grad:
+        return d_q @ p.wq.T + d_k @ p.wk.T + d_v @ p.wv.T
+    return None
 
 
 def forward(g: Graph, mask: KHopMask, params: ModelParams,
@@ -333,16 +339,15 @@ def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
 
 
 def _model_backward(params: ModelParams, tapes, h_last, d_embeddings):
-    """Gradients of all parameters given the gradient at the final embeddings."""
-    d_final = h_last.T @ d_embeddings
+    """Gradients of all parameters, in one buffer, from the embeddings' gradient."""
+    grads = ModelParams(params.dims, np.empty_like(params.flat))
+    np.matmul(h_last.T, d_embeddings, out=grads.final_proj)
     d_h = d_embeddings @ params.final_proj.T
-    layer_grads = [None] * len(params.layers)
     for l in range(len(params.layers) - 1, -1, -1):
         # no layer reads the gradient at the raw features
-        layer_grads[l], d_h = _layer_backward(tapes[l], d_h, params.layers[l],
-                                              input_grad=l > 0)
-    return ModelParams(dims=params.dims, layers=tuple(layer_grads),
-                       final_proj=d_final)
+        d_h = _layer_backward(tapes[l], d_h, params.layers[l], grads.layers[l],
+                              input_grad=l > 0)
+    return grads
 
 
 def save_params(params: ModelParams, path):
@@ -350,21 +355,17 @@ def save_params(params: ModelParams, path):
 
     Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON
     header (dims plus tensor names and shapes), then every tensor as
-    row-major little-endian float64 in header order.
+    row-major little-endian float64 in header order: the buffer ``flat``.
     """
-    names, arrays = zip(*params.tensors())
-    header = {
-        "dims": asdict(params.dims),
-        "tensors": [{"name": n, "shape": list(a.shape)}
-                    for n, a in zip(names, arrays)],
-    }
+    header = {"dims": asdict(params.dims),
+              "tensors": [{"name": n, "shape": list(shape)}
+                          for n, shape, _ in _tensor_specs(params.dims)]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with _atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(np.array(len(blob), dtype="<u8").tobytes())
         fh.write(blob)
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def _tensor_specs(dims: Dims):
@@ -412,11 +413,8 @@ def load_params(path) -> ModelParams:
         first = next(p for p in itertools.zip_longest(specs, want) if p[0] != p[1])
         got, implied = ("nothing" if t is None else f"{t[0]} {t[1]}" for t in first)
         raise ConfigError(f"{path}: header lists {got} where dims imply {implied}")
-    sizes = [math.prod(shape) for _, shape in want]
-    if len(data) - offset != 8 * sum(sizes):
-        raise ConfigError(f"{path}: the tensors need {8 * sum(sizes)} bytes "
+    need = 8 * sum(math.prod(shape) for _, shape in want)
+    if len(data) - offset != need:
+        raise ConfigError(f"{path}: the tensors need {need} bytes "
                           f"after the header, {len(data) - offset} present")
-    body = np.frombuffer(data, dtype="<f8", offset=offset)
-    return ModelParams.from_tensors(dims, (
-        part.reshape(shape).copy() for part, (_, shape)
-        in zip(np.split(body, np.cumsum(sizes)[:-1]), want)))
+    return ModelParams(dims, np.frombuffer(data, "<f8", offset=offset).astype(float))

@@ -298,31 +298,26 @@ ADAM_EPS = 1e-8
 @dataclass
 class AdamState:
     t: int
-    m: tuple
-    v: tuple
+    m: np.ndarray       # the moment estimates, laid out as ModelParams.flat
+    v: np.ndarray
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    zeros = tuple(np.zeros_like(a) for _, a in params.tensors())
-    return AdamState(t=0, m=zeros, v=zeros)
+    return AdamState(t=0, m=np.zeros_like(params.flat),
+                     v=np.zeros_like(params.flat))
 
 
 def adam_step(params: ModelParams, grads: ModelParams,
               state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns new params and state."""
+    """One bias-corrected Adam update of the whole buffer; new params and state."""
     t = state.t + 1
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    new_p, new_m, new_v = [], [], []
-    for (_, p), (_, g), m, v in zip(params.tensors(), grads.tensors(),
-                                    state.m, state.v):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        new_p.append(p - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
-        new_m.append(m)
-        new_v.append(v)
-    return (ModelParams.from_tensors(params.dims, new_p),
-            AdamState(t=t, m=tuple(new_m), v=tuple(new_v)))
+    g = grads.flat
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
+    flat = params.flat - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    return ModelParams(params.dims, flat), AdamState(t=t, m=m, v=v)
 
 
 # ---------------------------------------------------------------------------

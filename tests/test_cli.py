@@ -463,6 +463,21 @@ def test_analyze_mask_features_file_output(tmp_path):
     assert (out / "masked.edges").read_bytes() == edges.read_bytes()
 
 
+def test_analyze_mask_features_reports_the_rows_it_zeroes(tmp_path):
+    # 0.25 * 10 = 2.5 sits on the rounding rule's tie
+    edges, feats, labels = _gen_dataset(tmp_path, blocks="5,5")
+    assert not (np.loadtxt(feats, delimiter=",") == 0).all(axis=1).any()
+    out = tmp_path / "out"
+    rc = main(["analyze", "mask-features", "--graph", str(edges),
+               "--features", str(feats), "--labels", str(labels),
+               "--fraction", "0.25", "--seed", "3", "--out-dir", str(out)])
+    assert rc == 0
+    masked = np.loadtxt(out / "masked.features.csv", delimiter=",")
+    zeroed = int((masked == 0).all(axis=1).sum())
+    assert json.loads((out / "report.json").read_text())["n_masked"] == zeroed
+    assert zeroed == 2
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus-flag"])
@@ -592,11 +607,10 @@ class _Bomb:
 def _fail_params(path, monkeypatch):
     params = init_params(Dims(d=3, d_q=4, d_v=4, heads=1,
                               layers=1, d_out=2), seed=0)
-    tensors = list(params.tensors())
-    bad = SimpleNamespace(
-        dims=params.dims,
-        tensors=lambda: tensors[:-1] + [(tensors[-1][0], np.array([_Bomb()]))])
-    save_params(bad, path)
+    # the header is written before the buffer fails to convert
+    flat = params.flat.astype(object)
+    flat[-1] = _Bomb()
+    save_params(SimpleNamespace(dims=params.dims, flat=flat), path)
 
 
 def _fail_history(path, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import agcn.model
 from agcn.errors import ConfigError, NumericError
 from agcn.graph import KHopMask, khop_mask
-from agcn.model import (Dims, EvalCounter, init_params,
+from agcn.model import (Dims, EvalCounter, ModelParams, init_params,
                         load_params, save_params, forward, _forward_tape,
                         _dense_probs, _layer, _layer_backward,
                         _model_backward)
@@ -192,8 +192,8 @@ def test_zero_final_projection_gives_zero_embeddings():
     g = random_graph(6, 0.5, seed=4)
     mask = khop_mask(g, 2)
     params = init_params(DIMS, seed=4)
-    zeroed = type(params)(dims=params.dims, layers=params.layers,
-                          final_proj=np.zeros_like(params.final_proj))
+    zeroed = type(params)(dims=params.dims, flat=params.flat.copy())
+    zeroed.final_proj[:] = 0.0
     h = forward(g, mask, zeroed)
     assert (h == 0).all()
 
@@ -312,14 +312,16 @@ def test_dense_layer_memory_is_bounded_by_row_blocks():
     # heads * n^2 * 8 B = 32 MiB here; the row blocks need a few MiB
     n = 1024
     dims = Dims(d=8, d_q=64, d_v=64, heads=4, layers=1, d_out=4)
-    p = init_params(dims, seed=0).layers[0]
+    params = init_params(dims, seed=0)
+    p = params.layers[0]
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, dims.d))
     d_out = rng.standard_normal((n, dims.d_v))
     tracemalloc.start()
     try:
         _, tape = _layer(x, x, None, p, dims.heads)
-        _layer_backward(tape, d_out, p)
+        grads = ModelParams(dims, np.empty_like(params.flat)).layers[0]
+        _layer_backward(tape, d_out, p, grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -385,8 +387,12 @@ def test_score_evaluations_equal_mask_size():
     mask = khop_mask(g, 2)
     params = init_params(DIMS, seed=21)
     counter = EvalCounter()
-    _forward_tape(g.features, mask, params, counter=counter)
+    _, _, tapes = _forward_tape(g.features, mask, params, counter=counter)
     expected = int(mask.total_nnz)
+    # the scores actually computed: one alpha per mask entry and head
+    for tape in tapes:
+        assert tape.alphas.shape == (expected, DIMS.heads)
+    assert len(tapes) == DIMS.layers
     for layer in range(DIMS.layers):
         for head in range(DIMS.heads):
             assert counter.counts[(layer, head)] == expected
@@ -425,6 +431,34 @@ def test_params_roundtrip_bitwise(tmp_path):
     for mode in ("structure", "vanilla"):
         np.testing.assert_array_equal(forward(g, mask, loaded, mode=mode),
                                       forward(g, mask, params, mode=mode))
+
+
+def test_params_file_pinned_bytes(tmp_path):
+    """The whole params.bin format, header included, pinned bit for bit."""
+    path = tmp_path / "params.bin"
+    save_params(init_params(Dims(d=7, d_q=6, d_v=4, heads=2, layers=3,
+                                 d_out=3), seed=11), path)
+    blob = path.read_bytes()
+    assert len(blob) == 3853
+    assert hashlib.sha256(blob).hexdigest() == (
+        "b0e797b8440e6cacd58f55ec34157686ccf100b91dd378a946f75bd7b6b30e0f")
+
+
+def test_every_tensor_is_a_view_of_one_writable_buffer(tmp_path):
+    params = init_params(DIMS, seed=33)
+    path = tmp_path / "params.bin"
+    save_params(params, path)
+    for p in (params, load_params(path)):
+        assert p.flat.shape == (sum(a.size for _, a in p.tensors()),)
+        for name, tensor in p.tensors():
+            assert np.shares_memory(tensor, p.flat), name
+        assert p.flat.flags.writeable
+        p.layers[0].wq[0, 0] = 7.0
+        assert p.flat[0] == 7.0      # layers.0.wq comes first
+    # a buffer of any other length leaves a tensor that cannot take its shape
+    for size in (params.flat.size - 1, params.flat.size + 1):
+        with pytest.raises(ValueError):
+            ModelParams(DIMS, np.zeros(size))
 
 
 def test_load_rejects_bad_magic(tmp_path):

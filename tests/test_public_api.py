@@ -47,6 +47,10 @@ def test_removed_wrappers_are_not_public(capsys):
     for record, name in ((agcn.Graph, "n_nodes"), (agcn.KHopMask, "n_nodes"),
                          (agcn.LayerParams, "heads"), (agcn.Dims, "d_model")):
         assert name not in {f.name for f in dataclasses.fields(record)}, name
+    # the parameters are one buffer laid out by _tensor_specs alone
+    fields = [f.name for f in dataclasses.fields(agcn.ModelParams)]
+    assert fields == ["dims", "flat"]
+    assert not hasattr(agcn.ModelParams, "from_tensors")
     probe = inspect.signature(agcn.grouping_probe).parameters
     assert not {"n_clusters", "tol", "max_iter"} & set(probe)
     kmeans = inspect.signature(agcn.kmeans).parameters

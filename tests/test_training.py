@@ -822,8 +822,7 @@ def test_objective_gradient_with_a_zero_embedding_row():
 
 def _zeros_like(params):
     """Parameters of the same shapes, every entry zero."""
-    return ModelParams.from_tensors(
-        params.dims, [np.zeros_like(a) for _, a in params.tensors()])
+    return ModelParams(params.dims, np.zeros_like(params.flat))
 
 
 def test_adam_first_step_magnitude_close_to_lr():
@@ -862,12 +861,11 @@ def test_adam_three_steps_match_scalar_simulation():
 
     # a one-unit model: every tensor 1x1 at 2.0, each following the scalar
     dims = Dims(d=1, d_q=1, d_v=1, heads=1, layers=1, d_out=1)
-    params = ModelParams.from_tensors(dims, [np.full((1, 1), 2.0)] * 6)
+    params = ModelParams(dims, np.full(6, 2.0))
     state = init_adam_state(params)
     got = []
     for _ in range(3):
-        grads = ModelParams.from_tensors(
-            dims, [2.0 * a for _, a in params.tensors()])
+        grads = ModelParams(dims, 2.0 * params.flat)
         params, state = adam_step(params, grads, state, lr)
         got.append([float(a[0, 0]) for _, a in params.tensors()])
     np.testing.assert_allclose(got, [[x] * 6 for x in trace], rtol=1e-12)
@@ -979,6 +977,29 @@ def test_train_numeric_failure_names_its_epoch():
     with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
         train(g, cfg)
     assert str(err.value).startswith("epoch 1: non-finite output"), err.value
+
+
+def test_train_names_the_first_non_finite_gradient(monkeypatch):
+    epochs = []
+    backward = agcn.training._model_backward
+
+    def poisoned(*args):
+        grads = backward(*args)
+        if len(epochs) == 1:
+            # the final projection comes after layer 1 in the layout
+            grads.final_proj[0, 0] = np.inf
+            grads.layers[1].wv[1, 0] = np.nan
+        epochs.append(len(epochs))
+        return grads
+
+    monkeypatch.setattr(agcn.training, "_model_backward", poisoned)
+    g = random_graph(8, 0.5, seed=24, d=3)
+    cfg = TrainingConfig(k=2, epochs=3, layers=2, heads=1, d_q=2, d_v=2,
+                         d_out=2)
+    with pytest.raises(NumericError) as err:
+        train(g, cfg)
+    assert str(err.value) == "epoch 1: non-finite gradient in layers.1.wv"
+    assert epochs == [0, 1]
 
 
 def test_heterophilic_structure_recovered_at_two_hops():
