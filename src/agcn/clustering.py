@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import ConfigError, DimensionError, _check_type
 from .graph import _node_ids
@@ -248,12 +249,16 @@ def _contingency(pred, truth):
 
 
 def label_mapping(pred, truth) -> np.ndarray:
-    """Best bijection from predicted to true labels (Hungarian on the
-    contingency table), as an array indexed by predicted label value; a
-    predicted label left unmatched maps to -1, which is no true label."""
+    """Best bijection from predicted to true labels (a maximum-weight full
+    matching on the contingency table), as an array indexed by predicted
+    label value; a predicted label left unmatched maps to -1, which is no
+    true label. Under tied optima any one of them is returned."""
     pred, truth = _as_labels(pred, truth)
     pred_values, true_values, table = _contingency(pred, truth)
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    # one more than each count: every cell is an edge, so a full matching
+    # exists, and every full matching gains the same min(C_pred, C_truth)
+    rows, cols = min_weight_full_bipartite_matching(
+        sparse.csr_array(table + 1), maximize=True)
     mapping = np.full(int(pred.max()) + 1, -1, dtype=np.int64)
     mapping[pred_values[rows]] = true_values[cols]
     return mapping

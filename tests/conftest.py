@@ -10,9 +10,11 @@ from scipy.sparse.csgraph import shortest_path
 
 from agcn import clustering
 from agcn.errors import ConfigError
-from agcn.graph import KHopMask, build_graph
-from agcn.model import _model_backward
-from agcn.training import _objective
+from agcn.graph import KHopMask, build_graph, khop_mask, khop_weights
+from agcn.model import _forward_tape, _model_backward, init_params
+from agcn.training import (_decode_pairs, _loss_pos_impl, _objective,
+                           _pair_batch, _pair_order, _rank, _unit_rows,
+                           _unit_rows_backward, adam_step, init_adam_state)
 
 # every property draws the same examples on every run, with no time limit
 settings.register_profile("agcn", deadline=None, derandomize=True)
@@ -282,6 +284,77 @@ def loss_pos_oracle(u, weights):
     return value, expo @ u + expo.T @ u
 
 
+def pair_batch(u, mask, cap, rng):
+    """The pairs of every node ranked at the unit rows ``u``, as one chunk:
+    what ``train`` draws in one epoch, in its order."""
+    return _pair_batch(_rank(u, mask), _pair_order(mask, cap), cap, rng)
+
+
+def hinge_oracle(u, mask, cap, rng, gamma):
+    """The hinge value and its gradient with respect to ``u`` from one
+    batch of every sampled pair of the graph, built at once: ranks from one
+    ``np.lexsort``, under-cap nodes by list size then index, then over-cap
+    nodes by index, each drawing by one ``rng.choice``."""
+    sims = mask.entry_dots(u, u)
+    src = mask.src_ids
+    order = np.lexsort((np.where(src == mask.indices, -np.inf, -sims), src))
+    sizes = mask.list_sizes() - 1
+    totals = sizes * (sizes - 1) // 2
+    small = np.flatnonzero((sizes >= 2) & (totals <= cap))
+    small = small[np.argsort(sizes[small], kind="stable")]
+    big = np.flatnonzero(totals > cap)
+    counts = totals[small]
+    firsts = np.cumsum(counts) - counts
+    codes = np.concatenate(
+        [np.arange(counts.sum()) - np.repeat(firsts, counts)]
+        + [rng.choice(total, cap, replace=False) for total in totals[big]])
+    owner = np.concatenate([np.repeat(small, counts), np.repeat(big, cap)])
+    a, b = _decode_pairs(codes, sizes[owner])
+    base = mask.indptr[owner] + 1
+    plus_e, minus_e = order[base + a], order[base + b]
+    n_contrib = int((sizes >= 2).sum())
+    if n_contrib == 0:
+        return 0.0, np.zeros_like(u)
+
+    s_plus, s_minus = sims[plus_e], sims[minus_e]
+    hinge = np.exp(s_minus) - np.exp(s_plus) + gamma * (b - a)
+    active = hinge > 0
+    g_entry = np.bincount(minus_e[active], weights=np.exp(s_minus[active]),
+                          minlength=len(sims))
+    g_entry -= np.bincount(plus_e[active], weights=np.exp(s_plus[active]),
+                           minlength=len(sims))
+    g = mask.pattern(g_entry / n_contrib)
+    return float(hinge[active].sum() / n_contrib), (g + g.T) @ u
+
+
+def train_oracle(g, cfg):
+    """``train`` with every epoch's hinge from :func:`hinge_oracle`:
+    ``(params, history)``."""
+    mask = khop_mask(g, cfg.k)
+    weights = khop_weights(g, cfg.k) if cfg.lam != 0 else None
+    params = init_params(cfg.dims_for(g.feature_dim), cfg.seed)
+    state = init_adam_state(params)
+    history = []
+    for epoch in range(cfg.epochs):
+        emb, h_last, tapes = _forward_tape(g.features, mask, params,
+                                           mode=cfg.mode)
+        u, norms = _unit_rows(emb)
+        l_neg, d_u = 0.0, np.zeros_like(u)
+        if cfg.use_neg:
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
+            l_neg, d_u = hinge_oracle(u, mask, cfg.pair_cap, rng, cfg.gamma)
+        l_pos, l_total = math.nan, l_neg
+        if cfg.lam != 0:
+            l_pos, d_pos = _loss_pos_impl(u, weights)
+            d_u += cfg.lam * d_pos
+            l_total = l_neg + cfg.lam * l_pos
+        grads = _model_backward(params, tapes, h_last,
+                                _unit_rows_backward(u, norms, d_u))
+        history.append((l_pos, l_neg, l_total))
+        params, state = adam_step(params, grads, state, cfg.lr)
+    return params, np.array(history)
+
+
 def reanchor(batch, u):
     """``batch`` with its per-entry similarities recomputed from the unit
     rows ``u``: the same frozen pairs, scored at perturbed embeddings
@@ -291,7 +364,8 @@ def reanchor(batch, u):
 
 def grads_from_tape(params, tapes, h_last, u, norms, cfg, weights, batch):
     """``(grads, l_pos, l_neg, l_total)`` of one forward pass, given its
-    embeddings' unit rows and norms and frozen pairs: the objective, then
-    the model's backward pass, as one training epoch runs them."""
-    l_pos, l_neg, l_total, d_emb = _objective(u, norms, batch, weights, cfg)
+    embeddings' unit rows and norms and frozen pairs, one chunk: the
+    objective, then the model's backward pass, as one training epoch runs
+    them."""
+    l_pos, l_neg, l_total, d_emb = _objective(u, norms, [batch], weights, cfg)
     return _model_backward(params, tapes, h_last, d_emb), l_pos, l_neg, l_total

@@ -10,13 +10,17 @@ anything under ``perfbench/``) and runs a tiny training job under it.
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import agcn.training
 from agcn.clustering import evaluate
 from agcn.datagen import SBMSpec, gen_sbm
 from agcn.graph import khop_mask
 from agcn.model import forward
-from agcn.training import TrainingConfig, train
+from agcn.training import TrainingConfig, _node_chunks, _unit_rows, train
+
+from conftest import pair_batch
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -71,3 +75,37 @@ def test_every_wrapped_hook_fires_and_is_restored(mode, use_neg, unused):
                if s["name"] == "training.pair_batch")
     (mask_rec,) = [s for s in tracer.spans if s["name"] == "graph.khop_mask"]
     assert mask_rec["nnz"] == mask.total_nnz
+
+
+def test_tracer_counts_every_pair_of_every_chunk(monkeypatch):
+    # an epoch draws and scores its pairs chunk by chunk; the spans of all
+    # chunks count every pair of the graph, as one batch would hold them
+    tracing = _load_tracing()
+    g = gen_sbm(SBMSpec(block_sizes=(20, 20), p_in=0.4, p_out=0.1,
+                        feature_dim=4, seed=1))
+    cfg = TrainingConfig(k=2, epochs=2, layers=1, heads=2, d_q=4, d_v=4,
+                         d_out=3, pair_cap=40)
+    mask = khop_mask(g, cfg.k)
+    others = mask.list_sizes() - 1
+    assert (others * (others - 1) // 2 > cfg.pair_cap).any()
+    monkeypatch.setattr(agcn.training, "PAIR_CHUNK", 100)
+    n_chunks = len(_node_chunks(mask, cfg.pair_cap))
+    assert n_chunks > 1
+    # how many pairs a node takes depends on its list alone
+    whole = len(pair_batch(_unit_rows(g.features)[0], mask, cfg.pair_cap,
+                           np.random.default_rng(0)).plus_e)
+
+    tracer = tracing.Tracer(cfg.pair_cap)
+    tracer.install()
+    try:
+        with tracer.span("train") as run:
+            train(g, cfg)
+    finally:
+        bad = tracer.restore()
+    assert bad == []
+    assert [e["pairs"] for e in tracing.epochs_of(tracer.spans, run)] == (
+        [whole] * cfg.epochs)
+    # each chunk's pairs are scored before the next chunk is drawn
+    hinge = [s["name"] for s in tracer.spans if s["name"] in _NO_HINGE]
+    assert hinge == (["training.pair_batch", "training.loss_neg"]
+                     * (n_chunks * cfg.epochs))

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,6 +500,59 @@ def test_label_matching_memory_is_bounded_by_the_cluster_counts():
     assert mapping[5] == 1 and mapping[2] == 0
     # the unmatched predicted label maps to no true label
     assert mapping[9] == -1
+
+
+def _best_matched_count(pred, truth):
+    """Most nodes any one-to-one pairing of the distinct labels matches,
+    from every pairing of the smaller label set into the larger."""
+    pv, tv = np.unique(pred), np.unique(truth)
+    count = {(p, t): int(np.sum((pred == p) & (truth == t)))
+             for p in pv for t in tv}
+    if len(pv) <= len(tv):
+        return max(sum(count[p, t] for p, t in zip(pv, perm))
+                   for perm in itertools.permutations(tv, len(pv)))
+    return max(sum(count[p, t] for p, t in zip(perm, tv))
+               for perm in itertools.permutations(pv, len(tv)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_label_mapping_is_a_best_matching_of_tied_tables(seed):
+    # small counts over up to 6 x 6 labels tie often; whichever optimum is
+    # returned is one-to-one and matches as many nodes as the best pairing
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 4, size=rng.integers(1, 7, size=2))
+    table[0, 0] += 1                        # at least one node
+    cells = np.repeat(np.arange(table.size), table.ravel())
+    pred, truth = np.divmod(cells, table.shape[1])
+    pred = 3 * pred + 1                     # label values need not be 0..C-1
+    mapping = label_mapping(pred, truth)
+    present = mapping[np.unique(pred)]
+    matched = present[present >= 0]
+    assert len(set(matched.tolist())) == len(matched)
+    assert len(matched) == min(len(np.unique(pred)), len(np.unique(truth)))
+    assert set(matched.tolist()) <= set(truth.tolist())
+    assert (mapping[pred] == truth).sum() == _best_matched_count(pred, truth)
+
+
+def test_metrics_load_no_scipy_optimize():
+    # the matcher is scipy.sparse.csgraph's, which the graph code loads
+    # anyway; scipy.optimize alone would add ~17 MB to every agcn process
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import agcn",
+        "from agcn.clustering import evaluate, label_mapping",
+        "pts = np.random.default_rng(0).standard_normal((30, 3))",
+        "evaluate(pts, 3, np.arange(30) % 3, seeds=[0, 1], restarts=2)",
+        "label_mapping([0, 1, 1, 2], [1, 0, 0, 0])",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))",
+    ])
+    src = str(Path(clustering.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def brute_force_accuracy(pred, truth, n_labels):

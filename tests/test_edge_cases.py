@@ -9,10 +9,9 @@ import pytest
 from agcn.cli import main
 from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import Dims, forward, init_params, _forward_tape
-from agcn.training import (TrainingConfig, train, _objective, _pair_batch,
-                           _unit_rows)
+from agcn.training import TrainingConfig, train, _objective, _unit_rows
 
-from conftest import grads_from_tape, random_graph, reanchor
+from conftest import grads_from_tape, pair_batch, random_graph, reanchor
 from test_training import _fd_grads
 
 
@@ -34,13 +33,13 @@ def test_gradcheck_with_isolated_and_noncontributing_nodes():
     assert weights.toarray()[7].sum() == 0     # isolated: zero positive row
     params = init_params(cfg.dims_for(4), 3)
     emb, h_last, tapes = _forward_tape(g.features, mask, params)
-    batch = _pair_batch(_unit_rows(emb)[0], mask, cfg.pair_cap,
+    batch = pair_batch(_unit_rows(emb)[0], mask, cfg.pair_cap,
                         np.random.default_rng(3))
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params)
         u, norms = _unit_rows(e)
-        return _objective(u, norms, reanchor(batch, u), weights, cfg)[2]
+        return _objective(u, norms, [reanchor(batch, u)], weights, cfg)[2]
 
     analytic, *_ = grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
                                    cfg, weights, batch)
@@ -59,13 +58,13 @@ def test_gradcheck_unequal_head_widths():
     weights = khop_weights(g, cfg.k)
     params = init_params(dims, 41)
     emb, h_last, tapes = _forward_tape(g.features, mask, params)
-    batch = _pair_batch(_unit_rows(emb)[0], mask, cfg.pair_cap,
+    batch = pair_batch(_unit_rows(emb)[0], mask, cfg.pair_cap,
                         np.random.default_rng(41))
 
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params)
         u, norms = _unit_rows(e)
-        return _objective(u, norms, reanchor(batch, u), weights, cfg)[2]
+        return _objective(u, norms, [reanchor(batch, u)], weights, cfg)[2]
 
     analytic, *_ = grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
                                    cfg, weights, batch)

@@ -17,13 +17,13 @@ from agcn.errors import ConfigError, NumericError
 from agcn.graph import KHopMask, build_graph, khop_mask, khop_weights
 from agcn.model import Dims, ModelParams, init_params, _forward_tape
 from agcn.training import (TrainingConfig, adam_step, init_adam_state,
-                           train, _loss_neg_impl, _loss_pos_impl, _objective,
-                           _decode_pairs, _pair_batch, _sort_within_lists,
-                           _unit_rows, _unit_rows_backward)
+                           train, _loss_neg, _loss_pos_impl, _objective,
+                           _decode_pairs, _node_chunks, _pair_batch, _rank,
+                           _sort_within_lists, _unit_rows, _unit_rows_backward)
 
 from conftest import (complete_mask, cosine_sim, grads_from_tape,
-                      loss_pos_oracle, neighbors, pair_sims_oracle,
-                      random_graph, reanchor)
+                      loss_pos_oracle, neighbors, pair_batch,
+                      pair_sims_oracle, random_graph, reanchor, train_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,28 @@ def test_train_peak_does_not_grow_with_epochs():
     assert peaks[1] < 1.05 * peaks[0], peaks
 
 
+def test_train_peak_does_not_grow_with_the_pair_count():
+    # an epoch's pairs are drawn and scored one chunk of nodes at a time:
+    # all 1.2M pairs of this graph's k=2 lists peak within 2 MiB of 8 pairs
+    # a node, where one int64 array of every pair alone takes 9.4 MiB. At
+    # the default gamma few hinges are active; an active one keeps 8 bytes
+    # for the epoch's one final sum
+    g = _sbm_of_degree(512)
+    m = khop_mask(g, 2).list_sizes() - 1
+    assert (m * (m - 1) // 2).sum() > 1_200_000
+    peaks = []
+    for cap in (8, 10 ** 6):
+        cfg = TrainingConfig(epochs=1, layers=1, heads=2, d_q=8, d_v=8,
+                             d_out=8, pair_cap=cap)
+        tracemalloc.start()
+        try:
+            train(g, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 * 2 ** 20, peaks
+
+
 @contextlib.contextmanager
 def _pos_blocks(rows):
     """The positive loss in blocks of ``rows`` rows, the last one ragged:
@@ -232,7 +254,7 @@ def test_blocked_loss_pos_matches_dense_oracle(n, rows, degree, k, binary,
 
 
 # ---------------------------------------------------------------------------
-# ranking and pair sampling (the per-epoch _pair_batch)
+# ranking and pair sampling (an epoch's pairs as one _pair_batch chunk)
 # ---------------------------------------------------------------------------
 
 def _node_pairs(batch, i):
@@ -257,7 +279,7 @@ def _oracle_all_pairs(order):
 
 
 def _batch(h, mask, cap=256, seed=0):
-    return _pair_batch(_unit_rows(h)[0], mask, cap, np.random.default_rng(seed))
+    return pair_batch(_unit_rows(h)[0], mask, cap, np.random.default_rng(seed))
 
 
 def test_rank_neighbors_orders_by_similarity():
@@ -358,7 +380,19 @@ def test_pair_batch_invariants_property(n, p, k, ties, pick, offset, seed):
     # a cap at or next to some node's pair count: lists straddle it
     cap = max(1, int(m[pick % n] * (m[pick % n] - 1) // 2) + offset)
     u = _unit_rows(h)[0]
-    batch = _pair_batch(u, mask, cap, rng)
+    chunk_rng = np.random.default_rng()
+    chunk_rng.bit_generator.state = rng.bit_generator.state
+    batch = pair_batch(u, mask, cap, rng)
+    # one node a chunk, as train draws them, the pairs come out the same
+    ranking = _rank(u, mask)
+    with mock.patch.object(agcn.training, "PAIR_CHUNK", 1):
+        chunks = [_pair_batch(ranking, nodes, cap, chunk_rng)
+                  for nodes in _node_chunks(mask, cap)]
+    for name in ("plus_e", "minus_e", "gap"):
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(c, name) for c in chunks]
+                           + [np.empty(0, dtype=np.int64)]),
+            getattr(batch, name))
 
     assert batch.mask is mask
     src, dst = mask.src_ids, mask.indices
@@ -456,7 +490,7 @@ class _CountingRng:
 
 
 def _epoch_rng(seed, epoch):
-    """The per-epoch generator ``train`` hands to ``_pair_batch``."""
+    """The per-epoch generator whose draws ``train``'s pair chunks share."""
     return np.random.default_rng(np.random.SeedSequence((seed, epoch)))
 
 
@@ -465,14 +499,14 @@ def test_pair_batch_draws_once_per_overcap_node():
     h, mask = _stars(8, 12)
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    _pair_batch(h, mask, 66, rng)
+    pair_batch(h, mask, 66, rng)
     assert rng.bit_generator.state == before
 
     for n_stars in (1, 8, 64):
         # 12 neighbors: 66 pairs per center against a cap of 4
         h, mask = _stars(n_stars, 12)
         rng = _CountingRng(n_stars)
-        batch = _pair_batch(h, mask, 4, rng)
+        batch = pair_batch(h, mask, 4, rng)
         centers = np.arange(n_stars) * 13
         np.testing.assert_array_equal(
             np.bincount(mask.src_ids[batch.plus_e], minlength=len(h))[centers], 4)
@@ -487,7 +521,7 @@ def test_sampled_pairs_are_uniform_over_streams():
     streams = 0
     for seed in range(50):
         for epoch in range(40):
-            batch = _pair_batch(h, mask, 4, _epoch_rng(seed, epoch))
+            batch = pair_batch(h, mask, 4, _epoch_rng(seed, epoch))
             pairs = set(zip(batch.plus_e.tolist(), batch.minus_e.tolist()))
             assert len(batch.plus_e) == len(pairs) == 4
             for pair in pairs:
@@ -502,7 +536,7 @@ def test_sampled_pairs_are_uniform_over_streams():
 def test_sampler_near_cap_keeps_cap_distinct_uniform_pairs():
     # 24 neighbors give 276 pairs, of which each center keeps 256
     h, mask = _stars(8, 24)
-    batch = _pair_batch(h, mask, 256, np.random.default_rng(5))
+    batch = pair_batch(h, mask, 256, np.random.default_rng(5))
     owner = mask.src_ids[batch.plus_e]
     for center in np.arange(8) * 25:
         of_c = owner == center
@@ -510,7 +544,7 @@ def test_sampler_near_cap_keeps_cap_distinct_uniform_pairs():
         assert of_c.sum() == len(pairs) == 256
 
     h, mask = _stars(500, 24)
-    batch = _pair_batch(h, mask, 256, np.random.default_rng(6))
+    batch = pair_batch(h, mask, 256, np.random.default_rng(6))
     src, dst = mask.src_ids, mask.indices
     centers = src[batch.plus_e]
     assert (centers % 25 == 0).all() and (src[batch.minus_e] == centers).all()
@@ -549,9 +583,9 @@ def test_decode_pairs_matches_row_major_enumeration():
 
 def test_pair_batch_is_a_function_of_seed_and_epoch():
     h, mask = _stars(3, 10)
-    first = _pair_batch(h, mask, 8, _epoch_rng(4, 2))
-    again = _pair_batch(h, mask, 8, _epoch_rng(4, 2))
-    other = _pair_batch(h, mask, 8, _epoch_rng(4, 3))
+    first = pair_batch(h, mask, 8, _epoch_rng(4, 2))
+    again = pair_batch(h, mask, 8, _epoch_rng(4, 2))
+    other = pair_batch(h, mask, 8, _epoch_rng(4, 3))
     for name in ("plus_e", "minus_e", "gap"):
         np.testing.assert_array_equal(getattr(first, name), getattr(again, name))
     assert not np.array_equal(first.plus_e, other.plus_e)
@@ -564,7 +598,7 @@ def test_pair_batch_is_a_function_of_seed_and_epoch():
 def _neg(h, mask, cfg):
     """The hinge on the pairs training would sample at ``h`` with cfg.seed."""
     batch = _batch(h, mask, cfg.pair_cap, cfg.seed)
-    return _loss_neg_impl(_unit_rows(h)[0], batch, cfg.gamma)[0]
+    return _loss_neg(_unit_rows(h)[0], [batch], cfg.gamma)[0]
 
 
 def test_loss_neg_single_pair_equal_sims_equals_margin():
@@ -628,12 +662,12 @@ def test_total_loss_lambda_zero_is_exactly_neg():
     cfg = TrainingConfig(lam=0.0, gamma=0.5, epochs=1)   # active hinges
     w = khop_weights(g, 2)
     u, norms = _unit_rows(h)
-    l_neg_alone, d_neg = _loss_neg_impl(u, batch, cfg.gamma)
-    l_pos, l_neg, l_total, _ = _objective(u, norms, batch, w, cfg)
+    l_neg_alone, d_neg = _loss_neg(u, [batch], cfg.gamma)
+    l_pos, l_neg, l_total, _ = _objective(u, norms, [batch], w, cfg)
     assert math.isnan(l_pos) and l_neg > 0
     assert l_total == l_neg == l_neg_alone
     # the positive term is skipped, not evaluated: no weights are needed
-    _, _, _, d_emb = _objective(u, norms, batch, None, cfg)
+    _, _, _, d_emb = _objective(u, norms, [batch], None, cfg)
     np.testing.assert_array_equal(d_emb, _unit_rows_backward(u, norms, d_neg))
 
 
@@ -644,9 +678,9 @@ def test_total_loss_weighted_sum():
     w = khop_weights(g, 2)
     cfg = TrainingConfig(lam=1e-2, gamma=0.5, epochs=1)  # active hinges
     u, norms = _unit_rows(h)
-    l_neg_alone, d_neg = _loss_neg_impl(u, batch, cfg.gamma)
+    l_neg_alone, d_neg = _loss_neg(u, [batch], cfg.gamma)
     d_pos = _loss_pos_impl(u, w)[1]
-    l_pos, l_neg, l_total, d_emb = _objective(u, norms, batch, w, cfg)
+    l_pos, l_neg, l_total, d_emb = _objective(u, norms, [batch], w, cfg)
     assert l_pos == _pos(h, w)
     assert l_neg > 0 and l_neg == l_neg_alone
     assert l_total == pytest.approx(l_neg + 1e-2 * l_pos, rel=1e-14)
@@ -720,7 +754,7 @@ def _gradcheck_case(g, cfg, seed, min_hinge_margin=1e-3):
     def frozen_loss():
         e, _, _ = _forward_tape(g.features, mask, params, mode=cfg.mode)
         u, norms = _unit_rows(e)
-        return _objective(u, norms, reanchor(batch, u), weights, cfg)[2]
+        return _objective(u, norms, [reanchor(batch, u)], weights, cfg)[2]
 
     analytic, *_ = grads_from_tape(params, tapes, h_last, *_unit_rows(emb),
                                    cfg, weights, batch)
@@ -799,7 +833,7 @@ def test_objective_gradient_with_a_zero_embedding_row():
     batch = _batch(emb, mask, cfg.pair_cap, cfg.seed)
     assert (_hinges(batch, cfg.gamma) > 1e-3).any()
     assert np.abs(_hinges(batch, cfg.gamma)).min() > 1e-3     # off the kink
-    d_emb = _objective(*_unit_rows(emb), batch, w, cfg)[3]
+    d_emb = _objective(*_unit_rows(emb), [batch], w, cfg)[3]
     assert (d_emb[4] == 0.0).all()
 
     step = 1e-6
@@ -811,7 +845,8 @@ def test_objective_gradient_with_a_zero_embedding_row():
                 e = emb.copy()
                 e[i, j] += sign * step
                 u, norms = _unit_rows(e)
-                vals.append(_objective(u, norms, reanchor(batch, u), w, cfg)[2])
+                vals.append(
+                    _objective(u, norms, [reanchor(batch, u)], w, cfg)[2])
             numeric[i, j] = (vals[0] - vals[1]) / (2.0 * step)
     np.testing.assert_allclose(d_emb, numeric, rtol=1e-5, atol=1e-9)
 
@@ -954,7 +989,7 @@ def test_train_without_hinge_builds_no_pairs(monkeypatch):
     for epoch in range(cfg.epochs):
         emb, h_last, tapes = _forward_tape(g.features, mask, params)
         u, norms = _unit_rows(emb)
-        batch = _pair_batch(u, mask, cfg.pair_cap, _epoch_rng(cfg.seed, epoch))
+        batch = pair_batch(u, mask, cfg.pair_cap, _epoch_rng(cfg.seed, epoch))
         grads, *losses = grads_from_tape(params, tapes, h_last, u, norms,
                                          cfg, weights, batch)
         expect.append(losses)
@@ -963,9 +998,40 @@ def test_train_without_hinge_builds_no_pairs(monkeypatch):
     def no_pairs(*args):
         raise AssertionError("pairs built while the hinge is off")
 
+    monkeypatch.setattr(agcn.training, "_rank", no_pairs)
     monkeypatch.setattr(agcn.training, "_pair_batch", no_pairs)
     _, history = train(g, cfg)
     np.testing.assert_array_equal(history, expect)
+
+
+@pytest.mark.parametrize("use_neg", [True, False])
+def test_pair_chunks_change_no_bit(monkeypatch, use_neg):
+    # k=2 lists of up to 28 non-self neighbors against a cap of 60: 45
+    # nodes take all their pairs and 49 draw 60. A chunk of one node and
+    # one chunk of every node train to the same bits as the hinge of one
+    # batch of every pair
+    g = _sbm_of_degree(96, degree=3)
+    cfg = TrainingConfig(epochs=3, layers=1, heads=2, d_q=4, d_v=4, d_out=4,
+                         pair_cap=60, gamma=0.05, seed=2, use_neg=use_neg)
+    mask = khop_mask(g, cfg.k)
+    m = mask.list_sizes() - 1
+    totals = m * (m - 1) // 2
+    assert (totals > cfg.pair_cap).sum() >= 10
+    assert ((m >= 2) & (totals <= cfg.pair_cap)).sum() >= 10
+    if not use_neg:
+        def no_pairs(*args):
+            raise AssertionError("pairs built while the hinge is off")
+
+        monkeypatch.setattr(agcn.training, "_epoch_batches", no_pairs)
+    want_params, want_history = train_oracle(g, cfg)
+    # the hinge has active pairs in every epoch
+    assert (want_history[:, 1] > 0).all() == use_neg
+    for pair_chunk, n_chunks in ((1, int((m >= 2).sum())), (10 ** 12, 1)):
+        monkeypatch.setattr(agcn.training, "PAIR_CHUNK", pair_chunk)
+        assert len(_node_chunks(mask, cfg.pair_cap)) == n_chunks
+        params, history = train(g, cfg)
+        assert history.tobytes() == want_history.tobytes()
+        assert params.flat.tobytes() == want_params.flat.tobytes()
 
 
 def test_train_numeric_failure_names_its_epoch():
