@@ -155,7 +155,7 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int,
            restarts: int = 10) -> np.ndarray:
     """Best-of-restarts k-means labels (k-means++ init, Lloyd refinement),
     numbered by first appearance: node 0's cluster is 0."""
-    return _kmeans_with_inertia(points, n_clusters, [seed], restarts)[0][0]
+    return _kmeans_with_inertia(points, n_clusters, [seed], restarts)[0]
 
 
 def _canonical(labels):
@@ -168,9 +168,9 @@ def _canonical(labels):
 
 
 def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
-    """Per seed, the labels and inertia of its lowest-inertia restart (the
-    first on ties), as (len(seeds), n) labels numbered by first appearance
-    and (len(seeds),) inertias.
+    """Per seed, the labels of its lowest-inertia restart (the first on
+    ties), numbered by first appearance, as a (len(seeds), n) array. The
+    benchmark's tracer wraps this function by its name.
 
     Each seed draws from its own stream, and Lloyd draws nothing, so every
     restart sees the stream it would see alone. Groups of consecutive seeds
@@ -194,19 +194,16 @@ def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
                           "infinity; k-means needs finite points")
     sq_norms = _sq_norms(points)
     group = max(1, KMEANS_GROUP_BYTES // (8 * restarts * n_clusters * n))
-    labels, inertias = [], []
+    labels = []
     for g0 in range(0, len(seeds), group):
         centers = _kmeans_pp_init(points, n_clusters, seeds[g0:g0 + group],
                                   restarts, sq_norms)
         runs, run_inertia, _ = _lloyd(points, centers, LLOYD_TOL,
                                       LLOYD_MAX_ITER, sq_norms)
-        run_inertia = run_inertia.reshape(-1, restarts)
-        best = run_inertia.argmin(axis=1)
-        rows = np.arange(len(best))
-        labels.extend(_canonical(lab)
-                      for lab in runs.reshape(-1, restarts, n)[rows, best])
-        inertias.extend(run_inertia[rows, best])
-    return np.array(labels), np.array(inertias)
+        best = run_inertia.reshape(-1, restarts).argmin(axis=1)
+        runs = runs.reshape(-1, restarts, n)[np.arange(len(best)), best]
+        labels.extend(_canonical(lab) for lab in runs)
+    return np.array(labels)
 
 
 def _inertia(points, labels):
@@ -338,7 +335,7 @@ def evaluate(h: np.ndarray, n_clusters: int, truth, seeds,
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("evaluate needs at least one k-means seed")
-    labels, _ = _kmeans_with_inertia(points, n_clusters, seeds, restarts)
+    labels = _kmeans_with_inertia(points, n_clusters, seeds, restarts)
     scores = {}
     for lab in labels:
         if lab.tobytes() not in scores:

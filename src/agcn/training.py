@@ -10,6 +10,7 @@ by the gradients.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -189,82 +190,61 @@ def _sort_within_lists(key, indptr):
 PAIR_CHUNK = 2 ** 14
 
 
-def _pair_order(mask: KHopMask, cap: int) -> np.ndarray:
-    """The nodes that have a pair, in the hinge's summation order: nodes
-    whose pairs fit under ``cap`` take all of them and come first, grouped
-    by list size, ties by index; the nodes over it then take ``cap``
-    sampled pairs each, in index order."""
+def _node_chunks(mask: KHopMask, cap: int) -> list:
+    """The nodes that have a pair in the hinge's summation order, cut into
+    chunks. Nodes whose pairs fit under ``cap`` take all of them and come
+    first, by list size, ties by index; nodes over it then take ``cap``
+    sampled pairs each, by index. A chunk holds the nodes whose first pair
+    falls in one run of ``PAIR_CHUNK`` pairs: at least one node, and fewer
+    than ``PAIR_CHUNK + cap`` pairs. A graph with no pair has no chunk."""
     sizes = mask.list_sizes() - 1       # every list holds its node
     totals = sizes * (sizes - 1) // 2
     small = np.flatnonzero((sizes >= 2) & (totals <= cap))
     small = small[np.argsort(sizes[small], kind="stable")]
-    return np.concatenate([small, np.flatnonzero(totals > cap)])
-
-
-def _node_chunks(mask: KHopMask, cap: int) -> list:
-    """:func:`_pair_order` cut into chunks of whole nodes: a chunk holds
-    the nodes whose first pair falls in the same run of ``PAIR_CHUNK``
-    pairs, so it has fewer than ``PAIR_CHUNK + cap`` pairs, and at least
-    one node."""
-    nodes = _pair_order(mask, cap)
-    if not len(nodes):
-        return []
-    sizes = mask.list_sizes()[nodes] - 1
-    counts = np.minimum(sizes * (sizes - 1) // 2, cap)
+    nodes = np.concatenate([small, np.flatnonzero(totals > cap)])
+    counts = np.minimum(totals[nodes], cap)
     runs = (np.cumsum(counts) - counts) // PAIR_CHUNK
-    return np.split(nodes, np.flatnonzero(np.diff(runs)) + 1)
+    return (np.split(nodes, np.flatnonzero(np.diff(runs)) + 1) if len(nodes)
+            else [])
 
 
 @dataclass
-class _Ranking:
-    """One epoch's neighbor ranking, which all its pair chunks share."""
+class _PairBatch:
+    """One epoch's neighbor ranking and, once :func:`_pair_batch` has drawn
+    them, some nodes' sampled pairs. A pair is two entries of the loss mask,
+    neither its node's own, so its similarities are gathers from
+    ``entry_sims``."""
 
     mask: KHopMask
     entry_sims: np.ndarray  # per-entry sims of the unit rows it was built from
     order: np.ndarray       # each list's entries by rank, its node first
-    n_contrib: int          # nodes with two or more non-self neighbors
+    n_contrib: int          # of the whole graph: the hinge's divisor
+    plus_e: np.ndarray | None = None    # per pair: mask entry of the
+    minus_e: np.ndarray | None = None   # better-ranked side, the worse one
+    gap: np.ndarray | None = None       # rank difference, always >= 1
 
 
-def _rank(u, mask: KHopMask) -> _Ranking:
-    """Each node's non-self neighbors by descending cosine similarity, the
-    dot product of their unit rows ``u``, ties going to the lower index."""
+def _rank(u, mask: KHopMask) -> _PairBatch:
+    """One epoch's ranking, with no pairs yet: each node's non-self
+    neighbors by descending cosine similarity, the dot product of their
+    unit rows ``u``, ties going to the lower index."""
     sims = mask.entry_dots(u, u)
     # every list holds its node, which ranks first, so the non-self ranks
     # start one slot after indptr; mask lists are sorted ascending, so the
     # stable sort breaks ties in similarity by neighbor index
     order = _sort_within_lists(
         np.where(mask.src_ids == mask.indices, -np.inf, -sims), mask.indptr)
-    return _Ranking(mask=mask, entry_sims=sims, order=order,
-                    n_contrib=int((mask.list_sizes() - 1 >= 2).sum()))
+    return _PairBatch(mask=mask, entry_sims=sims, order=order,
+                      n_contrib=int((mask.list_sizes() - 1 >= 2).sum()))
 
 
-@dataclass
-class _PairBatch:
-    """Flat sampled pairs of some nodes, frozen for one epoch.
-
-    Pairs reference entries of the loss mask they were ranked in, so pair
-    similarities are single gathers from the per-entry similarity vector.
-    No pair references a node's own entry.
-    """
-
-    mask: KHopMask
-    plus_e: np.ndarray      # per pair: mask entry of the better-ranked side
-    minus_e: np.ndarray
-    gap: np.ndarray         # rank difference, always >= 1
-    n_contrib: int          # of the whole graph: the hinge's divisor
-    entry_sims: np.ndarray  # per-entry sims of the unit rows it was built from
-
-
-def _pair_batch(ranking: _Ranking, nodes, cap: int, rng) -> _PairBatch:
-    """Oriented (better-ranked, worse-ranked) neighbor pairs of ``nodes``,
-    a run of :func:`_pair_order`, node by node in that order.
-
-    A node contributes all its pairs when they fit under ``cap``, otherwise
+def _pair_batch(ranking: _PairBatch, nodes, cap: int, rng) -> _PairBatch:
+    """``ranking`` with the oriented (better-ranked, worse-ranked) pairs of
+    ``nodes``, a chunk of :func:`_node_chunks`, node by node in that order.
+    A node takes all its pairs when they fit under ``cap``, otherwise
     ``cap`` distinct pairs drawn uniformly by one ``rng.choice``; ``rng`` is
-    not read when no node is over the cap.
-    """
-    mask = ranking.mask
-    sizes = mask.list_sizes()[nodes] - 1
+    not read when no node is over the cap."""
+    sizes = ranking.mask.list_sizes()[nodes] - 1
     totals = sizes * (sizes - 1) // 2
     counts = np.minimum(totals, cap)
     # the nodes that take all their pairs come first
@@ -276,22 +256,9 @@ def _pair_batch(ranking: _Ranking, nodes, cap: int, rng) -> _PairBatch:
         + [rng.choice(total, cap, replace=False) for total in totals[n_all:]])
     owner = np.repeat(nodes, counts)
     a, b = _decode_pairs(codes, np.repeat(sizes, counts))
-    base = mask.indptr[owner] + 1
-    return _PairBatch(
-        mask=mask, plus_e=ranking.order[base + a],
-        minus_e=ranking.order[base + b], gap=b - a,
-        n_contrib=ranking.n_contrib, entry_sims=ranking.entry_sims,
-    )
-
-
-def _epoch_batches(u, mask: KHopMask, chunks, cap: int, rng):
-    """One epoch's pairs, ranked at the unit rows ``u``, as one
-    :class:`_PairBatch` per node chunk of :func:`_node_chunks`. Each chunk
-    is drawn when the hinge asks for it, so no array of every pair of the
-    epoch is ever formed."""
-    ranking = _rank(u, mask)
-    for nodes in chunks:
-        yield _pair_batch(ranking, nodes, cap, rng)
+    base = ranking.mask.indptr[owner] + 1
+    return dataclasses.replace(ranking, plus_e=ranking.order[base + a],
+                               minus_e=ranking.order[base + b], gap=b - a)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +390,14 @@ def train(g: Graph, cfg: TrainingConfig):
             # each epoch's pairs have a generator of their own, so skipping
             # them when the hinge is off changes no other draw
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
-            batches = (_epoch_batches(u, mask, chunks, cfg.pair_cap, rng)
-                       if cfg.use_neg else None)
+            # each chunk is drawn when the hinge asks for it, so no array
+            # of every pair of the epoch is ever formed
+            ranking = _rank(u, mask) if cfg.use_neg else None
+            batches = (_pair_batch(ranking, nodes, cfg.pair_cap, rng)
+                       for nodes in chunks)
             l_pos, l_neg, l_total, d_emb = _objective(u, norms, batches,
                                                       weights, cfg)
+            del ranking, batches    # freed before the backward pass
             grads = _model_backward(params, tapes, h_last, d_emb)
             for name, tensor in grads.tensors():
                 if not np.all(np.isfinite(tensor)):
@@ -436,7 +407,7 @@ def train(g: Graph, cfg: TrainingConfig):
         history[epoch] = (l_pos, l_neg, l_total)
         params, state = adam_step(params, grads, state, cfg.lr)
         # the next epoch's forward pass and pairs need none of these
-        del emb, h_last, tapes, u, norms, batches, d_emb, grads
+        del emb, h_last, tapes, u, norms, d_emb, grads
     return params, history
 
 

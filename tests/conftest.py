@@ -13,7 +13,7 @@ from agcn.errors import ConfigError
 from agcn.graph import KHopMask, build_graph, khop_mask, khop_weights
 from agcn.model import _forward_tape, _model_backward, init_params
 from agcn.training import (_decode_pairs, _loss_pos_impl, _objective,
-                           _pair_batch, _pair_order, _rank, _unit_rows,
+                           _node_chunks, _pair_batch, _rank, _unit_rows,
                            _unit_rows_backward, adam_step, init_adam_state)
 
 # every property draws the same examples on every run, with no time limit
@@ -250,15 +250,14 @@ def kmeans_oracle(points, n_clusters, seeds, restarts):
     """``_kmeans_with_inertia`` one seed and one restart at a time: a
     restart replaces its seed's best only at a strictly lower inertia, and
     the best labels are renumbered by first appearance."""
-    labels, inertias = [], []
+    labels = []
     for runs in oracle_restarts(points, n_clusters, seeds, restarts):
         best = (None, np.inf)
         for run_labels, inertia in runs:
             if inertia < best[1]:
                 best = (run_labels, inertia)
         labels.append(canonical_oracle(best[0]))
-        inertias.append(best[1])
-    return np.array(labels), np.array(inertias)
+    return np.array(labels)
 
 
 def loss_pos_oracle(u, weights):
@@ -287,7 +286,9 @@ def loss_pos_oracle(u, weights):
 def pair_batch(u, mask, cap, rng):
     """The pairs of every node ranked at the unit rows ``u``, as one chunk:
     what ``train`` draws in one epoch, in its order."""
-    return _pair_batch(_rank(u, mask), _pair_order(mask, cap), cap, rng)
+    nodes = np.concatenate([np.empty(0, dtype=np.int64),
+                            *_node_chunks(mask, cap)])
+    return _pair_batch(_rank(u, mask), nodes, cap, rng)
 
 
 def hinge_oracle(u, mask, cap, rng, gamma):

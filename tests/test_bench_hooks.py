@@ -7,6 +7,7 @@ loads the tracer from its source file (without importing or writing
 anything under ``perfbench/``) and runs a tiny training job under it.
 """
 
+import dataclasses
 import types
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 import agcn.training
 from agcn.clustering import evaluate
 from agcn.datagen import SBMSpec, gen_sbm
-from agcn.graph import khop_mask
+from agcn.graph import build_graph, khop_mask
 from agcn.model import forward
 from agcn.training import TrainingConfig, _node_chunks, _unit_rows, train
 
@@ -109,3 +110,27 @@ def test_tracer_counts_every_pair_of_every_chunk(monkeypatch):
     hinge = [s["name"] for s in tracer.spans if s["name"] in _NO_HINGE]
     assert hinge == (["training.pair_batch", "training.loss_neg"]
                      * (n_chunks * cfg.epochs))
+
+
+def test_a_graph_with_no_pair_draws_no_chunk():
+    # a perfect matching at k=1: every list holds its node and one other,
+    # so no node has a pair, and the hinge on trains as the hinge off
+    tracing = _load_tracing()
+    feats = np.random.default_rng(4).standard_normal((8, 3))
+    g = build_graph([[i, i + 1] for i in range(0, 8, 2)], feats)
+    cfg = TrainingConfig(k=1, lam=0.5, epochs=3, layers=1, heads=2, d_q=4,
+                         d_v=4, d_out=3)
+    assert _node_chunks(khop_mask(g, cfg.k), cfg.pair_cap) == []
+    want_params, want_history = train(g, dataclasses.replace(cfg,
+                                                             use_neg=False))
+    tracer = tracing.Tracer(cfg.pair_cap)
+    tracer.install()
+    try:
+        params, history = train(g, cfg)
+    finally:
+        bad = tracer.restore()
+    assert bad == []
+    fired = {s["name"] for s in tracer.spans}
+    assert "training.loss_pos" in fired and not fired & _NO_HINGE
+    assert history.tobytes() == want_history.tobytes()
+    assert params.flat.tobytes() == want_params.flat.tobytes()

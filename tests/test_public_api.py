@@ -4,6 +4,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from agcn import cli
 
 MODULES = ("analysis", "clustering", "datagen", "errors", "graph", "model",
            "training")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_exports_exactly_the_module_public_names():
@@ -55,6 +58,9 @@ def test_removed_wrappers_are_not_public(capsys):
     assert not {"n_clusters", "tol", "max_iter"} & set(probe)
     kmeans = inspect.signature(agcn.kmeans).parameters
     assert not {"tol", "max_iter"} & set(kmeans)
+    # an epoch's hinge is one record, _PairBatch, cut by one planner
+    for name in ("_Ranking", "_pair_order", "_epoch_batches"):
+        assert not hasattr(agcn.training, name), name
     # nothing trains on a tree-matching task, so nothing generates one
     for name in ("TreeMatchSpec", "gen_tree_match"):
         assert not hasattr(agcn.datagen, name), name
@@ -85,3 +91,21 @@ def test_removed_wrappers_are_not_public(capsys):
                   "--config", "c.json"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --config c.json" in capsys.readouterr().err
+
+
+def test_readme_names_only_code_that_exists():
+    # every backticked private name and UPPER_CASE constant in the README's
+    # text is an attribute of an agcn module; AGCN_* are environment
+    # variables, and fenced code blocks show only public calls
+    text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"),
+                  flags=re.M | re.S)
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        names.update(re.findall(
+            r"(?<![\w.])_[A-Za-z]\w*|\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", span))
+    names = {name for name in names if not name.startswith("AGCN_")}
+    modules = [importlib.import_module(f"agcn.{m}")
+               for m in MODULES + ("cli",)]
+    missing = sorted(name for name in names
+                     if not any(hasattr(m, name) for m in modules))
+    assert len(names) >= 10 and missing == [], missing

@@ -1004,6 +1004,38 @@ def test_train_without_hinge_builds_no_pairs(monkeypatch):
     np.testing.assert_array_equal(history, expect)
 
 
+@settings(max_examples=80)
+@given(n=st.integers(1, 40), p=st.floats(0.0, 1.0), k=st.integers(1, 2),
+       cap=st.integers(1, 80), pair_chunk=st.sampled_from([1, 7, 2 ** 14]),
+       seed=st.integers(0, 2 ** 16))
+def test_node_chunks_cut_the_summation_order_property(n, p, k, cap,
+                                                      pair_chunk, seed):
+    mask = khop_mask(random_graph(n, p, seed), k)
+    with mock.patch.object(agcn.training, "PAIR_CHUNK", pair_chunk):
+        chunks = _node_chunks(mask, cap)
+    # the summation order as hinge_oracle states it: under-cap nodes by
+    # list size, ties by index, then over-cap nodes by index
+    sizes = mask.list_sizes() - 1
+    totals = sizes * (sizes - 1) // 2
+    small = np.flatnonzero((sizes >= 2) & (totals <= cap))
+    small = small[np.argsort(sizes[small], kind="stable")]
+    order = np.concatenate([small, np.flatnonzero(totals > cap)])
+    assert all(len(nodes) >= 1 for nodes in chunks)
+    np.testing.assert_array_equal(
+        np.concatenate([np.empty(0, dtype=np.int64), *chunks]), order)
+    # a chunk holds the nodes whose first pair falls in one run of
+    # PAIR_CHUNK pairs, and the runs increase from chunk to chunk
+    counts = np.minimum(totals, cap)
+    firsts = dict(zip(order.tolist(),
+                      (np.cumsum(counts[order]) - counts[order]).tolist()))
+    runs = []
+    for nodes in chunks:
+        assert counts[nodes].sum() < pair_chunk + cap
+        (run,) = {firsts[i] // pair_chunk for i in nodes.tolist()}
+        runs.append(run)
+    assert runs == sorted(set(runs))
+
+
 @pytest.mark.parametrize("use_neg", [True, False])
 def test_pair_chunks_change_no_bit(monkeypatch, use_neg):
     # k=2 lists of up to 28 non-self neighbors against a cap of 60: 45
@@ -1022,7 +1054,7 @@ def test_pair_chunks_change_no_bit(monkeypatch, use_neg):
         def no_pairs(*args):
             raise AssertionError("pairs built while the hinge is off")
 
-        monkeypatch.setattr(agcn.training, "_epoch_batches", no_pairs)
+        monkeypatch.setattr(agcn.training, "_rank", no_pairs)
     want_params, want_history = train_oracle(g, cfg)
     # the hinge has active pairs in every epoch
     assert (want_history[:, 1] > 0).all() == use_neg
