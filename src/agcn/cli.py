@@ -189,6 +189,9 @@ def _train_config(args) -> dict[str, TrainingConfig]:
         lam_grid = _parse_grid(args.lam, float, "--lambda")
     elif args.sweep:
         lam_grid = list(DEFAULT_LAMBDA_GRID)
+    for flag, grid in (("--k", k_grid), ("--lambda", lam_grid)):
+        if not grid:
+            raise ConfigError(f"{flag} names no value")
     if not args.sweep and (len(k_grid) > 1 or len(lam_grid) > 1):
         raise ConfigError("value lists for --k/--lambda require --sweep")
     base = {}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, _check_type
+from .errors import ConfigError, _check_fields
 from .graph import Graph, _atomic_open, build_graph
 
 __all__ = ["SBMSpec", "gen_sbm", "write_graph_files"]
@@ -35,19 +35,7 @@ class SBMSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.block_sizes, (tuple, list)):
-            raise ConfigError("block_sizes must be a tuple of integers, not "
-                              f"{self.block_sizes!r}")
-        dim = [] if self.feature_dim is None else [self.feature_dim]
-        for name, values, kind in (
-                ("block_sizes", self.block_sizes, int),
-                ("p_in", [self.p_in], float), ("p_out", [self.p_out], float),
-                ("feature_dim", dim, int),
-                ("mean_scale", [self.mean_scale], float),
-                ("noise_scale", [self.noise_scale], float),
-                ("seed", [self.seed], int)):
-            for value in values:
-                _check_type(name, value, kind)
+        _check_fields(self)
         if not self.block_sizes or any(s <= 0 for s in self.block_sizes):
             raise ConfigError("block sizes must be positive")
         for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):

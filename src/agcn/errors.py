@@ -57,6 +57,18 @@ def _check_type(name, value, kind=int):
 
 def _check_fields(record):
     """:func:`_check_type` on every field of the dataclass ``record``, each
-    against its type hint."""
+    against its type hint. A field hinted ``X | None`` may be None, and one
+    hinted ``tuple[X, ...]`` is a tuple or list whose every element is an X."""
     for name, kind in typing.get_type_hints(type(record)).items():
-        _check_type(name, getattr(record, name), kind)
+        value = getattr(record, name)
+        if type(None) in typing.get_args(kind):
+            if value is None:
+                continue
+            [kind] = set(typing.get_args(kind)) - {type(None)}
+        if typing.get_origin(kind) is tuple:
+            if not isinstance(value, (tuple, list)):
+                raise ConfigError(f"{name} must be a tuple, not {value!r}")
+            for item in value:
+                _check_type(name, item, typing.get_args(kind)[0])
+        else:
+            _check_type(name, value, kind)

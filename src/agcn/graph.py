@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -206,12 +207,16 @@ def _first_bad_row(path, exc):
     return f"bad feature row: {exc}", None
 
 
+# an ASCII decimal integer: int() alone also reads "1_0" and non-ASCII digits
+_is_integer = re.compile(r"[+-]?[0-9]+").fullmatch
+
+
 def _read_node_rows(path, n_nodes: int, width: int, what: str,
                     max_rows: int | None = None) -> np.ndarray:
     """(rows, width) int64 array of the non-blank lines of ``path``, each
     ``width`` values split on whitespace or commas. Every value is checked on
-    its line to be an integer in [0, n_nodes); a line past ``max_rows`` rows
-    is an error too."""
+    its line to be an ASCII decimal integer in [0, n_nodes); a line past
+    ``max_rows`` rows is an error too."""
     rows = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -226,11 +231,10 @@ def _read_node_rows(path, n_nodes: int, width: int, what: str,
                                  path=path, line=lineno)
             row = []
             for text in parts:
-                try:
-                    row.append(int(text))
-                except ValueError as exc:
+                if not _is_integer(text):
                     raise ParseError(f"non-integer {what} {text!r}",
-                                     path=path, line=lineno) from exc
+                                     path=path, line=lineno)
+                row.append(int(text))
                 if not 0 <= row[-1] < n_nodes:
                     raise ParseError(f"{what} {row[-1]} outside [0, {n_nodes})",
                                      path=path, line=lineno)

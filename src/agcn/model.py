@@ -14,7 +14,6 @@ linear projection produces the embedding matrix.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -32,7 +31,6 @@ __all__ = [
     "init_params",
     "forward",
     "save_params",
-    "load_params",
 ]
 
 _MAGIC = b"AGCNPAR1"
@@ -380,41 +378,3 @@ def _tensor_specs(dims: Dims):
                     (f"layers.{l}.wres", (dims.d, dims.d_v), 1))
         d_in = dims.d_v
     yield "final_proj", (dims.d_v, dims.d_out), 1
-
-
-def load_params(path) -> ModelParams:
-    """Read parameters written by :func:`save_params`.
-
-    A bad magic, a header shorter than its stated length or without the
-    dims and tensor list, a tensor list other than the names and shapes the
-    dims imply (the error names the first tensor that differs), and a body
-    whose byte count is not what those shapes need each raise
-    :class:`ConfigError` naming ``path``.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != _MAGIC:
-        raise ConfigError(f"{path}: not a parameter file: bad magic {data[:8]!r}")
-    if len(data) < 16:
-        raise ConfigError(f"{path}: truncated header length")
-    hlen = int.from_bytes(data[8:16], "little")
-    offset = 16 + hlen
-    if offset > len(data):
-        raise ConfigError(f"{path}: header needs {hlen} bytes, "
-                          f"{len(data) - 16} present")
-    try:
-        header = json.loads(data[16:offset].decode("utf-8"))
-        dims = Dims(**header["dims"])
-        specs = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
-        raise ConfigError(f"{path}: bad header: {exc!r}") from exc
-    want = [(name, shape) for name, shape, _ in _tensor_specs(dims)]
-    if specs != want:
-        first = next(p for p in itertools.zip_longest(specs, want) if p[0] != p[1])
-        got, implied = ("nothing" if t is None else f"{t[0]} {t[1]}" for t in first)
-        raise ConfigError(f"{path}: header lists {got} where dims imply {implied}")
-    need = 8 * sum(math.prod(shape) for _, shape in want)
-    if len(data) - offset != need:
-        raise ConfigError(f"{path}: the tensors need {need} bytes "
-                          f"after the header, {len(data) - offset} present")
-    return ModelParams(dims, np.frombuffer(data, "<f8", offset=offset).astype(float))

@@ -246,6 +246,20 @@ def test_train_bad_setting_fails_before_reading_inputs(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("sweep", [(), ("--sweep",)], ids=["single", "sweep"])
+@pytest.mark.parametrize("flag", ["--k", "--lambda"])
+@pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+def test_train_empty_grid_fails_before_reading_inputs(tmp_path, capsys, sweep,
+                                                      flag, value):
+    rc = main(["train", "--graph", str(tmp_path / "nowhere.edges"),
+               "--features", str(tmp_path / "nowhere.csv"), flag, value,
+               *sweep, "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag} names no value"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_analyze_paths_histogram_with_inf(tmp_path):
     data = tmp_path / "d"
     data.mkdir()

@@ -171,8 +171,13 @@ def test_graph_rejects_label_outside_node_count(labels):
     ("0 1\n\n2 -1\n", "0\n0\n0\n", "g.edges", 3,
      "edge endpoint -1 outside \\[0, 3\\)"),
     ("1\n", "0\n0\n0\n", "g.edges", 1, "1 values, expected 2"),
+    # only ASCII decimal digits: int() alone reads these as 10 and 3
+    ("0 1\n0 1_0\n", "0\n0\n0\n", "g.edges", 2,
+     "non-integer edge endpoint '1_0'"),
+    ("0 1\n", "0\n٣\n0\n", "g.lab", 2, "non-integer label '٣'"),
 ], ids=["label_beyond_int64", "two_labels", "non_integer_after_comma",
-        "negative_endpoint", "one_endpoint"])
+        "negative_endpoint", "one_endpoint", "underscore_digits",
+        "arabic_indic_digit"])
 def test_node_row_files_check_each_value_on_its_line(tmp_path, edges, labels,
                                                      bad, line, message):
     (tmp_path / "g.edges").write_text(edges)

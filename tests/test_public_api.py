@@ -54,6 +54,9 @@ def test_removed_wrappers_are_not_public(capsys):
     fields = [f.name for f in dataclasses.fields(agcn.ModelParams)]
     assert fields == ["dims", "flat"]
     assert not hasattr(agcn.ModelParams, "from_tensors")
+    # params.bin has one writer and nothing in the package reads it back
+    for module in (agcn, agcn.model):
+        assert not hasattr(module, "load_params")
     probe = inspect.signature(agcn.grouping_probe).parameters
     assert not {"n_clusters", "tol", "max_iter"} & set(probe)
     kmeans = inspect.signature(agcn.kmeans).parameters
