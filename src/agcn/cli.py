@@ -21,8 +21,8 @@ from .analysis import _n_masked, grouping_probe, mask_features, r_ratio
 from .clustering import evaluate, kmeans
 from .datagen import SBMSpec, gen_sbm, write_graph_files
 from .errors import AgcnError, ConfigError
-from .graph import (Graph, _atomic_open, _read_labels, khop_mask,
-                    load_graph, shortest_path_histogram)
+from .graph import (Graph, _atomic_open, _is_integer, _read_labels,
+                    khop_mask, load_graph, shortest_path_histogram)
 from .model import forward, save_params
 from .training import (DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID, TrainingConfig,
                        history_to_csv, train)
@@ -73,16 +73,16 @@ def _build_parser():
     p_train.add_argument("--lambda", dest="lam", type=str,
                          help="positive-loss weight (list allowed with --sweep)")
     p_train.add_argument("--gamma", type=float)
-    p_train.add_argument("--layers", type=int)
-    p_train.add_argument("--heads", type=int)
-    p_train.add_argument("--dq", type=int, dest="d_q")
-    p_train.add_argument("--dv", type=int, dest="d_v")
-    p_train.add_argument("--dout", type=int, dest="d_out")
-    p_train.add_argument("--epochs", type=int)
+    p_train.add_argument("--layers", type=_int)
+    p_train.add_argument("--heads", type=_int)
+    p_train.add_argument("--dq", type=_int, dest="d_q")
+    p_train.add_argument("--dv", type=_int, dest="d_v")
+    p_train.add_argument("--dout", type=_int, dest="d_out")
+    p_train.add_argument("--epochs", type=_int)
     p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--pair-cap", type=int, dest="pair_cap")
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--restarts", type=int)
+    p_train.add_argument("--pair-cap", type=_int, dest="pair_cap")
+    p_train.add_argument("--seed", type=_int)
+    p_train.add_argument("--restarts", type=_int)
     p_train.add_argument("--mode", choices=("structure", "vanilla"))
     p_train.add_argument("--no-lneg", action="store_true",
                          help="drop the rank-margin loss term")
@@ -98,9 +98,9 @@ def _build_parser():
 
     p_group = an_sub.add_parser("grouping", help="hop-filtered feature clustering probe")
     _add_dataset_flags(p_group)
-    p_group.add_argument("--k", type=int, default=5)
-    p_group.add_argument("--seed", type=int, default=0)
-    p_group.add_argument("--restarts", type=int, default=10)
+    p_group.add_argument("--k", type=_int, default=5)
+    p_group.add_argument("--seed", type=_int, default=0)
+    p_group.add_argument("--restarts", type=_int, default=10)
     p_group.add_argument("--out-dir", type=Path, default=Path("out"))
     p_group.set_defaults(func=cmd_analyze_grouping)
 
@@ -117,15 +117,15 @@ def _build_parser():
                            "on the raw features)")
     p_rr.add_argument("--k-range", type=str, default="1:9",
                       help="inclusive range lo:hi or comma list")
-    p_rr.add_argument("--seed", type=int, default=0)
-    p_rr.add_argument("--restarts", type=int, default=10)
+    p_rr.add_argument("--seed", type=_int, default=0)
+    p_rr.add_argument("--restarts", type=_int, default=10)
     p_rr.add_argument("--out-dir", type=Path, default=Path("out"))
     p_rr.set_defaults(func=cmd_analyze_r_ratio)
 
     p_maskf = an_sub.add_parser("mask-features", help="zero a random node fraction's features")
     _add_dataset_flags(p_maskf)
     p_maskf.add_argument("--fraction", type=float, default=0.6)
-    p_maskf.add_argument("--seed", type=int, default=0)
+    p_maskf.add_argument("--seed", type=_int, default=0)
     p_maskf.add_argument("--out-dir", type=Path, default=Path("out"))
     p_maskf.set_defaults(func=cmd_analyze_mask_features)
 
@@ -137,15 +137,24 @@ def _build_parser():
                        help="comma-separated block sizes, e.g. 20,20")
     p_sbm.add_argument("--p-in", type=float, required=True)
     p_sbm.add_argument("--p-out", type=float, required=True)
-    p_sbm.add_argument("--feature-dim", type=int)
+    p_sbm.add_argument("--feature-dim", type=_int)
     p_sbm.add_argument("--mean-scale", type=float, default=1.0)
     p_sbm.add_argument("--noise-scale", type=float, default=0.3)
-    p_sbm.add_argument("--seed", type=int, default=0)
+    p_sbm.add_argument("--seed", type=_int, default=0)
     p_sbm.add_argument("--prefix", type=str, default="sbm")
     p_sbm.add_argument("--out-dir", type=Path, default=Path("out"))
     p_sbm.set_defaults(func=cmd_generate_sbm)
 
     return parser
+
+
+def _int(text):
+    """``text`` as an integer by the file readers' rule: an optional sign,
+    then ASCII digits. ``int`` alone also takes ``1_0``, other scripts'
+    digits and surrounding spaces."""
+    if not _is_integer(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _add_dataset_flags(p):
@@ -172,7 +181,7 @@ def _write_json(path: Path, payload: dict):
 def _parse_grid(text, caster, name):
     try:
         return [caster(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad {name} value {text!r}") from exc
 
 
@@ -182,7 +191,7 @@ def _train_config(args) -> dict[str, TrainingConfig]:
     k_grid = [TrainingConfig.k]
     lam_grid = [TrainingConfig.lam]
     if args.k is not None:
-        k_grid = _parse_grid(args.k, int, "--k")
+        k_grid = _parse_grid(args.k, _int, "--k")
     elif args.sweep:
         k_grid = list(DEFAULT_K_GRID)
     if args.lam is not None:
@@ -323,11 +332,11 @@ def cmd_analyze_paths(args) -> int:
 def _parse_k_range(text) -> tuple:
     if ":" in text:
         try:
-            lo, hi = (int(t) for t in text.split(":", 1))
-        except ValueError as exc:
+            lo, hi = (_int(t) for t in text.split(":", 1))
+        except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"bad --k-range value {text!r}") from exc
         return tuple(range(lo, hi + 1))
-    return tuple(_parse_grid(text, int, "--k-range"))
+    return tuple(_parse_grid(text, _int, "--k-range"))
 
 
 def cmd_analyze_r_ratio(args) -> int:
@@ -365,7 +374,7 @@ def cmd_analyze_mask_features(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_generate_sbm(args) -> int:
-    sizes = tuple(_parse_grid(args.blocks, int, "--blocks"))
+    sizes = tuple(_parse_grid(args.blocks, _int, "--blocks"))
     spec = SBMSpec(block_sizes=sizes, p_in=args.p_in, p_out=args.p_out,
                    feature_dim=args.feature_dim, mean_scale=args.mean_scale,
                    noise_scale=args.noise_scale, seed=args.seed)

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import ConfigError, DimensionError, _check_type
 from .graph import _node_ids
@@ -245,17 +243,57 @@ def _contingency(pred, truth):
     return pred_values, true_values, table
 
 
+def _max_matching(table):
+    """Rows and columns of a maximum-weight matching of every row of the
+    count ``table``, which has no more rows than columns, into distinct
+    columns: shortest augmenting paths with potentials (Hungarian, Jonker-
+    Volgenant), one row at a time, in O(rows^2 cols). The counts are Python
+    ints, so the optimum is exact at any size."""
+    n_rows, n_cols = table.shape
+    cost = (-table).tolist()
+    # row_of[j]: the row matched to column j, -1 if none; the extra last
+    # column is where each row's search starts
+    row_of = [-1] * (n_cols + 1)
+    u, v = [0] * n_rows, [0] * (n_cols + 1)
+    for i in range(n_rows):
+        row_of[n_cols] = i
+        j0, seen, free = n_cols, [], list(range(n_cols))
+        minv, way = [math.inf] * n_cols, [n_cols] * n_cols
+        while row_of[j0] >= 0:
+            seen.append(j0)
+            i0 = row_of[j0]
+            for j in free:
+                reduced = cost[i0][j] - u[i0] - v[j]
+                if reduced < minv[j]:
+                    minv[j], way[j] = reduced, j0
+            j0 = min(free, key=minv.__getitem__)
+            delta = minv[j0]
+            for j in seen:
+                u[row_of[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            free.remove(j0)
+        while j0 != n_cols:     # shift the matches along the path found
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    row_of = np.array(row_of[:n_cols], dtype=np.intp)
+    cols = np.flatnonzero(row_of >= 0)
+    return row_of[cols], cols
+
+
 def label_mapping(pred, truth) -> np.ndarray:
-    """Best bijection from predicted to true labels (a maximum-weight full
-    matching on the contingency table), as an array indexed by predicted
-    label value; a predicted label left unmatched maps to -1, which is no
-    true label. Under tied optima any one of them is returned."""
+    """Best bijection from predicted to true labels (a maximum-weight
+    matching on the contingency table that matches every label of the
+    smaller side), as an array indexed by predicted label value; a
+    predicted label left unmatched maps to -1, which is no true label.
+    Under tied optima any one of them is returned."""
     pred, truth = _as_labels(pred, truth)
     pred_values, true_values, table = _contingency(pred, truth)
-    # one more than each count: every cell is an edge, so a full matching
-    # exists, and every full matching gains the same min(C_pred, C_truth)
-    rows, cols = min_weight_full_bipartite_matching(
-        sparse.csr_array(table + 1), maximize=True)
+    if table.shape[0] <= table.shape[1]:
+        rows, cols = _max_matching(table)
+    else:
+        cols, rows = _max_matching(table.T)
     mapping = np.full(int(pred.max()) + 1, -1, dtype=np.int64)
     mapping[pred_values[rows]] = true_values[cols]
     return mapping

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
 from .errors import ConfigError, DimensionError, ParseError, _check_type
 
@@ -389,7 +388,11 @@ def shortest_path_histogram(g: Graph) -> dict:
     computed for a block of a cluster's members at a time, within the dense
     kernel's byte budget, and counted as they come.
     """
-    from .model import DENSE_BLOCK_BYTES    # model imports this module
+    # imported here: csgraph, with the scipy.sparse.linalg it loads, adds
+    # ~11 MB to a process, and model imports this module
+    from scipy.sparse.csgraph import shortest_path
+
+    from .model import DENSE_BLOCK_BYTES
     if g.labels is None:
         raise ConfigError("shortest_path_histogram requires node labels")
     n = g.n_nodes
@@ -400,8 +403,8 @@ def shortest_path_histogram(g: Graph) -> dict:
         members = np.flatnonzero(g.labels == lab)
         for r0 in range(0, len(members) - 1, step):
             rows = np.arange(r0, min(r0 + step, len(members)))
-            dist = _sp_shortest_path(g.adj, method="D", unweighted=True,
-                                     directed=False, indices=members[rows])
+            dist = shortest_path(g.adj, method="D", unweighted=True,
+                                 directed=False, indices=members[rows])
             # each pair once, from its member of lower rank
             dist = dist[:, members][np.arange(len(members)) > rows[:, None]]
             finite = np.isfinite(dist)

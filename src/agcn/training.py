@@ -397,7 +397,8 @@ def train(g: Graph, cfg: TrainingConfig):
                        for nodes in chunks)
             l_pos, l_neg, l_total, d_emb = _objective(u, norms, batches,
                                                       weights, cfg)
-            del ranking, batches    # freed before the backward pass
+            # the backward pass, where training peaks, reads none of these
+            del emb, u, norms, ranking, batches
             grads = _model_backward(params, tapes, h_last, d_emb)
             for name, tensor in grads.tensors():
                 if not np.all(np.isfinite(tensor)):
@@ -407,7 +408,7 @@ def train(g: Graph, cfg: TrainingConfig):
         history[epoch] = (l_pos, l_neg, l_total)
         params, state = adam_step(params, grads, state, cfg.lr)
         # the next epoch's forward pass and pairs need none of these
-        del emb, h_last, tapes, u, norms, d_emb, grads
+        del h_last, tapes, d_emb, grads
     return params, history
 
 

@@ -429,6 +429,50 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("digits", ["1_0", "\u0662"],
+                         ids=["underscore", "arabic_indic_digit"])
+@pytest.mark.parametrize("argv, flag, template, code", [
+    (["train", *_DATASET], "--k", "{}", 1),
+    (["train", *_DATASET], "--layers", "{}", 2),
+    (["train", *_DATASET], "--seed", "{}", 2),
+    (["generate", "sbm", "--p-in", "0.5", "--p-out", "0.1"], "--blocks",
+     "4,{}", 1),
+    (["analyze", "r-ratio", *_DATASET], "--k-range", "1,{}", 1),
+    (["analyze", "r-ratio", *_DATASET], "--k-range", "1:{}", 1),
+], ids=["train_k", "train_layers", "train_seed", "generate_blocks",
+        "r_ratio_list", "r_ratio_range"])
+def test_integer_flags_take_an_optional_sign_and_ascii_digits(
+        tmp_path, capsys, monkeypatch, argv, flag, template, code, digits):
+    # int() reads "1_0" as 10 and the Arabic-Indic two as 2; the edge,
+    # label and prediction readers reject both, and so does every flag:
+    # argparse's with exit 2, a list with one error line and exit 1. No
+    # input file exists, so the value is rejected before any is read
+    monkeypatch.chdir(tmp_path)
+    text = template.format(digits)
+    argv = [*argv, flag, text, "--out-dir", "o"]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"argument {flag}: invalid int value: {text!r}"
+                in capsys.readouterr().err)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad {flag} value {text!r}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_no_flag_reads_integers_with_int():
+    # every integer flag goes through the rule the test above pins
+    parsers, types = [cli._build_parser()], []
+    while parsers:
+        parser = parsers.pop()
+        types += [action.type for action in parser._actions]
+        parsers += _subcommands(parser).values()
+    assert int not in types and cli._int in types
+
+
 @pytest.mark.parametrize("rows, message", [
     (15, "error: 15 labels for 16 nodes [{path}]"),
     (17, "error: more labels than the 16 nodes [{path}:17]"),

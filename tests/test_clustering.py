@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -21,7 +22,8 @@ from agcn.model import forward
 from agcn.training import TrainingConfig, train
 
 from conftest import (assign_oracle, canonical_oracle, kmeans_oracle,
-                      kmeans_pp_oracle, lloyd_oracle, oracle_restarts)
+                      kmeans_pp_oracle, lloyd_oracle, oracle_restarts,
+                      shortest_path_histogram_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -526,25 +528,83 @@ def test_label_mapping_is_a_best_matching_of_tied_tables(seed):
     assert (mapping[pred] == truth).sum() == _best_matched_count(pred, truth)
 
 
+def _best_matching_weight(table):
+    """Most count any one-to-one pairing of rows with columns gathers: a
+    DP over the rows that keeps, per set of used columns, its best count."""
+    best = {0: 0}
+    for row in table.tolist():
+        grown = dict(best)                  # the row stays unmatched
+        for used, weight in best.items():
+            for j, count in enumerate(row):
+                if not used >> j & 1:
+                    key = used | 1 << j
+                    grown[key] = max(grown.get(key, 0), weight + count)
+        best = grown
+    return max(best.values())
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("kind", ["ties", "zero_lines", "near_1e9"])
+def test_matcher_is_exact_on_rectangular_tables(kind, seed):
+    # up to 9 x 9 labels, beyond what permutations can check; counts near
+    # 1e9 differ in their last digit, which a float sum could round away
+    rng = np.random.default_rng(seed)
+    shape = rng.integers(1, 10, size=2)
+    if kind == "ties":
+        table = rng.integers(0, 3, size=shape)
+    elif kind == "zero_lines":
+        table = rng.integers(1, 50, size=shape)
+        table[rng.random(shape[0]) < 0.4] = 0
+        table[:, rng.random(shape[1]) < 0.4] = 0
+    else:
+        table = 10 ** 9 - rng.integers(0, 4, size=shape)
+    best = _best_matching_weight(table)
+    # the matcher takes the side with fewer labels as its rows
+    flip = table.shape[0] > table.shape[1]
+    rows, cols = clustering._max_matching(table.T if flip else table)
+    assert sorted(rows.tolist()) == list(range(min(table.shape)))
+    assert len(set(cols.tolist())) == len(cols)
+    assert int((table.T if flip else table)[rows, cols].sum()) == best
+    if kind != "near_1e9" and table.sum() > 0:
+        cells = np.repeat(np.arange(table.size), table.ravel())
+        pred, truth = np.divmod(cells, table.shape[1])
+        assert (label_mapping(pred, truth)[pred] == truth).sum() == best
+
+
 def test_metrics_load_no_scipy_optimize():
-    # the matcher is scipy.sparse.csgraph's, which the graph code loads
-    # anyway; scipy.optimize alone would add ~17 MB to every agcn process
+    # the label matcher is the package's own: scipy.optimize would add ~17
+    # MB to every agcn process, and scipy.sparse.csgraph, with the
+    # scipy.sparse.linalg it loads, ~11 MB. Only the shortest-path analysis
+    # loads csgraph, when it is called
+    heavy = ("scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+    spec = "SBMSpec(block_sizes=(6, 6), p_in=0.6, p_out=0.1, seed=3)"
     code = "\n".join([
-        "import sys",
-        "import numpy as np",
-        "import agcn",
-        "from agcn.clustering import evaluate, label_mapping",
-        "pts = np.random.default_rng(0).standard_normal((30, 3))",
-        "evaluate(pts, 3, np.arange(30) % 3, seeds=[0, 1], restarts=2)",
-        "label_mapping([0, 1, 1, 2], [1, 0, 0, 0])",
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))",
+        "import json, sys",
+        "import agcn.cli",
+        "from agcn import (SBMSpec, TrainingConfig, accuracy, evaluate,",
+        "                  forward, gen_sbm, khop_mask, label_mapping, train,",
+        "                  shortest_path_histogram)",
+        f"g = gen_sbm({spec})",
+        "cfg = TrainingConfig(epochs=2, layers=1, heads=1, d_q=2, d_v=2,",
+        "                     d_out=2, restarts=2)",
+        "params, _ = train(g, cfg)",
+        "emb = forward(g, khop_mask(g, cfg.k), params)",
+        "res = evaluate(emb, 2, g.labels, seeds=[0, 1], restarts=2)",
+        "accuracy(res.labels, g.labels)",
+        "label_mapping(res.labels, g.labels)",
+        f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))",
+        "hist = shortest_path_histogram(g)",
+        "print(json.dumps({str(k): v for k, v in hist.items()}))",
     ])
     src = str(Path(clustering.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    loaded, hist = proc.stdout.splitlines()
+    assert loaded == "[]"
+    expect = shortest_path_histogram_oracle(gen_sbm(eval(spec)))
+    assert json.loads(hist) == {str(k): v for k, v in expect.items()}
 
 
 def brute_force_accuracy(pred, truth, n_labels):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -955,6 +956,41 @@ def test_train_normalizes_embeddings_once_per_epoch(monkeypatch):
     train(g, cfg)
     # the pair sampler and the objective share each epoch's unit rows
     assert len(calls) == cfg.epochs
+
+
+@pytest.mark.parametrize("use_neg", [True, False], ids=["hinge", "no_hinge"])
+def test_backward_pass_runs_without_the_embedding(monkeypatch, use_neg):
+    # the embedding and its unit rows, n x d_out each, are freed before the
+    # backward pass, where training peaks
+    refs, checked = [], []
+    forward_tape = agcn.training._forward_tape
+    unit_rows = agcn.training._unit_rows
+    model_backward = agcn.training._model_backward
+
+    def keeping_emb(*args, **kwargs):
+        emb, h_last, tapes = forward_tape(*args, **kwargs)
+        refs.append(weakref.ref(emb))
+        return emb, h_last, tapes
+
+    def keeping_u(h):
+        u, norms = unit_rows(h)
+        refs.append(weakref.ref(u))
+        return u, norms
+
+    def checking(*args):
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        refs.clear()
+        checked.append(True)
+        return model_backward(*args)
+
+    monkeypatch.setattr(agcn.training, "_forward_tape", keeping_emb)
+    monkeypatch.setattr(agcn.training, "_unit_rows", keeping_u)
+    monkeypatch.setattr(agcn.training, "_model_backward", checking)
+    g = random_graph(9, 0.5, seed=22, d=3)
+    cfg = TrainingConfig(k=2, epochs=2, layers=1, heads=1, d_q=2, d_v=2,
+                         d_out=2, use_neg=use_neg)
+    train(g, cfg)
+    assert len(checked) == cfg.epochs
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
