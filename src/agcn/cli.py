@@ -21,7 +21,7 @@ from .analysis import _n_masked, grouping_probe, mask_features, r_ratio
 from .clustering import evaluate, kmeans
 from .datagen import SBMSpec, gen_sbm, write_graph_files
 from .errors import AgcnError, ConfigError
-from .graph import (Graph, _atomic_open, _is_integer, _read_labels,
+from .graph import (Graph, _atomic_open, _is_float, _is_integer, _read_labels,
                     khop_mask, load_graph, shortest_path_histogram)
 from .model import forward, save_params
 from .training import (DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID, TrainingConfig,
@@ -72,14 +72,14 @@ def _build_parser():
     p_train.add_argument("--k", type=str, help="hop order (list allowed with --sweep)")
     p_train.add_argument("--lambda", dest="lam", type=str,
                          help="positive-loss weight (list allowed with --sweep)")
-    p_train.add_argument("--gamma", type=float)
+    p_train.add_argument("--gamma", type=_float)
     p_train.add_argument("--layers", type=_int)
     p_train.add_argument("--heads", type=_int)
     p_train.add_argument("--dq", type=_int, dest="d_q")
     p_train.add_argument("--dv", type=_int, dest="d_v")
     p_train.add_argument("--dout", type=_int, dest="d_out")
     p_train.add_argument("--epochs", type=_int)
-    p_train.add_argument("--lr", type=float)
+    p_train.add_argument("--lr", type=_float)
     p_train.add_argument("--pair-cap", type=_int, dest="pair_cap")
     p_train.add_argument("--seed", type=_int)
     p_train.add_argument("--restarts", type=_int)
@@ -124,7 +124,7 @@ def _build_parser():
 
     p_maskf = an_sub.add_parser("mask-features", help="zero a random node fraction's features")
     _add_dataset_flags(p_maskf)
-    p_maskf.add_argument("--fraction", type=float, default=0.6)
+    p_maskf.add_argument("--fraction", type=_float, default=0.6)
     p_maskf.add_argument("--seed", type=_int, default=0)
     p_maskf.add_argument("--out-dir", type=Path, default=Path("out"))
     p_maskf.set_defaults(func=cmd_analyze_mask_features)
@@ -135,11 +135,11 @@ def _build_parser():
     p_sbm = gen_sub.add_parser("sbm", help="stochastic block model")
     p_sbm.add_argument("--blocks", type=str, required=True,
                        help="comma-separated block sizes, e.g. 20,20")
-    p_sbm.add_argument("--p-in", type=float, required=True)
-    p_sbm.add_argument("--p-out", type=float, required=True)
+    p_sbm.add_argument("--p-in", type=_float, required=True)
+    p_sbm.add_argument("--p-out", type=_float, required=True)
     p_sbm.add_argument("--feature-dim", type=_int)
-    p_sbm.add_argument("--mean-scale", type=float, default=1.0)
-    p_sbm.add_argument("--noise-scale", type=float, default=0.3)
+    p_sbm.add_argument("--mean-scale", type=_float, default=1.0)
+    p_sbm.add_argument("--noise-scale", type=_float, default=0.3)
     p_sbm.add_argument("--seed", type=_int, default=0)
     p_sbm.add_argument("--prefix", type=str, default="sbm")
     p_sbm.add_argument("--out-dir", type=Path, default=Path("out"))
@@ -148,13 +148,21 @@ def _build_parser():
     return parser
 
 
-def _int(text):
-    """``text`` as an integer by the file readers' rule: an optional sign,
-    then ASCII digits. ``int`` alone also takes ``1_0``, other scripts'
-    digits and surrounding spaces."""
-    if not _is_integer(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+def _strict(rule, cast, kind: str):
+    """A flag type that reads ``text`` by ``cast`` once it passes ``rule``,
+    a file reader's rule. ``int`` and ``float`` alone also take ``1_0``,
+    other scripts' digits and surrounding spaces."""
+    def parse(text):
+        if not rule(text):
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}")
+        return cast(text)
+    return parse
+
+
+# the rule of edge and label values
+_int = _strict(_is_integer, int, "int")
+# the rule np.loadtxt applies to one feature value, spaces aside
+_float = _strict(_is_float, float, "float")
 
 
 def _add_dataset_flags(p):
@@ -181,7 +189,7 @@ def _write_json(path: Path, payload: dict):
 def _parse_grid(text, caster, name):
     try:
         return [caster(tok) for tok in str(text).split(",") if tok != ""]
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"bad {name} value {text!r}") from exc
 
 
@@ -195,7 +203,7 @@ def _train_config(args) -> dict[str, TrainingConfig]:
     elif args.sweep:
         k_grid = list(DEFAULT_K_GRID)
     if args.lam is not None:
-        lam_grid = _parse_grid(args.lam, float, "--lambda")
+        lam_grid = _parse_grid(args.lam, _float, "--lambda")
     elif args.sweep:
         lam_grid = list(DEFAULT_LAMBDA_GRID)
     for flag, grid in (("--k", k_grid), ("--lambda", lam_grid)):

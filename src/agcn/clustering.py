@@ -225,10 +225,12 @@ def _label_vector(side, labels):
 
 def _as_labels(pred, truth):
     """Both label vectors as :func:`_label_vector` arrays, checked to be
-    the same length."""
+    the same length and not empty."""
     pred, truth = _label_vector("pred", pred), _label_vector("truth", truth)
     if pred.shape != truth.shape:
         raise DimensionError(f"label lengths differ: {pred.shape} vs {truth.shape}")
+    if len(pred) == 0:
+        raise ConfigError("no labels: the label vectors are empty")
     return pred, truth
 
 

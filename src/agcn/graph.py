@@ -209,6 +209,11 @@ def _first_bad_row(path, exc):
 # an ASCII decimal integer: int() alone also reads "1_0" and non-ASCII digits
 _is_integer = re.compile(r"[+-]?[0-9]+").fullmatch
 
+# an ASCII decimal float, or inf, infinity or nan in any case: one value as
+# np.loadtxt reads it, less the surrounding spaces that float() also skips
+_is_float = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                       r"|inf(?:inity)?|nan)", re.IGNORECASE).fullmatch
+
 
 def _read_node_rows(path, n_nodes: int, width: int, what: str,
                     max_rows: int | None = None) -> np.ndarray:

@@ -191,18 +191,14 @@ PAIR_CHUNK = 2 ** 14
 
 
 def _node_chunks(mask: KHopMask, cap: int) -> list:
-    """The nodes that have a pair in the hinge's summation order, cut into
-    chunks. Nodes whose pairs fit under ``cap`` take all of them and come
-    first, by list size, ties by index; nodes over it then take ``cap``
-    sampled pairs each, by index. A chunk holds the nodes whose first pair
-    falls in one run of ``PAIR_CHUNK`` pairs: at least one node, and fewer
-    than ``PAIR_CHUNK + cap`` pairs. A graph with no pair has no chunk."""
+    """The nodes that have a pair, by index, cut into chunks. A node takes
+    all its pairs when they fit under ``cap``, otherwise ``cap`` sampled
+    ones. A chunk holds the nodes whose first pair falls in one run of
+    ``PAIR_CHUNK`` pairs: at least one node, and fewer than
+    ``PAIR_CHUNK + cap`` pairs. A graph with no pair has no chunk."""
     sizes = mask.list_sizes() - 1       # every list holds its node
-    totals = sizes * (sizes - 1) // 2
-    small = np.flatnonzero((sizes >= 2) & (totals <= cap))
-    small = small[np.argsort(sizes[small], kind="stable")]
-    nodes = np.concatenate([small, np.flatnonzero(totals > cap)])
-    counts = np.minimum(totals[nodes], cap)
+    nodes = np.flatnonzero(sizes >= 2)
+    counts = np.minimum(sizes[nodes] * (sizes[nodes] - 1) // 2, cap)
     runs = (np.cumsum(counts) - counts) // PAIR_CHUNK
     return (np.split(nodes, np.flatnonzero(np.diff(runs)) + 1) if len(nodes)
             else [])
@@ -240,20 +236,18 @@ def _rank(u, mask: KHopMask) -> _PairBatch:
 
 def _pair_batch(ranking: _PairBatch, nodes, cap: int, rng) -> _PairBatch:
     """``ranking`` with the oriented (better-ranked, worse-ranked) pairs of
-    ``nodes``, a chunk of :func:`_node_chunks`, node by node in that order.
-    A node takes all its pairs when they fit under ``cap``, otherwise
-    ``cap`` distinct pairs drawn uniformly by one ``rng.choice``; ``rng`` is
-    not read when no node is over the cap."""
+    ``nodes``, node by node in the given order. A node takes all its pairs
+    when they fit under ``cap``, row by row, otherwise ``cap`` distinct
+    pairs drawn uniformly by one ``rng.choice``, the over-cap nodes drawing
+    in the order given; ``rng`` is not read when no node is over the cap."""
     sizes = ranking.mask.list_sizes()[nodes] - 1
     totals = sizes * (sizes - 1) // 2
     counts = np.minimum(totals, cap)
-    # the nodes that take all their pairs come first
-    n_all = int(np.count_nonzero(totals <= cap))
-    all_counts = counts[:n_all]
-    firsts = np.cumsum(all_counts) - all_counts
-    codes = np.concatenate(
-        [np.arange(all_counts.sum()) - np.repeat(firsts, all_counts)]
-        + [rng.choice(total, cap, replace=False) for total in totals[n_all:]])
+    firsts = np.cumsum(counts) - counts
+    codes = np.arange(counts.sum()) - np.repeat(firsts, counts)
+    for i in np.flatnonzero(totals > cap):
+        codes[firsts[i]:firsts[i] + cap] = rng.choice(totals[i], cap,
+                                                      replace=False)
     owner = np.repeat(nodes, counts)
     a, b = _decode_pairs(codes, np.repeat(sizes, counts))
     base = ranking.mask.indptr[owner] + 1
@@ -265,17 +259,19 @@ def _pair_batch(ranking: _PairBatch, nodes, cap: int, rng) -> _PairBatch:
 # rank-margin negative loss
 # ---------------------------------------------------------------------------
 
-def _loss_neg_impl(batch: _PairBatch, gamma: float, exp_sums):
-    """The hinges of one chunk's pairs: returns the active hinge values and
-    adds the exp of their similarities to ``exp_sums`` per mask entry, the
-    worse-ranked side in row 0 and the better-ranked side in row 1."""
+def _loss_neg_impl(batch: _PairBatch, gamma: float, exp_sums, node_sums):
+    """Adds up the active hinges of one chunk's pairs: the exp of their
+    similarities into ``exp_sums`` per mask entry, the worse-ranked side in
+    row 0 and the better-ranked side in row 1, and their values into
+    ``node_sums`` per node."""
     sims = batch.entry_sims
-    s_plus, s_minus = sims[batch.plus_e], sims[batch.minus_e]
-    hinge = np.exp(s_minus) - np.exp(s_plus) + gamma * batch.gap
+    e_plus, e_minus = np.exp(sims[batch.plus_e]), np.exp(sims[batch.minus_e])
+    hinge = e_minus - e_plus + gamma * batch.gap
     active = hinge > 0
-    np.add.at(exp_sums[0], batch.minus_e[active], np.exp(s_minus[active]))
-    np.add.at(exp_sums[1], batch.plus_e[active], np.exp(s_plus[active]))
-    return hinge[active]
+    minus_e = batch.minus_e[active]
+    np.add.at(exp_sums[0], minus_e, e_minus[active])
+    np.add.at(exp_sums[1], batch.plus_e[active], e_plus[active])
+    np.add.at(node_sums, batch.mask.src_ids[minus_e], hinge[active])
 
 
 def _loss_neg(u, batches, gamma: float):
@@ -283,18 +279,19 @@ def _loss_neg(u, batches, gamma: float):
     over one epoch's pair chunks ``batches``, whose similarities must have
     been computed from ``u``.
 
-    The chunks add up bit for bit as one batch of all their pairs would:
-    the active hinges go into one sum, and each mask entry's exp terms
-    into its own row of ``exp_sums`` in pair order, one row per side."""
-    active, exp_sums, n_contrib = [], None, 0
+    Each sum runs over one node's own pairs, in their order, and a node's
+    pairs are all in one chunk: a mask entry's exp terms, one row of
+    ``exp_sums`` per side, and a node's hinge values in ``node_sums``.
+    Neither the order of the nodes nor the chunk cuts change a bit."""
+    exp_sums, node_sums, n_contrib = None, np.zeros(len(u)), 0
     for batch in batches:
         if exp_sums is None:
             exp_sums = np.zeros((2, len(batch.entry_sims)))
-        active.append(_loss_neg_impl(batch, gamma, exp_sums))
+        _loss_neg_impl(batch, gamma, exp_sums, node_sums)
         n_contrib = batch.n_contrib
     if n_contrib == 0:
         return 0.0, np.zeros_like(u)
-    value = float(np.concatenate(active).sum() / n_contrib)
+    value = float(node_sums.sum() / n_contrib)
     # G, the gradient with respect to the similarities, lives on the mask
     # entries; d/du of sum_ij G_ij (u_i . u_j) as in attention's backward
     g = batch.mask.pattern((exp_sums[0] - exp_sums[1]) / n_contrib)

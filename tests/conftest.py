@@ -294,26 +294,24 @@ def pair_batch(u, mask, cap, rng):
 def hinge_oracle(u, mask, cap, rng, gamma):
     """The hinge value and its gradient with respect to ``u`` from one
     batch of every sampled pair of the graph, built at once: ranks from one
-    ``np.lexsort``, under-cap nodes by list size then index, then over-cap
-    nodes by index, each drawing by one ``rng.choice``."""
+    ``np.lexsort``, nodes by index, each over-cap node drawing by one
+    ``rng.choice``. Each mask entry's exp terms and each node's hinge
+    values are summed in pair order, then the node sums over the nodes."""
     sims = mask.entry_dots(u, u)
     src = mask.src_ids
     order = np.lexsort((np.where(src == mask.indices, -np.inf, -sims), src))
     sizes = mask.list_sizes() - 1
     totals = sizes * (sizes - 1) // 2
-    small = np.flatnonzero((sizes >= 2) & (totals <= cap))
-    small = small[np.argsort(sizes[small], kind="stable")]
-    big = np.flatnonzero(totals > cap)
-    counts = totals[small]
-    firsts = np.cumsum(counts) - counts
-    codes = np.concatenate(
-        [np.arange(counts.sum()) - np.repeat(firsts, counts)]
-        + [rng.choice(total, cap, replace=False) for total in totals[big]])
-    owner = np.concatenate([np.repeat(small, counts), np.repeat(big, cap)])
-    a, b = _decode_pairs(codes, sizes[owner])
+    nodes = np.flatnonzero(sizes >= 2)
+    codes = [np.arange(total) if total <= cap
+             else rng.choice(total, cap, replace=False)
+             for total in totals[nodes]]
+    owner = np.repeat(nodes, [len(c) for c in codes]).astype(np.int64)
+    a, b = _decode_pairs(np.concatenate([np.empty(0, dtype=np.int64), *codes]),
+                         sizes[owner])
     base = mask.indptr[owner] + 1
     plus_e, minus_e = order[base + a], order[base + b]
-    n_contrib = int((sizes >= 2).sum())
+    n_contrib = len(nodes)
     if n_contrib == 0:
         return 0.0, np.zeros_like(u)
 
@@ -325,7 +323,9 @@ def hinge_oracle(u, mask, cap, rng, gamma):
     g_entry -= np.bincount(plus_e[active], weights=np.exp(s_plus[active]),
                            minlength=len(sims))
     g = mask.pattern(g_entry / n_contrib)
-    return float(hinge[active].sum() / n_contrib), (g + g.T) @ u
+    per_node = np.bincount(owner[active], weights=hinge[active],
+                           minlength=len(u))
+    return float(per_node.sum() / n_contrib), (g + g.T) @ u
 
 
 def train_oracle(g, cfg):

@@ -463,14 +463,71 @@ def test_integer_flags_take_an_optional_sign_and_ascii_digits(
     assert not (tmp_path / "o").exists()
 
 
-def test_no_flag_reads_integers_with_int():
-    # every integer flag goes through the rule the test above pins
+def _flag_types():
+    """The ``type`` of every option of every (sub)command parser."""
     parsers, types = [cli._build_parser()], []
     while parsers:
         parser = parsers.pop()
         types += [action.type for action in parser._actions]
         parsers += _subcommands(parser).values()
+    return types
+
+
+def test_no_flag_reads_integers_with_int():
+    # every integer flag goes through the rule the test above pins
+    types = _flag_types()
     assert int not in types and cli._int in types
+
+
+_SBM = ["generate", "sbm", "--blocks", "4,4"]
+
+
+@pytest.mark.parametrize("text", ["1_0e-3", "\u0662", "0x10", " 1"],
+                         ids=["underscore", "arabic_indic_digit", "hex",
+                              "space"])
+@pytest.mark.parametrize("argv, flag", [
+    (["train", *_DATASET], "--lambda"),
+    (["train", *_DATASET], "--gamma"),
+    (["train", *_DATASET], "--lr"),
+    (["analyze", "mask-features", *_DATASET], "--fraction"),
+    ([*_SBM, "--p-out", "0.1"], "--p-in"),
+    ([*_SBM, "--p-in", "0.5"], "--p-out"),
+    ([*_SBM, "--p-in", "0.5", "--p-out", "0.1"], "--mean-scale"),
+    ([*_SBM, "--p-in", "0.5", "--p-out", "0.1"], "--noise-scale"),
+], ids=["train_lambda", "train_gamma", "train_lr", "mask_fraction",
+        "sbm_p_in", "sbm_p_out", "sbm_mean_scale", "sbm_noise_scale"])
+def test_float_flags_take_the_feature_readers_spellings(
+        tmp_path, capsys, monkeypatch, argv, flag, text):
+    # float() reads "1_0e-3" as 0.01, the Arabic-Indic two as 2 and " 1" as
+    # 1; the feature reader rejects them, and so does every float flag:
+    # argparse's with exit 2, the --lambda list with one error line and
+    # exit 1. No input file exists, so the value is rejected before any is
+    # read
+    monkeypatch.chdir(tmp_path)
+    argv = [*argv, flag, text, "--out-dir", "o"]
+    if flag == "--lambda":
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad {flag} value {text!r}"]
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"argument {flag}: invalid float value: {text!r}"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["1", "-1.5", "+.5", "1.", "1.e5", "1e-3",
+                                  "1E+3", "inf", "-Infinity", "NaN", "-nan"])
+def test_float_rule_reads_a_value_as_the_feature_reader_does(text):
+    np.testing.assert_equal(cli._float(text), np.loadtxt([text]).item())
+
+
+def test_no_flag_reads_floats_with_float():
+    # every float flag goes through the rule the tests above pin
+    types = _flag_types()
+    assert float not in types and cli._float in types
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -635,6 +635,15 @@ def test_metrics_reject_negative_labels(metric, side):
         metric(labels["pred"], labels["truth"])
 
 
+def test_metrics_reject_empty_label_vectors():
+    # accuracy and label_mapping raised numpy's zero-size reduction error
+    # and nmi returned 0.0; all three reject the empty vectors alike
+    for metric in (accuracy, nmi, label_mapping):
+        with pytest.raises(ConfigError, match="^no labels: the label vectors "
+                                              "are empty$"):
+            metric([], [])
+
+
 @pytest.mark.parametrize("call, side, value", [
     (lambda pts, g: accuracy([0.7, 1.2], [0, 1]), "pred", "0.7"),
     (lambda pts, g: nmi([0.7, 1.2], [0, 1]), "pred", "0.7"),

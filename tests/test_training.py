@@ -181,25 +181,28 @@ def test_train_peak_does_not_grow_with_epochs():
 
 
 def test_train_peak_does_not_grow_with_the_pair_count():
-    # an epoch's pairs are drawn and scored one chunk of nodes at a time:
-    # all 1.2M pairs of this graph's k=2 lists peak within 2 MiB of 8 pairs
-    # a node, where one int64 array of every pair alone takes 9.4 MiB. At
-    # the default gamma few hinges are active; an active one keeps 8 bytes
-    # for the epoch's one final sum
+    # an epoch's pairs are drawn and scored one chunk of nodes at a time,
+    # and the hinge adds up into one value per mask entry and per node: all
+    # 1.2M pairs of this graph's k=2 lists peak within 2 MiB of 8 pairs a
+    # node, where one int64 array of every pair alone takes 9.4 MiB. That
+    # holds at the default gamma, where few hinges are active, and at
+    # gamma=10, where every hinge is: exp(s-) - exp(s+) + 10 gap > 0
     g = _sbm_of_degree(512)
     m = khop_mask(g, 2).list_sizes() - 1
     assert (m * (m - 1) // 2).sum() > 1_200_000
-    peaks = []
-    for cap in (8, 10 ** 6):
-        cfg = TrainingConfig(epochs=1, layers=1, heads=2, d_q=8, d_v=8,
-                             d_out=8, pair_cap=cap)
-        tracemalloc.start()
-        try:
-            train(g, cfg)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < peaks[0] + 2 * 2 ** 20, peaks
+    peaks = {}
+    for gamma in (1e-4, 10.0):
+        for cap in (8, 10 ** 6):
+            cfg = TrainingConfig(epochs=1, layers=1, heads=2, d_q=8, d_v=8,
+                                 d_out=8, pair_cap=cap, gamma=gamma)
+            tracemalloc.start()
+            try:
+                train(g, cfg)
+                peaks[gamma, cap] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    limit = peaks[1e-4, 8] + 2 * 2 ** 20
+    assert all(peak < limit for peak in peaks.values()), peaks
 
 
 @contextlib.contextmanager
@@ -442,12 +445,11 @@ def test_pair_batch_order_is_the_hinge_summation_order():
     starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
     runs = owner[starts].tolist()
     assert len(runs) == len(set(runs))
-    # under-cap nodes by list size, ties by index, then over-cap nodes by index
+    # every node by index, under the cap or over it
     by_star = dict(zip(firsts[:-1].tolist(), leaves))
-    under = sorted((c for c, m in by_star.items() if m * (m - 1) // 2 <= 10),
-                   key=lambda c: (by_star[c], c))
-    over = sorted(c for c, m in by_star.items() if m * (m - 1) // 2 > 10)
-    assert runs == under + over
+    assert runs == sorted(by_star)
+    under = [c for c, m in by_star.items() if m * (m - 1) // 2 <= 10]
+    over = [c for c, m in by_star.items() if m * (m - 1) // 2 > 10]
     # an under-cap node's pairs are in row-major code order
     for c in under:
         of_c = owner == c
@@ -1049,13 +1051,10 @@ def test_node_chunks_cut_the_summation_order_property(n, p, k, cap,
     mask = khop_mask(random_graph(n, p, seed), k)
     with mock.patch.object(agcn.training, "PAIR_CHUNK", pair_chunk):
         chunks = _node_chunks(mask, cap)
-    # the summation order as hinge_oracle states it: under-cap nodes by
-    # list size, ties by index, then over-cap nodes by index
+    # every node with a pair, by index
     sizes = mask.list_sizes() - 1
     totals = sizes * (sizes - 1) // 2
-    small = np.flatnonzero((sizes >= 2) & (totals <= cap))
-    small = small[np.argsort(sizes[small], kind="stable")]
-    order = np.concatenate([small, np.flatnonzero(totals > cap)])
+    order = np.flatnonzero(totals >= 1)
     assert all(len(nodes) >= 1 for nodes in chunks)
     np.testing.assert_array_equal(
         np.concatenate([np.empty(0, dtype=np.int64), *chunks]), order)
@@ -1070,6 +1069,30 @@ def test_node_chunks_cut_the_summation_order_property(n, p, k, cap,
         (run,) = {firsts[i] // pair_chunk for i in nodes.tolist()}
         runs.append(run)
     assert runs == sorted(set(runs))
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_loss_neg_bits_do_not_depend_on_node_order_or_chunks(order):
+    # every list fits under the cap, so no pair is drawn (rng is None) and
+    # any node order holds the same pairs. Each sum of the hinge runs over
+    # one node's pairs, so the nodes in another order, cut into several
+    # chunks, give the value and gradient of one chunk bit for bit
+    g = _sbm_of_degree(96, degree=3)
+    mask = khop_mask(g, 2)
+    m = mask.list_sizes() - 1
+    cap = int((m * (m - 1) // 2).max())
+    u = _unit_rows(np.random.default_rng(4).standard_normal((g.n_nodes, 5)))[0]
+    ranking = _rank(u, mask)
+    nodes = np.flatnonzero(m >= 2)
+    value, grad = _loss_neg(u, [_pair_batch(ranking, nodes, cap, None)], 0.05)
+    assert value > 0
+    other = (nodes[::-1] if order == "reversed"
+             else np.random.default_rng(6).permutation(nodes))
+    chunks = [_pair_batch(ranking, part, cap, None)
+              for part in np.array_split(other, 7)]
+    got_value, got_grad = _loss_neg(u, chunks, 0.05)
+    assert got_value == value
+    assert got_grad.tobytes() == grad.tobytes()
 
 
 @pytest.mark.parametrize("use_neg", [True, False])
