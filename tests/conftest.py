@@ -330,7 +330,9 @@ def hinge_oracle(u, mask, cap, rng, gamma):
 
 def train_oracle(g, cfg):
     """``train`` with every epoch's hinge from :func:`hinge_oracle`:
-    ``(params, history)``."""
+    ``(params, history)``. With d_out > d_v the losses see the embedding
+    in the orthonormal columns q of the reduced QR of ``final_proj.T``,
+    and their gradient goes back through ``q.T``."""
     mask = khop_mask(g, cfg.k)
     weights = khop_weights(g, cfg.k) if cfg.lam != 0 else None
     params = init_params(cfg.dims_for(g.feature_dim), cfg.seed)
@@ -339,6 +341,10 @@ def train_oracle(g, cfg):
     for epoch in range(cfg.epochs):
         emb, h_last, tapes = _forward_tape(g.features, mask, params,
                                            mode=cfg.mode)
+        span = cfg.d_out > cfg.d_v
+        if span:
+            q = np.linalg.qr(params.final_proj.T)[0]
+            emb = emb @ q
         u, norms = _unit_rows(emb)
         l_neg, d_u = 0.0, np.zeros_like(u)
         if cfg.use_neg:
@@ -349,8 +355,9 @@ def train_oracle(g, cfg):
             l_pos, d_pos = _loss_pos_impl(u, weights)
             d_u += cfg.lam * d_pos
             l_total = l_neg + cfg.lam * l_pos
+        d_emb = _unit_rows_backward(u, norms, d_u)
         grads = _model_backward(params, tapes, h_last,
-                                _unit_rows_backward(u, norms, d_u))
+                                d_emb @ q.T if span else d_emb)
         history.append((l_pos, l_neg, l_total))
         params, state = adam_step(params, grads, state, cfg.lr)
     return params, np.array(history)

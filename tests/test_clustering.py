@@ -366,11 +366,12 @@ def test_multi_seed_kmeans_matches_per_seed_oracle():
 
 
 def _count_calls(monkeypatch, name):
+    """The positional arguments of every call to ``clustering.<name>``."""
     calls = []
     original = getattr(clustering, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(clustering, name, counting)
@@ -457,6 +458,96 @@ def test_non_finite_points_fail_before_any_draw(monkeypatch, value, entry):
             kmeans(pts, 3, seed=0)
         else:
             evaluate(pts, 3, np.zeros(20, dtype=int), seeds=[0, 1])
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 2), (5, 0)],
+                         ids=["1d", "3d", "no_columns"])
+@pytest.mark.parametrize("entry", ["kmeans", "evaluate"])
+def test_bad_point_arrays_fail_before_any_draw(monkeypatch, shape, entry):
+    pts = np.arange(float(np.prod(shape))).reshape(shape)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(DimensionError, match=rf"shape \({shape[0]},"):
+        if entry == "kmeans":
+            kmeans(pts, 2, seed=0)
+        else:
+            evaluate(pts, 2, np.zeros(shape[0], dtype=int), seeds=[0, 1])
+
+
+# ---------------------------------------------------------------------------
+# k-means in the coordinates of the points' span
+# ---------------------------------------------------------------------------
+
+def _embedded_blobs(n_per, n_blobs, rank, dim, seed):
+    """``_blobs`` in ``rank`` dimensions, mapped into ``dim`` > ``rank`` by
+    a random matrix: points of rank ``rank``, as an embedding through a
+    narrower projection is."""
+    proj = np.random.default_rng(seed + 1).standard_normal((rank, dim))
+    return _blobs(n_per, n_blobs, rank, seed) @ proj
+
+
+def test_kmeans_on_a_span_matches_the_oracle_on_the_points(monkeypatch):
+    pts = _embedded_blobs(20, 4, rank=3, dim=8, seed=5)
+    seen = _count_calls(monkeypatch, "_lloyd")
+    seeds = [0, 3, 7]
+    labels = clustering._kmeans_with_inertia(pts, 4, seeds, 3)
+    # Lloyd ran in the 3 coordinates of the span, once for the one group
+    assert [args[0].shape for args in seen] == [(len(pts), 3)]
+    np.testing.assert_array_equal(labels, kmeans_oracle(pts, 4, seeds, 3))
+
+
+def test_span_coordinates_keep_pairwise_distances():
+    pts = _embedded_blobs(15, 3, rank=4, dim=10, seed=9)
+    coords = clustering._span_coordinates(pts, max_dim=10)
+    assert coords.shape == (len(pts), 4)
+    i, j = np.triu_indices(len(pts), k=1)
+    want = ((pts[i] - pts[j]) ** 2).sum(axis=1)
+    got = ((coords[i] - coords[j]) ** 2).sum(axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # full rank and rank 0 keep the array itself
+    full = _blobs(10, 2, 3, seed=1)
+    zeros = np.zeros((6, 3))
+    assert clustering._span_coordinates(full, max_dim=10) is full
+    assert clustering._span_coordinates(zeros, max_dim=10) is zeros
+
+
+def test_points_without_a_rank_check_reach_lloyd_unchanged(monkeypatch):
+    seen = _count_calls(monkeypatch, "_lloyd")
+    full = _blobs(10, 3, 4, seed=2)
+    clustering._kmeans_with_inertia(full, 3, [0, 1], 2)
+    # rank 2 in 7 dimensions, but 7 > 2 * seeds * restarts * C = 6
+    narrow = _embedded_blobs(10, 3, rank=2, dim=7, seed=2)
+    clustering._kmeans_with_inertia(narrow, 3, [0], 1)
+    assert seen[0][0] is full and seen[1][0] is narrow
+    # with one more restart the check runs, and Lloyd gets the span
+    clustering._kmeans_with_inertia(narrow, 3, [0], 2)
+    assert seen[2][0].shape == (30, 2)
+    # fewer points than dimensions: eigh would cost more than the Gram
+    few = np.random.default_rng(3).standard_normal((6, 8))
+    clustering._kmeans_with_inertia(few, 2, range(4), 4)
+    assert seen[3][0] is few
+
+
+def test_evaluate_of_a_wide_embedding_does_not_depend_on_the_span_step(
+        monkeypatch):
+    g = gen_sbm(SBMSpec(block_sizes=(15, 15, 15), p_in=0.4, p_out=0.02,
+                        feature_dim=8, seed=3))
+    cfg = TrainingConfig(k=2, lam=1e-2, epochs=3, layers=1, heads=2, d_q=4,
+                         d_v=4, d_out=9, seed=3, restarts=3)
+    params, _ = train(g, cfg)
+    emb = forward(g, khop_mask(g, cfg.k), params)
+    seen = _count_calls(monkeypatch, "_lloyd")
+    got = evaluate(emb, g.n_clusters, g.labels, range(6), cfg.restarts)
+    assert seen[0][0].shape == (g.n_nodes, cfg.d_v)
+    monkeypatch.setattr(clustering, "_span_coordinates",
+                        lambda points, max_dim: points)
+    want = evaluate(emb, g.n_clusters, g.labels, range(6), cfg.restarts)
+    assert seen[1][0] is emb
+    assert got.to_dict() == want.to_dict()
+    np.testing.assert_array_equal(got.labels, want.labels)
 
 
 # ---------------------------------------------------------------------------

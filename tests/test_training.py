@@ -1125,6 +1125,49 @@ def test_pair_chunks_change_no_bit(monkeypatch, use_neg):
         assert params.flat.tobytes() == want_params.flat.tobytes()
 
 
+@pytest.mark.parametrize("use_neg", [True, False], ids=["hinge", "no_hinge"])
+def test_train_in_span_coordinates_matches_the_oracle(monkeypatch, use_neg):
+    # d_out = 7 > d_v = 4: the losses see 4 coordinates, as the oracle's do
+    g = _sbm_of_degree(60, degree=3, seed=4)
+    cfg = TrainingConfig(epochs=3, layers=1, heads=2, d_q=4, d_v=4, d_out=7,
+                         pair_cap=30, gamma=0.05, seed=3, use_neg=use_neg)
+    widths = []
+    unit_rows = agcn.training._unit_rows
+
+    def recording(h):
+        widths.append(h.shape[1])
+        return unit_rows(h)
+
+    monkeypatch.setattr(agcn.training, "_unit_rows", recording)
+    params, history = train(g, cfg)
+    assert widths == [cfg.d_v] * cfg.epochs
+    want_params, want_history = train_oracle(g, cfg)
+    assert (want_history[:, 1] > 0).all() == use_neg
+    assert history.tobytes() == want_history.tobytes()
+    assert params.flat.tobytes() == want_params.flat.tobytes()
+
+
+def test_span_coordinates_give_the_full_width_objective():
+    # one frozen batch, ranked at the full-width embedding, scored at the
+    # embedding and at its coordinates in the row space of final_proj
+    g = random_graph(14, 0.4, seed=31, d=4)
+    cfg = TrainingConfig(k=2, lam=0.5, layers=2, heads=2, d_q=4, d_v=4,
+                         d_out=9, epochs=1, pair_cap=64, gamma=0.5)
+    mask, params, emb, _, _, batch = _gradcheck_setup(g, cfg, seed=31)
+    weights = khop_weights(g, cfg.k)
+    q = np.linalg.qr(params.final_proj.T)[0]
+    assert q.shape == (cfg.d_out, cfg.d_v)
+    full = _objective(*_unit_rows(emb), [batch], weights, cfg)
+    u, norms = _unit_rows(emb @ q)
+    narrow = _objective(u, norms, [reanchor(batch, u)], weights, cfg)
+    assert full[1] > 0      # the hinge has active pairs
+    for got, want in zip(narrow[:3], full[:3]):
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+    d_emb = narrow[3] @ q.T
+    np.testing.assert_allclose(d_emb, full[3], rtol=0,
+                               atol=1e-12 * np.abs(full[3]).max())
+
+
 def test_train_numeric_failure_names_its_epoch():
     # epoch 0 is finite; its Adam step moves every parameter by ~lr, so
     # epoch 1's forward pass overflows, and its error names the epoch too
