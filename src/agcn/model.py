@@ -7,7 +7,11 @@ mask size. The mask computes the per-entry row dot products of the scores
 and of their gradient (``KHopMask.entry_dots``), gathering a cache-sized
 chunk of entries at a time once for all heads. Vanilla mode swaps that masked kernel for a
 dense softmax over all node pairs, computed in row blocks whose backward
-pass recomputes the scores, so no n x n matrix is ever kept. The residual
+pass recomputes the scores, so no n x n matrix is ever kept. A block is
+shifted by its row maxima only when the Cauchy-Schwarz bound of its scores
+exceeds ``EXP_SAFE``; the row sums, the backward's ``- lse`` and its row
+terms enter the GEMMs as one more column, so a block costs its GEMMs, one
+exp and one multiply. The residual
 path maps the original node features into every layer's output. A final
 linear projection produces the embedding matrix.
 """
@@ -211,33 +215,59 @@ def _row_blocks(n, min_rows=1):
         yield slice(r0, min(r0 + step, n))
 
 
+# Largest score bound at which a row block of the dense kernel is
+# exponentiated unshifted: for |s| <= EXP_SAFE, exp(s) lies in [7.5e-155,
+# 1.3e154], so neither an exp nor a sum of fewer than 1e154 of them
+# overflows, and no row sum falls near the smallest normal float.
+EXP_SAFE = 0.5 * math.log(np.finfo(np.float64).max)
+
+
+def _with_column(a, value):
+    """``a`` (n, w) with one more column of ``value`` (a scalar or n values)."""
+    out = np.empty((a.shape[0], a.shape[1] + 1))
+    out[:, :-1] = a
+    out[:, -1] = value
+    return out
+
+
 def _dense_layer(q, k, v, inv_scale):
     """Row softmax over all node pairs (vanilla attention), head by head and
     one row block at a time. Returns ctx and each row's log-sum-exp of its
     scaled scores, from which :func:`_dense_probs` rebuilds the attention
-    rows."""
+    rows.
+
+    A block is shifted by its row maxima only when a score in it may
+    exceed EXP_SAFE in magnitude, by the Cauchy-Schwarz bound
+    |qs_i . k_j| <= |qs_i| max_j |k_j|. Each row's sum of exps comes out of
+    the value GEMM through a column of ones after v."""
     n, heads = q.shape[:2]
     ctx = np.empty(v.shape)
     lse = np.empty((n, heads))
     for h in range(heads):
-        qs, kh, vh = q[:, h] * inv_scale, k[:, h], v[:, h]
+        qs, kh = q[:, h] * inv_scale, k[:, h]
+        v1 = _with_column(v[:, h], 1.0)
+        bound = np.linalg.norm(qs, axis=1) * np.linalg.norm(kh, axis=1).max()
         for r in _row_blocks(n):
             block = qs[r] @ kh.T
-            row_max = block.max(axis=1, keepdims=True)
-            block -= row_max
+            row_max = 0.0
+            # a NaN bound takes the shifted path too
+            if not bound[r].max() <= EXP_SAFE:
+                row_max = block.max(axis=1)
+                block -= row_max[:, None]
             np.exp(block, out=block)
-            row_sum = block.sum(axis=1, keepdims=True)
-            ctx[r, h] = (block @ vh) / row_sum
-            lse[r, h] = (row_max + np.log(row_sum))[:, 0]
+            out = block @ v1
+            ctx[r, h] = out[:, :-1] / out[:, -1:]
+            lse[r, h] = np.log(out[:, -1]) + row_max
     return ctx, lse
 
 
 def _dense_probs(qs, kh, lse):
     """Yield (rows, attention block) per row block of one head, recomputed
-    from its scaled queries ``qs = qh * inv_scale`` as exp(qs kh^T - lse)."""
+    from its scaled queries ``qs = qh * inv_scale`` as exp(qs kh^T - lse);
+    ``- lse`` enters the GEMM as one more column, [qs, -lse] [kh, 1]^T."""
+    qs1, kh1 = _with_column(qs, -lse), _with_column(kh, 1.0)
     for r in _row_blocks(qs.shape[0]):
-        block = qs[r] @ kh.T
-        block -= lse[r, None]
+        block = qs1[r] @ kh1.T
         np.exp(block, out=block)
         yield r, block
 
@@ -246,16 +276,18 @@ def _dense_layer_backward(q, k, v, lse, ctx, d_ctx, inv_scale):
     d_q, d_k, d_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
     for h in range(q.shape[1]):
         qs, ks = q[:, h] * inv_scale, k[:, h] * inv_scale
-        # sum_j attn_ij * d_attn_ij = d_ctx_i . ctx_i, since ctx_i = sum_j attn_ij v_j
-        row_dot = np.einsum("ij,ij->i", d_ctx[:, h], ctx[:, h])
+        # sum_j attn_ij * d_attn_ij = d_ctx_i . ctx_i, since ctx_i = sum_j attn_ij v_j;
+        # d_attn - row_dot is one GEMM, [d_ctx, -row_dot] [v, 1]^T
+        d_ctx1 = _with_column(d_ctx[:, h],
+                              -np.einsum("ij,ij->i", d_ctx[:, h], ctx[:, h]))
+        v1 = _with_column(v[:, h], 1.0)
         # the sums over row blocks run in contiguous arrays: adding into the
         # strided head views was ~10% slower (n=1500, one BLAS thread on a
         # 2-vCPU Xeon VM)
         d_kh, d_vh = np.zeros(ks.shape), np.zeros(v[:, h].shape)
         for r, attn in _dense_probs(qs, k[:, h], lse[:, h]):
             d_vh += attn.T @ d_ctx[r, h]
-            d_score = d_ctx[r, h] @ v[:, h].T
-            d_score -= row_dot[r, None]
+            d_score = d_ctx1[r] @ v1.T
             d_score *= attn
             d_q[r, h] = d_score @ ks
             d_kh += d_score.T @ qs[r]

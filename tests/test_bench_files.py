@@ -4,9 +4,12 @@ Each file holds the last JSON line of every run of one A/B comparison of
 ``perfbench/run.py``, parent and change, with its seed and its place in
 the pair order. Its metric names and units must be those of the
 benchmark's end-to-end list, so that files from different changes compare.
+Every run it holds must have succeeded, and every median in its summary
+must follow from its runs.
 """
 
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,25 @@ def test_bench_file_metrics_are_the_benchmarks(path):
     pairs = sorted((run["pair"], run["side"]) for run in runs)
     assert pairs == sorted((pair, side) for pair in {p for p, _ in pairs}
                            for side in ("parent", "change"))
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_runs_succeeded_and_summaries_follow_from_them(path):
+    record = json.loads(path.read_text())
+    for run in record["runs"]:
+        assert run["result"]["correct"] is True
+        assert run["result"]["failed"] == 0
+    names = [m["name"] for m in SPEC["end_to_end"]]
+    for batch, summary in record["summary"].items():
+        runs = [run for run in record["runs"]
+                if f"batch_{run['batch']}" == batch]
+        for side in ("parent", "change"):
+            side_runs = [run["result"] for run in runs if run["side"] == side]
+            assert side_runs, (batch, side)
+            for name in names:
+                values = [r["metrics"][name]["value"] for r in side_runs]
+                assert summary[name][side]["median"] == statistics.median(
+                    values), (batch, side, name)
+            if "jobs_median" in summary:
+                assert summary["jobs_median"][side] == statistics.median(
+                    r["attempted"] for r in side_runs), (batch, side)

@@ -386,6 +386,108 @@ def test_vanilla_matches_dense_softmax_oracle():
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
+def _complete_run(x, params, d_emb, mode):
+    """(embedding, gradients, tapes) of ``mode`` over a complete mask."""
+    emb, h_last, tapes = _forward_tape(x, complete_mask(len(x)), params,
+                                       mode=mode)
+    return emb, _model_backward(params, tapes, h_last, d_emb), tapes
+
+
+def _assert_gradients_close(a, b, rel):
+    # within rel of the largest entry of any gradient: where the softmax
+    # saturates, the query and key gradients are themselves rounding-sized
+    scale = max(np.abs(t).max() for _, t in a.tensors())
+    for (name, ta), (_, tb) in zip(a.tensors(), b.tensors()):
+        np.testing.assert_allclose(tb, ta, rtol=0, atol=rel * scale,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("scale, shifted", [(1.0, False), (30.0, True)],
+                         ids=["unshifted", "shifted"])
+def test_dense_kernel_matches_the_shifted_oracle_in_either_branch(scale,
+                                                                  shifted):
+    # feature scale 1 keeps every score bound below EXP_SAFE, so no block is
+    # shifted; at scale 30 layer 0's bound is in the thousands and its
+    # blocks are shifted by their row maxima
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((10, DIMS.d)) * scale
+    params = init_params(DIMS, seed=5)
+    d_emb = rng.standard_normal((10, DIMS.d_out))
+    _, grads, tapes = _complete_run(x, params, d_emb, "vanilla")
+    qs = tapes[0].q / np.sqrt(tapes[0].q.shape[2])
+    bound = max(np.linalg.norm(qs[:, h], axis=1).max()
+                * np.linalg.norm(tapes[0].k[:, h], axis=1).max()
+                for h in range(DIMS.heads))
+    assert (bound > agcn.model.EXP_SAFE) == shifted, bound
+
+    p = params.layers[0]
+    got = _layer(x, x, None, p, DIMS.heads)[0]
+    dqh, dvh = DIMS.d_q // DIMS.heads, DIMS.d_v // DIMS.heads
+    parts = []
+    for h in range(DIMS.heads):
+        s = (x @ p.wq[:, h * dqh:(h + 1) * dqh]) @ (
+            x @ p.wk[:, h * dqh:(h + 1) * dqh]).T / np.sqrt(dqh)
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        parts.append(e / e.sum(axis=1, keepdims=True)
+                     @ (x @ p.wv[:, h * dvh:(h + 1) * dvh]))
+    expect = np.hstack(parts) @ p.wo + x @ p.wres
+    np.testing.assert_allclose(got, expect, rtol=1e-12,
+                               atol=1e-12 * np.abs(expect).max())
+    _assert_gradients_close(_complete_run(x, params, d_emb, "structure")[1],
+                            grads, 1e-12)
+
+
+def test_dense_kernel_branch_changes_only_rounding(monkeypatch):
+    # the same input through the shifted path only and the unshifted only
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((10, DIMS.d))
+    params = init_params(DIMS, seed=5)
+    d_emb = rng.standard_normal((10, DIMS.d_out))
+    runs = []
+    for exp_safe in (0.0, np.inf):
+        monkeypatch.setattr(agcn.model, "EXP_SAFE", exp_safe)
+        runs.append(_complete_run(x, params, d_emb, "vanilla"))
+    (emb_shifted, grads_shifted, _), (emb_plain, grads_plain, _) = runs
+    np.testing.assert_allclose(emb_plain, emb_shifted, rtol=0,
+                               atol=1e-13 * np.abs(emb_shifted).max())
+    _assert_gradients_close(grads_shifted, grads_plain, 1e-13)
+    # unshifted, scores in the thousands overflow exp: the scale-30 case
+    # needs the shift
+    with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+        _layer(x * 30.0, x * 30.0, None, params.layers[0], DIMS.heads)
+
+
+def test_khop_attention_at_the_diameter_is_vanilla_attention():
+    # a connected graph: from k = its diameter on, every k-hop list holds
+    # every node, and structure mode is the Transformer
+    from agcn.datagen import SBMSpec, gen_sbm
+    from conftest import bfs_distances
+    g = gen_sbm(SBMSpec(block_sizes=(30, 30), p_in=0.12, p_out=0.02,
+                        feature_dim=16, seed=5))
+    adj = g.adj.toarray()
+    dist = np.array([bfs_distances(adj, i) for i in range(g.n_nodes)])
+    assert dist.min() >= 0
+    diameter = int(dist.max())
+    dims = Dims(d=16, d_q=8, d_v=8, heads=2, layers=2, d_out=4)
+    params = init_params(dims, seed=5)
+    d_emb = np.random.default_rng(5).standard_normal((g.n_nodes, dims.d_out))
+    emb_v, h_last, tapes = _forward_tape(g.features, None, params,
+                                         mode="vanilla")
+    grads_v = _model_backward(params, tapes, h_last, d_emb)
+    gaps = {}
+    for k in (diameter - 1, diameter, diameter + 2):
+        emb, h_last, tapes = _forward_tape(g.features, khop_mask(g, k), params)
+        grads = _model_backward(params, tapes, h_last, d_emb)
+        gaps[k] = np.abs(emb - emb_v).max()
+        if k >= diameter:
+            np.testing.assert_allclose(emb, emb_v, rtol=0, atol=1e-12)
+            for (name, a), (_, b) in zip(grads_v.tensors(), grads.tensors()):
+                np.testing.assert_allclose(b, a, rtol=0, atol=1e-12,
+                                           err_msg=name)
+    # one hop short, some list misses a node and the layers differ
+    assert gaps[diameter - 1] > 1e-3, gaps
+
+
 # ---------------------------------------------------------------------------
 # cost instrumentation
 # ---------------------------------------------------------------------------
