@@ -1,7 +1,9 @@
-"""Diagnostics: grouping probe, higher-order distance ratios, feature masking."""
+"""Diagnostics: grouping probe, same-label shortest paths, higher-order
+distance ratios, feature masking."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,6 +18,7 @@ __all__ = [
     "RRatioEntry",
     "RRatioReport",
     "grouping_probe",
+    "shortest_path_histogram",
     "r_ratio",
     "mask_features",
 ]
@@ -62,6 +65,43 @@ def _pca_2d(x: np.ndarray) -> np.ndarray:
         if comps[row, j] < 0:
             comps[row] = -comps[row]
     return centered @ comps.T
+
+
+def shortest_path_histogram(g: Graph) -> dict:
+    """Tally shortest-path distance for every unordered same-label node pair.
+
+    Unreachable pairs land in the ``math.inf`` bucket. Keys are ints (plus
+    possibly ``math.inf``), inserted in ascending order. Distances are
+    computed for one of the dense kernel's row blocks of a cluster's members
+    at a time, and counted as they come.
+    """
+    # imported here: csgraph, with the scipy.sparse.linalg it loads, adds
+    # ~11 MB to a process, and no train or evaluate path needs it
+    from scipy.sparse.csgraph import shortest_path
+
+    if g.labels is None:
+        raise ConfigError("shortest_path_histogram requires node labels")
+    n = g.n_nodes
+    counts = np.zeros(n, dtype=np.int64)    # a finite distance is < n
+    unreachable = 0
+    for lab in np.unique(g.labels):
+        members = np.flatnonzero(g.labels == lab)
+        ranks = np.arange(len(members))
+        for r in _row_blocks(n):
+            # the last member has no pair of higher rank
+            if r.start >= len(members) - 1:
+                break
+            dist = shortest_path(g.adj, method="D", unweighted=True,
+                                 directed=False, indices=members[r])
+            # each pair once, from its member of lower rank
+            dist = dist[:, members][ranks > ranks[r, None]]
+            finite = np.isfinite(dist)
+            counts += np.bincount(dist[finite].astype(np.int64), minlength=n)
+            unreachable += int(dist.size - finite.sum())
+    hist = {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
+    if unreachable:
+        hist[math.inf] = unreachable
+    return hist
 
 
 @dataclass(frozen=True)

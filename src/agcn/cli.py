@@ -17,12 +17,13 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import _n_masked, grouping_probe, mask_features, r_ratio
+from .analysis import (_n_masked, grouping_probe, mask_features, r_ratio,
+                       shortest_path_histogram)
 from .clustering import evaluate, kmeans
 from .datagen import SBMSpec, gen_sbm, write_graph_files
 from .errors import AgcnError, ConfigError
 from .graph import (Graph, _atomic_open, _is_float, _is_integer, _read_labels,
-                    khop_mask, load_graph, shortest_path_histogram)
+                    khop_mask, load_graph)
 from .model import forward, save_params
 from .training import (DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID, TrainingConfig,
                        history_to_csv, train)
@@ -187,10 +188,20 @@ def _write_json(path: Path, payload: dict):
 # ---------------------------------------------------------------------------
 
 def _parse_grid(text, caster, name):
+    """The values of the list flag ``name``: comma-separated, or, for
+    integers, one inclusive range ``lo:hi``. A list or range that names no
+    value is a ConfigError, as is a value that ``caster`` rejects."""
     try:
-        return [caster(tok) for tok in str(text).split(",") if tok != ""]
+        if caster is _int and ":" in text:
+            lo, hi = (_int(t) for t in text.split(":", 1))
+            values = list(range(lo, hi + 1))
+        else:
+            values = [caster(tok) for tok in text.split(",") if tok != ""]
     except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"bad {name} value {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{name} names no value")
+    return values
 
 
 def _train_config(args) -> dict[str, TrainingConfig]:
@@ -206,9 +217,6 @@ def _train_config(args) -> dict[str, TrainingConfig]:
         lam_grid = _parse_grid(args.lam, _float, "--lambda")
     elif args.sweep:
         lam_grid = list(DEFAULT_LAMBDA_GRID)
-    for flag, grid in (("--k", k_grid), ("--lambda", lam_grid)):
-        if not grid:
-            raise ConfigError(f"{flag} names no value")
     if not args.sweep and (len(k_grid) > 1 or len(lam_grid) > 1):
         raise ConfigError("value lists for --k/--lambda require --sweep")
     base = {}
@@ -337,18 +345,8 @@ def cmd_analyze_paths(args) -> int:
     return 0
 
 
-def _parse_k_range(text) -> tuple:
-    if ":" in text:
-        try:
-            lo, hi = (_int(t) for t in text.split(":", 1))
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"bad --k-range value {text!r}") from exc
-        return tuple(range(lo, hi + 1))
-    return tuple(_parse_grid(text, _int, "--k-range"))
-
-
 def cmd_analyze_r_ratio(args) -> int:
-    k_range = _parse_k_range(args.k_range)
+    k_range = _parse_grid(args.k_range, _int, "--k-range")
     g = _load_dataset(args)
     if g.labels is None:
         raise ConfigError("r-ratio needs --labels")

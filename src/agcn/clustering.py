@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, _check_type
+from .errors import ConfigError, _check_type
 from .graph import _node_ids
 
 __all__ = ["ClusterResult", "kmeans", "label_mapping", "accuracy", "nmi",
@@ -190,7 +190,7 @@ def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
     benchmark's tracer wraps this function by its name.
 
     ``points`` must be an (n, d) array with d >= 1, else a
-    :class:`DimensionError` names its shape before any draw. Each seed
+    :class:`ConfigError` names its shape before any draw. Each seed
     draws from its own stream, and Lloyd draws nothing, so every restart
     sees the stream it would see alone. Groups of consecutive seeds are
     seeded and refined together, one ``_lloyd`` per group.
@@ -213,8 +213,8 @@ def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
         raise ConfigError(f"seed={min(seeds)} must be >= 0")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] == 0:
-        raise DimensionError(f"points of shape {points.shape}: k-means needs "
-                             "an (n, d) array with d >= 1")
+        raise ConfigError(f"points of shape {points.shape}: k-means needs "
+                          "an (n, d) array with d >= 1")
     n = points.shape[0]
     if not 1 <= n_clusters <= n:
         raise ConfigError(f"n_clusters={n_clusters} must lie in [1, "
@@ -263,7 +263,7 @@ def _as_labels(pred, truth):
     the same length and not empty."""
     pred, truth = _label_vector("pred", pred), _label_vector("truth", truth)
     if pred.shape != truth.shape:
-        raise DimensionError(f"label lengths differ: {pred.shape} vs {truth.shape}")
+        raise ConfigError(f"label lengths differ: {pred.shape} vs {truth.shape}")
     if len(pred) == 0:
         raise ConfigError("no labels: the label vectors are empty")
     return pred, truth
@@ -407,8 +407,8 @@ def evaluate(h: np.ndarray, n_clusters: int, truth, seeds,
     truth = _label_vector("truth", truth)
     points = np.asarray(h, dtype=np.float64)
     if truth.shape != points.shape[:1]:
-        raise DimensionError(f"label lengths differ: {points.shape[:1]} "
-                             f"vs {truth.shape}")
+        raise ConfigError(f"label lengths differ: {points.shape[:1]} "
+                          f"vs {truth.shape}")
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("evaluate needs at least one k-means seed")

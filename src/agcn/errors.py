@@ -4,8 +4,7 @@ training starts, so a NumericError never reports bad input late."""
 import numbers
 import typing
 
-__all__ = ["AgcnError", "ParseError", "DimensionError", "ConfigError",
-           "NumericError"]
+__all__ = ["AgcnError", "ParseError", "ConfigError", "NumericError"]
 
 
 class AgcnError(Exception):
@@ -27,12 +26,9 @@ class ParseError(AgcnError):
         super().__init__(f"{message}{where}")
 
 
-class DimensionError(AgcnError):
-    """Shapes or row counts of related inputs do not agree."""
-
-
 class ConfigError(AgcnError):
-    """Invalid configuration (dimensions, hyperparameters, missing labels)."""
+    """Invalid configuration or input: hyperparameters, sizes or lengths of
+    related inputs that do not agree, missing labels."""
 
 
 class NumericError(AgcnError):

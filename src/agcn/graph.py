@@ -1,4 +1,4 @@
-"""Graph container, normalization matrices, k-hop reachability and label diagnostics.
+"""Graph container, normalization matrices and k-hop reachability.
 
 Graphs are undirected and unweighted: a symmetric boolean adjacency in CSR
 form (no stored self-loops), a dense float feature matrix, and optional
@@ -8,7 +8,6 @@ integer labels. All structures are treated as immutable after construction.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import re
 import warnings
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, DimensionError, ParseError, _check_type
+from .errors import ConfigError, ParseError, _check_type
 
 __all__ = [
     "Graph",
@@ -30,7 +29,6 @@ __all__ = [
     "normalized_adjacency",
     "khop_mask",
     "khop_weights",
-    "shortest_path_histogram",
 ]
 
 
@@ -49,11 +47,11 @@ class Graph:
         if n == 0:
             raise ConfigError("graph has no nodes")
         if self.adj.shape != (n, n):
-            raise DimensionError(f"adjacency shape {self.adj.shape} != "
-                                 f"({n}, {n}), the feature rows")
+            raise ConfigError(f"adjacency shape {self.adj.shape} != "
+                              f"({n}, {n}), the feature rows")
         if self.labels is not None:
             if len(self.labels) != n:
-                raise DimensionError(
+                raise ConfigError(
                     f"label count ({len(self.labels)}) != n_nodes ({n})"
                 )
             if self.labels.min() < 0 or self.labels.max() >= n:
@@ -384,38 +382,3 @@ def khop_weights(g: Graph, k: int) -> sparse.csr_array:
     w.sort_indices()
     return w
 
-
-def shortest_path_histogram(g: Graph) -> dict:
-    """Tally shortest-path distance for every unordered same-label node pair.
-
-    Unreachable pairs land in the ``math.inf`` bucket. Keys are ints (plus
-    possibly ``math.inf``), inserted in ascending order. Distances are
-    computed for a block of a cluster's members at a time, within the dense
-    kernel's byte budget, and counted as they come.
-    """
-    # imported here: csgraph, with the scipy.sparse.linalg it loads, adds
-    # ~11 MB to a process, and model imports this module
-    from scipy.sparse.csgraph import shortest_path
-
-    from .model import DENSE_BLOCK_BYTES
-    if g.labels is None:
-        raise ConfigError("shortest_path_histogram requires node labels")
-    n = g.n_nodes
-    step = max(1, DENSE_BLOCK_BYTES // (8 * n))
-    counts = np.zeros(n, dtype=np.int64)    # a finite distance is < n
-    unreachable = 0
-    for lab in np.unique(g.labels):
-        members = np.flatnonzero(g.labels == lab)
-        for r0 in range(0, len(members) - 1, step):
-            rows = np.arange(r0, min(r0 + step, len(members)))
-            dist = shortest_path(g.adj, method="D", unweighted=True,
-                                 directed=False, indices=members[rows])
-            # each pair once, from its member of lower rank
-            dist = dist[:, members][np.arange(len(members)) > rows[:, None]]
-            finite = np.isfinite(dist)
-            counts += np.bincount(dist[finite].astype(np.int64), minlength=n)
-            unreachable += int(dist.size - finite.sum())
-    hist = {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
-    if unreachable:
-        hist[math.inf] = unreachable
-    return hist

@@ -108,17 +108,16 @@ class ModelParams:
 
 
 class EvalCounter:
-    """Counts attention-score evaluations per (layer, head)."""
+    """Counts attention-score evaluations."""
 
     def __init__(self):
-        self.counts = {}
+        self._total = 0
 
-    def add(self, layer: int, head: int, n: int):
-        key = (layer, head)
-        self.counts[key] = self.counts.get(key, 0) + n
+    def add(self, n: int):
+        self._total += n
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return self._total
 
 
 def _xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -296,7 +295,7 @@ def _dense_layer_backward(q, k, v, lse, ctx, d_ctx, inv_scale):
 
 
 def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams, heads: int,
-           layer_idx=0, counter: EvalCounter | None = None):
+           layer_idx=0):
     """Project keys and values once for all nodes, attend over ``heads``
     heads with the masked kernel (or the dense one when ``mask`` is None),
     and add the residual. Returns the layer output and its tape."""
@@ -307,9 +306,6 @@ def _layer(h_prev, res_src, mask: KHopMask | None, p: LayerParams, heads: int,
         ctx, alphas = _dense_layer(q, k, v, inv_scale)
     else:
         ctx, alphas = _masked_layer(q, k, v, mask, inv_scale)
-    if counter is not None:
-        for h in range(heads):
-            counter.add(layer_idx, h, n * n if mask is None else mask.total_nnz)
     out = ctx.reshape(n, -1) @ p.wo + res_src @ p.wres
     _check_finite(out, layer=layer_idx)
     tape = _LayerTape(h_in=h_prev, res_src=res_src, q=q, k=k, v=v, ctx=ctx,
@@ -352,7 +348,8 @@ def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
     """Chain the layers over ``mask`` ("structure") or over all node pairs
     ("vanilla"), every layer's residual source being ``x``, and apply the
     final projection. Returns (embeddings, last hidden state, per-layer
-    tapes): every intermediate the backward pass needs."""
+    tapes): every intermediate the backward pass needs. A ``counter`` gets
+    each layer's score evaluations, one per head and attended pair."""
     if mode not in ("structure", "vanilla"):
         raise ConfigError(f"unknown mode {mode!r}")
     attn_mask = mask if mode == "structure" else None
@@ -362,9 +359,11 @@ def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
     tapes = []
     h = x
     for l, p in enumerate(params.layers):
-        h, tape = _layer(h, x, attn_mask, p, dims.heads, layer_idx=l,
-                         counter=counter)
+        h, tape = _layer(h, x, attn_mask, p, dims.heads, layer_idx=l)
         tapes.append(tape)
+        if counter is not None:
+            pairs = x.shape[0] ** 2 if attn_mask is None else mask.total_nnz
+            counter.add(dims.heads * pairs)
     return h @ params.final_proj, h, tapes
 
 

@@ -41,7 +41,7 @@ class TrainingConfig:
     """Hyperparameters and seeds; defaults follow the standard setting."""
 
     k: int = 2
-    lam: float = 1e-2
+    lam: float = 0.1
     gamma: float = 1e-4
     epochs: int = 200
     layers: int = 2

@@ -253,6 +253,26 @@ def test_end_to_end_sbm():
         assert elapsed < 60.0
 
 
+def test_default_objective_beats_raw_features():
+    # the default objective must cluster better than K-means on the input
+    # features it starts from, and its hinge must still act at the end
+    with criterion("default-objective-beats-raw-features"):
+        g = gen_sbm(SBMSpec(block_sizes=(75,) * 4, p_in=0.8 * 8 / 74,
+                            p_out=0.2 * 8 / 225, feature_dim=256,
+                            mean_scale=1.0, noise_scale=0.3, seed=1))
+        seeds = list(range(5))
+        raw = evaluate(g.features, 4, g.labels, seeds, restarts=5).acc
+        for seed in (1, 2):
+            cfg = TrainingConfig(epochs=60, seed=seed)
+            params, history = train(g, cfg)
+            emb = forward(g, khop_mask(g, cfg.k), params)
+            acc = evaluate(emb, 4, g.labels, seeds, restarts=5).acc
+            print(f"  seed {seed}: acc={acc:.3f} raw={raw:.3f} "
+                  f"l_neg={history[-1, 1]:.1e}", end="")
+            assert acc >= raw + 0.03
+            assert history[-1, 1] >= 1e-7
+
+
 def test_complexity_instrumentation():
     with criterion("complexity-instrumentation"):
         counts, sizes = [], []
@@ -264,11 +284,13 @@ def test_complexity_instrumentation():
             mask = khop_mask(g, 2)
             params = init_params(dims, seed=0)
             counter = EvalCounter()
-            _forward_tape(g.features, mask, params, counter=counter)
-            for layer in range(dims.layers):
-                per_layer = sum(n for (l, _), n in counter.counts.items()
-                                if l == layer)
-                assert per_layer == dims.heads * mask.total_nnz
+            _, _, tapes = _forward_tape(g.features, mask, params,
+                                        counter=counter)
+            # one score per mask entry and head, in every layer
+            for tape in tapes:
+                assert tape.alphas.shape == (mask.total_nnz, dims.heads)
+            assert len(tapes) == dims.layers
+            assert counter.total() == dims.layers * dims.heads * mask.total_nnz
             counts.append(counter.total())
             sizes.append(n)
         x = np.asarray(sizes, dtype=float)

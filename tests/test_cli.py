@@ -260,6 +260,33 @@ def test_train_empty_grid_fails_before_reading_inputs(tmp_path, capsys, sweep,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "r-ratio", "--k-range", "3:1"], "--k-range"),
+    (["train", "--k", "3:1", "--sweep"], "--k"),
+    (["generate", "sbm", "--blocks", ",", "--p-in", "0.5", "--p-out", "0.1"],
+     "--blocks"),
+], ids=["empty_k_range", "empty_k_range_sweep", "empty_blocks"])
+def test_integer_lists_that_name_no_value_fail_before_reading_inputs(
+        tmp_path, capsys, argv, flag):
+    # every integer list is read by one rule: an empty range is an empty list
+    if argv[0] != "generate":
+        argv = [*argv, "--graph", str(tmp_path / "nowhere.edges"),
+                "--features", str(tmp_path / "nowhere.csv")]
+    rc = main([*argv, "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag} names no value"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_k_takes_an_inclusive_range():
+    train_parser = _subcommands(cli._build_parser())["train"]
+    args = train_parser.parse_args(["--graph", "g", "--features", "f",
+                                    "--k", "1:3", "--lambda", "0.1",
+                                    "--sweep"])
+    assert [cfg.k for cfg in cli._train_config(args).values()] == [1, 2, 3]
+
+
 def test_analyze_paths_histogram_with_inf(tmp_path):
     data = tmp_path / "d"
     data.mkdir()

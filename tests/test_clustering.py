@@ -16,7 +16,7 @@ from agcn.analysis import grouping_probe, mask_features, r_ratio
 from agcn.clustering import (accuracy, evaluate, kmeans, label_mapping, nmi,
                              _assign, _kmeans_pp_init, _lloyd, _sq_norms)
 from agcn.datagen import SBMSpec, gen_sbm
-from agcn.errors import ConfigError, DimensionError
+from agcn.errors import ConfigError
 from agcn.graph import build_graph, khop_mask, khop_weights
 from agcn.model import forward
 from agcn.training import TrainingConfig, train
@@ -406,7 +406,7 @@ def test_evaluate_makes_one_kmeans_call(monkeypatch):
 def test_evaluate_checks_truth_length_before_kmeans(monkeypatch):
     pts = _blobs(25, 2, 2, seed=4)
     calls = _count_calls(monkeypatch, "_kmeans_with_inertia")
-    with pytest.raises(DimensionError, match=r"\(50,\) vs \(48,\)"):
+    with pytest.raises(ConfigError, match=r"\(50,\) vs \(48,\)"):
         evaluate(pts, 2, np.zeros(48, dtype=int), seeds=range(10))
     assert calls == []
 
@@ -470,7 +470,7 @@ def test_bad_point_arrays_fail_before_any_draw(monkeypatch, shape, entry):
         raise AssertionError("a random stream was opened")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    with pytest.raises(DimensionError, match=rf"shape \({shape[0]},"):
+    with pytest.raises(ConfigError, match=rf"shape \({shape[0]},"):
         if entry == "kmeans":
             kmeans(pts, 2, seed=0)
         else:
@@ -563,12 +563,12 @@ def test_accuracy_half_credit():
 
 
 def test_accuracy_length_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError):
         accuracy([0, 1], [0, 1, 2])
 
 
 def test_label_mapping_length_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError):
         label_mapping([0, 1], [0, 1, 2])
 
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agcn.model
+from agcn.analysis import shortest_path_histogram
 from agcn.datagen import SBMSpec, gen_sbm
-from agcn.errors import ConfigError, DimensionError, ParseError
+from agcn.errors import ConfigError, ParseError
 from agcn.graph import (ENTRY_CHUNK, Graph, build_graph, khop_mask,
-                        khop_weights, load_graph, normalized_adjacency,
-                        shortest_path_histogram)
+                        khop_weights, load_graph, normalized_adjacency)
 
 from conftest import (bfs_distances, complete_mask, dense_normalized,
                       homophily_ratio, neighbors, pair_sims_oracle, path_graph,
@@ -138,8 +138,14 @@ def test_graph_rejects_zero_nodes(labels):
 def test_graph_rejects_adjacency_of_another_size():
     # the node count is the number of feature rows; the adjacency must match
     adj = build_graph([[0, 1]], np.zeros((2, 1))).adj
-    with pytest.raises(DimensionError, match=r"\(2, 2\) != \(3, 3\)"):
+    with pytest.raises(ConfigError, match=r"\(2, 2\) != \(3, 3\)"):
         Graph(adj=adj, features=np.zeros((3, 1)))
+
+
+def test_graph_rejects_labels_of_another_length():
+    adj = build_graph([[0, 1]], np.zeros((2, 1))).adj
+    with pytest.raises(ConfigError, match=r"label count \(3\) != n_nodes \(2\)"):
+        Graph(adj=adj, features=np.zeros((2, 1)), labels=np.zeros(3, dtype=int))
 
 
 @pytest.mark.parametrize("label", ["3", "7"])

@@ -501,15 +501,10 @@ def test_score_evaluations_equal_mask_size():
     expected = int(mask.total_nnz)
     # the scores actually computed: one alpha per mask entry and head
     for tape in tapes:
+        assert tape.mask is mask
         assert tape.alphas.shape == (expected, DIMS.heads)
     assert len(tapes) == DIMS.layers
-    for layer in range(DIMS.layers):
-        for head in range(DIMS.heads):
-            assert counter.counts[(layer, head)] == expected
-    per_layer = {}
-    for (layer, _), n in counter.counts.items():
-        per_layer[layer] = per_layer.get(layer, 0) + n
-    assert per_layer == {0: expected * DIMS.heads, 1: expected * DIMS.heads}
+    assert counter.total() == DIMS.layers * DIMS.heads * expected
 
 
 def test_vanilla_counts_all_pairs():
@@ -517,8 +512,14 @@ def test_vanilla_counts_all_pairs():
     mask = khop_mask(g, 1)
     params = init_params(DIMS, seed=22)
     counter = EvalCounter()
-    _forward_tape(g.features, mask, params, mode="vanilla", counter=counter)
-    assert counter.counts[(0, 0)] == 49
+    _, _, tapes = _forward_tape(g.features, mask, params, mode="vanilla",
+                                counter=counter)
+    # every row's log-sum-exp over all 7 nodes, per head
+    for tape in tapes:
+        assert tape.mask is None
+        assert tape.alphas.shape == (7, DIMS.heads)
+    assert len(tapes) == DIMS.layers
+    assert counter.total() == DIMS.layers * DIMS.heads * 49
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The package's public names are the union of its modules' ``__all__``."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -37,7 +38,7 @@ def test_package_exports_exactly_the_module_public_names():
 def test_removed_wrappers_are_not_public(capsys):
     for name in ("loss_pos", "loss_neg", "total_loss", "backward",
                  "NormalizedAdjacency", "layer_forward", "homophily_ratio",
-                 "TreeMatchSpec", "gen_tree_match"):
+                 "TreeMatchSpec", "gen_tree_match", "DimensionError"):
         assert not hasattr(agcn, name), name
     assert not hasattr(agcn.KHopMask, "complete")
     # each input is checked where it is read: the graph derives its cluster
@@ -64,6 +65,9 @@ def test_removed_wrappers_are_not_public(capsys):
     # an epoch's hinge is one record, _PairBatch, cut by one planner
     for name in ("_Ranking", "_pair_order", "_epoch_batches"):
         assert not hasattr(agcn.training, name), name
+    # integer lists have one parser, and the graph module holds no analysis
+    assert not hasattr(cli, "_parse_k_range")
+    assert not hasattr(agcn.graph, "shortest_path_histogram")
     # nothing trains on a tree-matching task, so nothing generates one
     for name in ("TreeMatchSpec", "gen_tree_match"):
         assert not hasattr(agcn.datagen, name), name
@@ -94,6 +98,26 @@ def test_removed_wrappers_are_not_public(capsys):
                   "--config", "c.json"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --config c.json" in capsys.readouterr().err
+
+
+# each module's layer: a module imports only from modules of lower layers
+LAYERS = {"errors": 0, "graph": 1, "model": 2, "clustering": 2, "datagen": 2,
+          "training": 3, "analysis": 3, "cli": 4}
+
+
+def test_modules_import_only_from_lower_layers():
+    # every ``from .x import``, those inside functions too
+    src = Path(agcn.__file__).resolve().parent
+    assert {p.stem for p in src.glob("*.py")} - {"__init__"} == set(LAYERS)
+    upward = []
+    for name, layer in LAYERS.items():
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is not None
+                    and LAYERS[node.module] >= layer):
+                upward.append(f"{name}.py:{node.lineno} imports {node.module}")
+    assert upward == []
 
 
 def test_readme_names_only_code_that_exists():
