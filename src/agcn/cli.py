@@ -39,8 +39,10 @@ def main(argv=None) -> int:
         _say("", end="")    # flushes what --help or --version printed
     try:
         return args.func(args)
-    except AgcnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AgcnError, MemoryError) as exc:
+        # an allocation numpy refuses, such as a history of 10**15 epochs;
+        # the interpreter's own MemoryError carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         # an unreadable or unwritable path is a usage error

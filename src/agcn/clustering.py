@@ -93,15 +93,13 @@ def _lloyd(points, centers, tol, max_iter, sq_norms):
     previous step's: its centers are then already the means of those
     labels, so one more step would return the same labels and inertia.
 
-    Returns (labels (R, n), inertias (R,), trace), where trace holds every
-    restart's inertia after each step."""
+    Returns the labels (R, n) and the inertias (R,)."""
     n_restarts, n_clusters, dim = centers.shape
     n = points.shape[0]
     labels = np.full((n_restarts, n), -1, dtype=np.intp)
     inertia = np.full(n_restarts, np.inf)
     live = np.arange(n_restarts)
     cols = np.arange(n)
-    trace = []
     for _ in range(max_iter):
         step, mins = _assign(points, centers[live], sq_norms)
         offsets = n_clusters * np.arange(len(live))[:, None]
@@ -127,11 +125,10 @@ def _lloyd(points, centers, tol, max_iter, sq_norms):
                 | (step == labels[live]).all(axis=1))
         labels[live] = step
         inertia[live] = step_inertia
-        trace.append(inertia.copy())
         live = live[~done]
         if not len(live):
             break
-    return labels, inertia, trace
+    return labels, inertia
 
 
 # Lloyd stops at an inertia drop <= LLOYD_TOL or after LLOYD_MAX_ITER steps
@@ -153,8 +150,7 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int,
            restarts: int = 10) -> np.ndarray:
     """Best-of-restarts k-means labels (k-means++ init, Lloyd refinement),
     numbered by first appearance: node 0's cluster is 0. ``points`` must be
-    an (n, d) array with d >= 1; rank-deficient points are clustered in
-    the coordinates of their span, as :func:`_kmeans_with_inertia` says."""
+    an (n, d) array with d >= 1."""
     return _kmeans_with_inertia(points, n_clusters, [seed], restarts)[0]
 
 
@@ -167,23 +163,6 @@ def _canonical(labels):
     return rank[inverse]
 
 
-def _span_coordinates(points, max_dim):
-    """``points`` in an orthonormal basis of their span when their rank r
-    is 0 < r < d, else ``points`` itself; d above ``max_dim`` skips the
-    check. The rank counts the eigenvalues of the d x d Gram ``X^T X``
-    above ``w_max * d * eps``, w_max its largest: the Gram's own rounding,
-    below which a direction holds nothing but rounding. Distances between
-    the points, and so every k-means step, are the same up to rounding in
-    r coordinates as in d."""
-    dim = points.shape[1]
-    if dim > max_dim:
-        return points
-    w, v = np.linalg.eigh(points.T @ points)
-    # eigh returns the eigenvalues in ascending order
-    rank = int((w > w[-1] * dim * np.finfo(np.float64).eps).sum())
-    return points @ v[:, dim - rank:] if 0 < rank < dim else points
-
-
 def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
     """Per seed, the labels of its lowest-inertia restart (the first on
     ties), numbered by first appearance, as a (len(seeds), n) array. The
@@ -193,16 +172,7 @@ def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
     :class:`ConfigError` names its shape before any draw. Each seed
     draws from its own stream, and Lloyd draws nothing, so every restart
     sees the stream it would see alone. Groups of consecutive seeds are
-    seeded and refined together, one ``_lloyd`` per group.
-
-    Rank-deficient points, such as an embedding through a d_v x d_out
-    projection with d_out > d_v, are seeded and refined in the
-    coordinates of their span (:func:`_span_coordinates`),
-    which has the same distances up to rounding. The check costs one d x d
-    Gram, d^2 n, and its ``eigh``, d^3, so it runs only when the Gram
-    costs no more than one Lloyd step over every restart, d <= 2 *
-    len(seeds) * restarts * n_clusters, and ``eigh`` no more than the
-    Gram, d <= n."""
+    seeded and refined together, one ``_lloyd`` per group."""
     seeds = list(seeds)
     for name, value in (("restarts", restarts), ("n_clusters", n_clusters),
                         *(("seed", seed) for seed in seeds)):
@@ -223,16 +193,14 @@ def _kmeans_with_inertia(points, n_clusters, seeds, restarts):
     if bad.any():
         raise ConfigError(f"point row {int(bad.argmax())} holds NaN or "
                           "infinity; k-means needs finite points")
-    points = _span_coordinates(
-        points, min(n, 2 * len(seeds) * restarts * n_clusters))
     sq_norms = _sq_norms(points)
     group = max(1, KMEANS_GROUP_BYTES // (8 * restarts * n_clusters * n))
     labels = []
     for g0 in range(0, len(seeds), group):
         centers = _kmeans_pp_init(points, n_clusters, seeds[g0:g0 + group],
                                   restarts, sq_norms)
-        runs, run_inertia, _ = _lloyd(points, centers, LLOYD_TOL,
-                                      LLOYD_MAX_ITER, sq_norms)
+        runs, run_inertia = _lloyd(points, centers, LLOYD_TOL,
+                                   LLOYD_MAX_ITER, sq_norms)
         best = run_inertia.reshape(-1, restarts).argmin(axis=1)
         runs = runs.reshape(-1, restarts, n)[np.arange(len(best)), best]
         labels.extend(_canonical(lab) for lab in runs)
@@ -400,9 +368,7 @@ def evaluate(h: np.ndarray, n_clusters: int, truth, seeds,
     inertia, the first seed on ties, not by accuracy, so ground truth never
     leaks into model selection. Lloyd's inertias move in the last bits with
     how many restarts share a GEMM, so each distinct partition is scored
-    once from its labels alone, and seeds that reach it tie exactly. The
-    scores are read on ``h`` itself, even when k-means ran in the
-    coordinates of its span, so they do not depend on that step.
+    once from its labels alone, and seeds that reach it tie exactly.
     """
     truth = _label_vector("truth", truth)
     points = np.asarray(h, dtype=np.float64)

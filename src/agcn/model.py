@@ -13,7 +13,8 @@ exceeds ``EXP_SAFE``; the row sums, the backward's ``- lse`` and its row
 terms enter the GEMMs as one more column, so a block costs its GEMMs, one
 exp and one multiply. The residual
 path maps the original node features into every layer's output. A final
-linear projection produces the embedding matrix.
+linear projection produces the embedding matrix, in the coordinates of its
+span.
 """
 
 from __future__ import annotations
@@ -340,8 +341,18 @@ def _layer_backward(tape: _LayerTape, d_out, p: LayerParams, grads: LayerParams,
 
 def forward(g: Graph, mask: KHopMask, params: ModelParams,
             mode: str = "structure") -> np.ndarray:
-    """Chain all layers from the raw features and apply the final projection."""
+    """Chain all layers from the raw features and apply the final
+    projection; the embedding comes in the coordinates of its span
+    (:func:`_forward_tape`)."""
     return _forward_tape(g.features, mask, params, mode)[0]
+
+
+def _span_basis(final_proj):
+    """Orthonormal columns q, d_out x min(d_out, d_v), of the reduced QR of
+    ``final_proj.T``: a basis of the row space of ``final_proj``, in which
+    every row of ``h @ final_proj`` lies. The forward and the backward pass
+    each call it on the same matrix, and rely on it giving the same bits."""
+    return np.linalg.qr(final_proj.T)[0]
 
 
 def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
@@ -349,7 +360,12 @@ def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
     ("vanilla"), every layer's residual source being ``x``, and apply the
     final projection. Returns (embeddings, last hidden state, per-layer
     tapes): every intermediate the backward pass needs. A ``counter`` gets
-    each layer's score evaluations, one per head and attended pair."""
+    each layer's score evaluations, one per head and attended pair.
+
+    The embedding ``h @ final_proj`` has rank <= d_v, so it is returned as
+    ``(h @ final_proj) @ q``, its coordinates in the basis q of
+    :func:`_span_basis`: min(d_out, d_v) columns, with every inner product
+    and distance of its rows kept up to rounding."""
     if mode not in ("structure", "vanilla"):
         raise ConfigError(f"unknown mode {mode!r}")
     attn_mask = mask if mode == "structure" else None
@@ -364,11 +380,20 @@ def _forward_tape(x, mask, params: ModelParams, mode="structure", counter=None):
         if counter is not None:
             pairs = x.shape[0] ** 2 if attn_mask is None else mask.total_nnz
             counter.add(dims.heads * pairs)
-    return h @ params.final_proj, h, tapes
+    return (h @ params.final_proj) @ _span_basis(params.final_proj), h, tapes
 
 
 def _model_backward(params: ModelParams, tapes, h_last, d_embeddings):
-    """Gradients of all parameters, in one buffer, from the embeddings' gradient."""
+    """Gradients of all parameters, in one buffer, from the gradient of the
+    embeddings in span coordinates (:func:`_forward_tape`), which goes back
+    to ``h @ final_proj`` through ``q.T``; q is taken as a constant.
+
+    That is exact for a loss that reads only inner products of the rows, as
+    the cosine losses do: such a loss is the same function of
+    the full-width rows as of their coordinates, and its gradient with
+    respect to the full-width rows lies in their span, which ``q.T`` maps
+    onto."""
+    d_embeddings = d_embeddings @ _span_basis(params.final_proj).T
     grads = ModelParams(params.dims, np.empty_like(params.flat))
     np.matmul(h_last.T, d_embeddings, out=grads.final_proj)
     d_h = d_embeddings @ params.final_proj.T

@@ -370,12 +370,9 @@ def train(g: Graph, cfg: TrainingConfig):
     with no k-hop positive weight is a :class:`ConfigError` before epoch 0;
     a :class:`NumericError` names its epoch.
 
-    With d_out > d_v the embedding ``h @ final_proj`` has rank <= d_v, so
-    each epoch the losses see it as ``emb @ q``, its coordinates in the
-    orthonormal columns ``q`` of the reduced QR of ``final_proj.T``. That
-    keeps every cosine, so the losses are the same up to rounding, and
-    their gradient in those coordinates goes back to the embedding through
-    ``q.T``.
+    The losses see the embedding in the span coordinates that the forward
+    pass returns, which keep every cosine, and their gradient goes back in
+    those coordinates (:func:`agcn.model._model_backward`).
     """
     mask = khop_mask(g, cfg.k)
     weights = khop_weights(g, cfg.k) if cfg.lam != 0 else None
@@ -390,9 +387,7 @@ def train(g: Graph, cfg: TrainingConfig):
         try:
             emb, h_last, tapes = _forward_tape(g.features, mask, params,
                                                mode=cfg.mode)
-            q = (np.linalg.qr(params.final_proj.T)[0] if cfg.d_out > cfg.d_v
-                 else None)
-            u, norms = _unit_rows(emb if q is None else emb @ q)
+            u, norms = _unit_rows(emb)
             # each epoch's pairs have a generator of their own, so skipping
             # them when the hinge is off changes no other draw
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
@@ -403,8 +398,6 @@ def train(g: Graph, cfg: TrainingConfig):
                        for nodes in chunks)
             l_pos, l_neg, l_total, d_emb = _objective(u, norms, batches,
                                                       weights, cfg)
-            if q is not None:
-                d_emb = d_emb @ q.T
             # the backward pass, where training peaks, reads none of these
             del emb, u, norms, ranking, batches
             grads = _model_backward(params, tapes, h_last, d_emb)

@@ -330,22 +330,20 @@ def hinge_oracle(u, mask, cap, rng, gamma):
 
 def train_oracle(g, cfg):
     """``train`` with every epoch's hinge from :func:`hinge_oracle`:
-    ``(params, history)``. With d_out > d_v the losses see the embedding
-    in the orthonormal columns q of the reduced QR of ``final_proj.T``,
-    and their gradient goes back through ``q.T``."""
+    ``(params, history)``. The losses see ``h_last @ final_proj`` in the
+    orthonormal columns q of the reduced QR of ``final_proj.T``, formed
+    here, and their gradient in those coordinates goes to the model's
+    backward pass."""
     mask = khop_mask(g, cfg.k)
     weights = khop_weights(g, cfg.k) if cfg.lam != 0 else None
     params = init_params(cfg.dims_for(g.feature_dim), cfg.seed)
     state = init_adam_state(params)
     history = []
     for epoch in range(cfg.epochs):
-        emb, h_last, tapes = _forward_tape(g.features, mask, params,
-                                           mode=cfg.mode)
-        span = cfg.d_out > cfg.d_v
-        if span:
-            q = np.linalg.qr(params.final_proj.T)[0]
-            emb = emb @ q
-        u, norms = _unit_rows(emb)
+        _, h_last, tapes = _forward_tape(g.features, mask, params,
+                                         mode=cfg.mode)
+        q = np.linalg.qr(params.final_proj.T)[0]
+        u, norms = _unit_rows((h_last @ params.final_proj) @ q)
         l_neg, d_u = 0.0, np.zeros_like(u)
         if cfg.use_neg:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, epoch)))
@@ -356,8 +354,7 @@ def train_oracle(g, cfg):
             d_u += cfg.lam * d_pos
             l_total = l_neg + cfg.lam * l_pos
         d_emb = _unit_rows_backward(u, norms, d_u)
-        grads = _model_backward(params, tapes, h_last,
-                                d_emb @ q.T if span else d_emb)
+        grads = _model_backward(params, tapes, h_last, d_emb)
         history.append((l_pos, l_neg, l_total))
         params, state = adam_step(params, grads, state, cfg.lr)
     return params, np.array(history)

@@ -121,6 +121,18 @@ def test_r_ratio_matches_exhaustive_pair_loop():
             assert entry.literal == pytest.approx(want[1], rel=1e-9)
 
 
+def test_r_ratio_skips_orders_outside_a_gapped_range():
+    # the powers run through k=2, which (1, 3) leaves out of the report
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 2, 10)
+    g = random_graph(10, 0.4, seed=6, d=3, labels=labels)
+    pred = rng.integers(0, 2, 10)
+    gapped = r_ratio(g, pred, labels, k_range=(1, 3))
+    full = r_ratio(g, pred, labels, k_range=(1, 2, 3))
+    assert {e.k for e in gapped.entries} == {1, 3}
+    assert gapped.entries == tuple(e for e in full.entries if e.k != 2)
+
+
 def test_r_ratio_distances_stay_within_row_blocks():
     # at k=1 the Gram matrix of the adjacency is sparse, so the distances
     # are one dense row block at a time, beside its sparse product: the

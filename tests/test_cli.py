@@ -226,6 +226,33 @@ def test_train_non_finite_flag_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_allocation_numpy_refuses_is_one_error_line(tmp_path, capsys):
+    # a loss history of 10**15 epochs would take 24 PB, past any user
+    # address space, so numpy refuses it before touching a page
+    edges, feats, labels = _gen_dataset(tmp_path)
+    capsys.readouterr()
+    rc = main(_train_args(edges, feats, labels, tmp_path / "run",
+                          ("--epochs", "1000000000000000")))
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+
+
+def test_memory_error_without_a_message_is_one_error_line(tmp_path, capsys,
+                                                           monkeypatch):
+    # the interpreter's own MemoryError carries no text
+    edges, feats, labels = _gen_dataset(tmp_path)
+    capsys.readouterr()
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "train", no_memory)
+    rc = main(_train_args(edges, feats, labels, tmp_path / "run", ()))
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--dq", "6", "--heads", "4"), "d_q=6 not divisible by heads=4"),
     # every sweep point is checked, not only the first
@@ -339,6 +366,19 @@ def test_analyze_r_ratio_bad_k_range_exits_one_with_line(tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: bad --k-range value {k_range!r}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_analyze_r_ratio_order_below_one_exits_one_with_line(tmp_path,
+                                                            capsys):
+    edges, feats, labels = _gen_dataset(tmp_path)
+    capsys.readouterr()
+    rc = main(["analyze", "r-ratio", "--graph", str(edges), "--features",
+               str(feats), "--labels", str(labels), "--k-range", "0:2",
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: k_range must contain orders >= 1"]
     assert not (tmp_path / "o").exists()
 
 

@@ -18,7 +18,7 @@ from agcn.clustering import (accuracy, evaluate, kmeans, label_mapping, nmi,
 from agcn.datagen import SBMSpec, gen_sbm
 from agcn.errors import ConfigError
 from agcn.graph import build_graph, khop_mask, khop_weights
-from agcn.model import forward
+from agcn.model import _forward_tape, forward
 from agcn.training import TrainingConfig, train
 
 from conftest import (assign_oracle, canonical_oracle, kmeans_oracle,
@@ -90,9 +90,12 @@ def test_lloyd_inertia_nonincreasing():
     rng = np.random.default_rng(8)
     pts = rng.standard_normal((40, 3))
     centers = _inits(pts, 4, 3, rng)
-    _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50,
-                         sq_norms=_sq_norms(pts))
-    diffs = np.diff(np.asarray(trace), axis=0)
+    # every restart's inertia after each step, from runs stopped at step 1,
+    # 2, ...: Lloyd draws nothing, so a run stopped at step i has taken a
+    # longer run's first i steps, bit for bit
+    trace = [_lloyd(pts, centers.copy(), tol=0.0, max_iter=i,
+                    sq_norms=_sq_norms(pts))[1] for i in range(1, 51)]
+    diffs = np.diff(trace, axis=0)
     assert (diffs <= 1e-9).all()
 
 
@@ -101,8 +104,8 @@ def test_lloyd_repairs_empty_clusters():
     pts[4] = [10.0, 0.0]
     centers = np.zeros((2, 3, 2))
     centers[1, 0] = [10.0, 0.0]
-    labels, _, _ = _lloyd(pts, centers, tol=1e-6, max_iter=10,
-                          sq_norms=_sq_norms(pts))
+    labels, _ = _lloyd(pts, centers, tol=1e-6, max_iter=10,
+                       sq_norms=_sq_norms(pts))
     for row in labels:
         assert len(np.unique(row)) == 3
 
@@ -178,10 +181,18 @@ def test_lloyd_calls_assign_once_per_iteration(monkeypatch, case):
         calls.clear()
         _kmeans_pp_init(pts, 3, [6, 7], restarts, _sq_norms(pts))
         assert calls == []
-        # one call per lockstep step, whatever the number of live restarts
-        _, _, trace = _lloyd(pts, centers, tol=0.0, max_iter=50,
-                             sq_norms=_sq_norms(pts))
-        assert len(calls) == len(trace)
+        # one call per lockstep step, whatever the number of live restarts:
+        # a run stopped at step i makes i calls, up to the step at which
+        # the last restart leaves
+        counts = []
+        for max_iter in range(1, 51):
+            calls.clear()
+            _lloyd(pts, centers.copy(), tol=0.0, max_iter=max_iter,
+                   sq_norms=_sq_norms(pts))
+            counts.append(len(calls))
+        steps = counts[-1]
+        assert 1 < steps < 50
+        assert counts == [min(i, steps) for i in range(1, 51)]
 
 
 def test_lloyd_center_update_is_member_mean():
@@ -189,9 +200,13 @@ def test_lloyd_center_update_is_member_mean():
     pts = rng.standard_normal((50, 4)) + 100.0
     centers = _inits(pts, 5, 2, rng)
     # tol=inf stops after one step: assign, then move every center
-    labels, _, trace = _lloyd(pts, centers, tol=np.inf, max_iter=10,
+    one_step = centers.copy()
+    labels, inertias = _lloyd(pts, centers, tol=np.inf, max_iter=10,
                               sq_norms=_sq_norms(pts))
-    assert len(trace) == 1
+    for got, want in zip(_lloyd(pts, one_step, tol=np.inf, max_iter=1,
+                                sq_norms=_sq_norms(pts)), (labels, inertias)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(one_step, centers)
     for set_centers, set_labels in zip(centers, labels):
         means = np.array([pts[set_labels == c].mean(axis=0)
                           for c in range(5)])
@@ -229,8 +244,8 @@ def test_kmeans_matches_oracle_driver_property(n, n_clusters, d, restarts,
     sq_norms = _sq_norms(points)
     centers = _inits(points, n_clusters, restarts,
                      np.random.default_rng(seed))
-    labels, inertias, _ = _lloyd(points, centers, clustering.LLOYD_TOL,
-                                 clustering.LLOYD_MAX_ITER, sq_norms)
+    labels, inertias = _lloyd(points, centers, clustering.LLOYD_TOL,
+                              clustering.LLOYD_MAX_ITER, sq_norms)
     for (ref_labels, ref_inertia), got_labels, got in zip(runs, labels,
                                                           inertias):
         np.testing.assert_array_equal(got_labels, ref_labels)
@@ -277,7 +292,7 @@ def test_kmeans_matches_oracle_when_lloyd_hits_max_iter(monkeypatch):
     _assert_matches_oracle(pts, 5, seed=4, restarts=3)
 
 
-def test_lloyd_stable_label_stop_is_exact():
+def test_lloyd_stable_label_stop_is_exact(monkeypatch):
     # with tol < 0 only equal labels or max_iter end a restart: lockstep
     # stops long before the oracle's 300 steps, at its labels and inertia
     rng = np.random.default_rng(11)
@@ -285,9 +300,12 @@ def test_lloyd_stable_label_stop_is_exact():
     centers = _inits(pts, 4, 3, rng)
     ref = [lloyd_oracle(pts, c.copy(), tol=-1.0, max_iter=300)
            for c in centers]
-    labels, inertia, trace = _lloyd(pts, centers, tol=-1.0, max_iter=300,
-                                    sq_norms=_sq_norms(pts))
-    assert len(trace) < 50
+    steps = _count_calls(monkeypatch, "_assign")
+    labels, inertia = _lloyd(pts, centers, tol=-1.0, max_iter=300,
+                             sq_norms=_sq_norms(pts))
+    # one _assign call per lockstep step: every restart has left before
+    # step 50
+    assert len(steps) < 50
     for (ref_labels, ref_inertia, ref_trace), got_labels, got in zip(
             ref, labels, inertia):
         assert len(ref_trace) == 300
@@ -478,7 +496,7 @@ def test_bad_point_arrays_fail_before_any_draw(monkeypatch, shape, entry):
 
 
 # ---------------------------------------------------------------------------
-# k-means in the coordinates of the points' span
+# k-means on rank-deficient points
 # ---------------------------------------------------------------------------
 
 def _embedded_blobs(n_per, n_blobs, rank, dim, seed):
@@ -489,65 +507,42 @@ def _embedded_blobs(n_per, n_blobs, rank, dim, seed):
     return _blobs(n_per, n_blobs, rank, seed) @ proj
 
 
-def test_kmeans_on_a_span_matches_the_oracle_on_the_points(monkeypatch):
+def test_kmeans_on_a_span_matches_the_oracle_on_the_points():
     pts = _embedded_blobs(20, 4, rank=3, dim=8, seed=5)
-    seen = _count_calls(monkeypatch, "_lloyd")
     seeds = [0, 3, 7]
     labels = clustering._kmeans_with_inertia(pts, 4, seeds, 3)
-    # Lloyd ran in the 3 coordinates of the span, once for the one group
-    assert [args[0].shape for args in seen] == [(len(pts), 3)]
     np.testing.assert_array_equal(labels, kmeans_oracle(pts, 4, seeds, 3))
 
 
-def test_span_coordinates_keep_pairwise_distances():
-    pts = _embedded_blobs(15, 3, rank=4, dim=10, seed=9)
-    coords = clustering._span_coordinates(pts, max_dim=10)
-    assert coords.shape == (len(pts), 4)
-    i, j = np.triu_indices(len(pts), k=1)
-    want = ((pts[i] - pts[j]) ** 2).sum(axis=1)
-    got = ((coords[i] - coords[j]) ** 2).sum(axis=1)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    # full rank and rank 0 keep the array itself
-    full = _blobs(10, 2, 3, seed=1)
-    zeros = np.zeros((6, 3))
-    assert clustering._span_coordinates(full, max_dim=10) is full
-    assert clustering._span_coordinates(zeros, max_dim=10) is zeros
-
-
-def test_points_without_a_rank_check_reach_lloyd_unchanged(monkeypatch):
+def test_points_reach_lloyd_unchanged(monkeypatch):
+    # k-means clusters the points it is given, whatever their rank
     seen = _count_calls(monkeypatch, "_lloyd")
-    full = _blobs(10, 3, 4, seed=2)
-    clustering._kmeans_with_inertia(full, 3, [0, 1], 2)
-    # rank 2 in 7 dimensions, but 7 > 2 * seeds * restarts * C = 6
-    narrow = _embedded_blobs(10, 3, rank=2, dim=7, seed=2)
-    clustering._kmeans_with_inertia(narrow, 3, [0], 1)
-    assert seen[0][0] is full and seen[1][0] is narrow
-    # with one more restart the check runs, and Lloyd gets the span
-    clustering._kmeans_with_inertia(narrow, 3, [0], 2)
-    assert seen[2][0].shape == (30, 2)
-    # fewer points than dimensions: eigh would cost more than the Gram
-    few = np.random.default_rng(3).standard_normal((6, 8))
-    clustering._kmeans_with_inertia(few, 2, range(4), 4)
-    assert seen[3][0] is few
+    for pts in (_blobs(10, 3, 4, seed=2),
+                _embedded_blobs(10, 3, rank=2, dim=7, seed=2)):
+        clustering._kmeans_with_inertia(pts, 3, [0, 1], 2)
+        assert seen[-1][0] is pts
 
 
-def test_evaluate_of_a_wide_embedding_does_not_depend_on_the_span_step(
-        monkeypatch):
+def test_evaluate_of_a_wide_embedding_does_not_depend_on_the_span_step():
+    # d_out = 9 > d_v = 4: forward's 4 span coordinates and the 9-wide
+    # h_last @ final_proj cluster alike
     g = gen_sbm(SBMSpec(block_sizes=(15, 15, 15), p_in=0.4, p_out=0.02,
                         feature_dim=8, seed=3))
     cfg = TrainingConfig(k=2, lam=1e-2, epochs=3, layers=1, heads=2, d_q=4,
                          d_v=4, d_out=9, seed=3, restarts=3)
     params, _ = train(g, cfg)
-    emb = forward(g, khop_mask(g, cfg.k), params)
-    seen = _count_calls(monkeypatch, "_lloyd")
+    emb, h_last, _ = _forward_tape(g.features, khop_mask(g, cfg.k), params)
+    assert emb.shape == (g.n_nodes, cfg.d_v)
     got = evaluate(emb, g.n_clusters, g.labels, range(6), cfg.restarts)
-    assert seen[0][0].shape == (g.n_nodes, cfg.d_v)
-    monkeypatch.setattr(clustering, "_span_coordinates",
-                        lambda points, max_dim: points)
-    want = evaluate(emb, g.n_clusters, g.labels, range(6), cfg.restarts)
-    assert seen[1][0] is emb
-    assert got.to_dict() == want.to_dict()
+    want = evaluate(h_last @ params.final_proj, g.n_clusters, g.labels,
+                    range(6), cfg.restarts)
     np.testing.assert_array_equal(got.labels, want.labels)
+    assert (got.acc, got.nmi, got.chosen_seed) == (want.acc, want.nmi,
+                                                   want.chosen_seed)
+    for (s, inertia, a, m), (ws, w_inertia, wa, wm) in zip(got.seed_records,
+                                                          want.seed_records):
+        assert (s, a, m) == (ws, wa, wm)
+        assert inertia == pytest.approx(w_inertia, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +768,8 @@ def test_nmi_identical_partitions_exactly_one():
 
 def test_nmi_single_cluster_is_zero():
     assert nmi([0, 0, 0, 0], [0, 1, 0, 1]) == 0.0
+    # one cluster on both sides: no entropy at all
+    assert nmi([0, 0, 0], [2, 2, 2]) == 0.0
 
 
 def test_nmi_matches_contingency_oracle():

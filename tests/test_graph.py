@@ -148,6 +148,19 @@ def test_graph_rejects_labels_of_another_length():
         Graph(adj=adj, features=np.zeros((2, 1)), labels=np.zeros(3, dtype=int))
 
 
+def test_graph_built_directly_rejects_label_outside_node_count():
+    # build_graph checks the labels before Graph does; Graph checks alone
+    adj = build_graph([[0, 1]], np.zeros((3, 1))).adj
+    with pytest.raises(ConfigError, match="labels must lie in \\[0, 3\\)"):
+        Graph(adj=adj, features=np.zeros((3, 1)), labels=np.array([0, 3, 1]))
+
+
+def test_build_graph_takes_one_feature_per_node_as_a_column():
+    g = build_graph([[0, 1]], np.array([1.0, 2.0, 3.0]))
+    assert g.features.shape == (3, 1)
+    np.testing.assert_array_equal(g.features[:, 0], [1.0, 2.0, 3.0])
+
+
 @pytest.mark.parametrize("label", ["3", "7"])
 def test_load_rejects_label_outside_node_count(tmp_path, label):
     # K-means cannot fit more clusters than there are nodes, so a label at

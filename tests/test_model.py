@@ -206,6 +206,28 @@ def test_zero_final_projection_gives_zero_embeddings():
     assert (h == 0).all()
 
 
+@pytest.mark.parametrize("d_out", [3, 4, 9])
+def test_forward_returns_span_coordinates_of_the_projection(d_out):
+    # the rows of h_last @ final_proj in an orthonormal basis of the
+    # projection's row space: min(d_out, d_v) wide, every inner product and
+    # pairwise distance kept to 1e-12 of the rows' norms
+    g = random_graph(12, 0.4, seed=8)
+    dims = dataclasses.replace(DIMS, d_out=d_out)
+    params = init_params(dims, seed=8)
+    mask = khop_mask(g, 2)
+    emb, h_last, _ = _forward_tape(g.features, mask, params)
+    np.testing.assert_array_equal(forward(g, mask, params), emb)
+    assert emb.shape == (g.n_nodes, min(d_out, dims.d_v))
+    full = h_last @ params.final_proj
+    norms = np.linalg.norm(full, axis=1)
+    scale = 1e-12 * np.outer(norms, norms)
+    assert (np.abs(emb @ emb.T - full @ full.T) <= scale).all()
+    i, j = np.triu_indices(g.n_nodes, k=1)
+    want = ((full[i] - full[j]) ** 2).sum(axis=1)
+    got = ((emb[i] - emb[j]) ** 2).sum(axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 @settings(max_examples=30)
 @given(n=st.integers(2, 10), p_edge=st.floats(0.0, 1.0),
        mode=st.sampled_from(["structure", "vanilla"]),

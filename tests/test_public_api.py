@@ -67,6 +67,8 @@ def test_removed_wrappers_are_not_public(capsys):
         assert not hasattr(agcn.training, name), name
     # integer lists have one parser, and the graph module holds no analysis
     assert not hasattr(cli, "_parse_k_range")
+    # the model states its embedding's span; K-means does not measure it
+    assert not hasattr(agcn.clustering, "_span_coordinates")
     assert not hasattr(agcn.graph, "shortest_path_histogram")
     # nothing trains on a tree-matching task, so nothing generates one
     for name in ("TreeMatchSpec", "gen_tree_match"):

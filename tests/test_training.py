@@ -1153,7 +1153,9 @@ def test_span_coordinates_give_the_full_width_objective():
     g = random_graph(14, 0.4, seed=31, d=4)
     cfg = TrainingConfig(k=2, lam=0.5, layers=2, heads=2, d_q=4, d_v=4,
                          d_out=9, epochs=1, pair_cap=64, gamma=0.5)
-    mask, params, emb, _, _, batch = _gradcheck_setup(g, cfg, seed=31)
+    mask, params, _, h_last, _, _ = _gradcheck_setup(g, cfg, seed=31)
+    emb = h_last @ params.final_proj
+    batch = _batch(emb, mask, cfg.pair_cap, cfg.seed)
     weights = khop_weights(g, cfg.k)
     q = np.linalg.qr(params.final_proj.T)[0]
     assert q.shape == (cfg.d_out, cfg.d_v)
